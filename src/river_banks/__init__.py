@@ -48,24 +48,17 @@ from river_banks.tables import (
     TwistTable,
     UndecidableError,
     WindowExceededError,
-    add,
     ascii_normalize,
     beilinson_terms,
-    coreg,
-    dual,
-    entry,
-    hilbert_polynomial,
     homogeneous_table,
     is_natural,
     is_supernatural,
     literal_from_json,
     parse_ascii,
-    reg,
     regularity_profile,
     render_ascii,
     structure_sheaf_table,
     table_to_json,
-    twist,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from river_banks.bott import bott_cohomology, chi_polynomial
+from river_banks.bott import chi_polynomial
 from river_banks.partitions import GenPartition, leq
 from river_banks.ratpoly import RatPoly
 from river_banks.tables import (
@@ -23,6 +23,9 @@ from river_banks.tables import (
     InsufficientDataError,
     NEG_INFINITY,
     POS_INFINITY,
+    _cells,
+    _first_dirty,
+    homogeneous_table,
 )
 
 MAX_TERMS = 64
@@ -78,20 +81,18 @@ def decompose(t: CohomologyTable) -> Decomposition:
 
     maxpart = max(-coreg0 - 1, 0)
     lo, hi = -maxpart - n - 2, maxpart + n + 2
-    grid = [[Fraction(t.entry(i, c - i)) for c in range(lo, hi + 1)]
-            for i in range(n + 1)]
+    grid = [[Fraction(v) for v in row] for row in _cells(t, lo, hi)]
 
     terms = []
     prev = None
     for _ in range(MAX_TERMS):
         if not any(any(row) for row in grid):
             break
-        lam = _pivot_label(grid, lo, n, terms)
+        lam = _pivot_label(grid, lo, hi, n, terms)
         if prev is not None and not leq(prev, lam):
             raise NotDecomposableWithinScope(
                 f"chain order violated: {prev} vs {lam}", _partial(terms))
-        pivot = [[_bott_entry(n, lam, i, c - i) for c in range(lo, hi + 1)]
-                 for i in range(n + 1)]
+        pivot = _cells(homogeneous_table(lam), lo, hi)
         ratios = [grid[i][x] / pv
                   for i, prow in enumerate(pivot)
                   for x, pv in enumerate(prow) if pv]
@@ -133,22 +134,16 @@ def _partial(terms):
     return Decomposition(tuple(terms), False, bool(terms))
 
 
-def _bott_entry(n, lam, i, d):
-    hit = bott_cohomology(n, lam, d)
-    return hit.dim if hit is not None and hit.degree == i else 0
-
-
-def _pivot_label(grid, lo, n, terms):
+def _pivot_label(grid, lo, hi, n, terms):
     """Label whose parts negate the residual grid's regularity profile."""
     parts_small_first = []
     for k in range(n):
-        dirty = [x for x in range(len(grid[0]))
-                 if any(grid[j][x] for j in range(k + 1, n + 1))]
-        if not dirty:
+        c = _first_dirty(lambda j, col: grid[j][col - lo], range(k + 1, n + 1),
+                         range(hi, lo - 1, -1))
+        if c is None:
             raise NotDecomposableWithinScope(
                 f"residual has no support below row {k}", _partial(terms))
-        reg_k = lo + max(dirty) + 1
-        parts_small_first.append(-reg_k)
+        parts_small_first.append(-(c + 1))
     if parts_small_first[0] < 0:
         raise NotDecomposableWithinScope(
             "residual is no longer zero-regular", _partial(terms))

@@ -23,6 +23,7 @@ from river_banks.partitions import GenPartition, lr_expand
 from river_banks.tables import (
     BottSumTable,
     CohomologyTable,
+    _json_index,
     homogeneous_table,
     regularity_profile,
 )
@@ -49,20 +50,12 @@ class BoundEntry:
     def to_json(self):
         return {
             "p": self.p,
-            "bound": _num(self.bound),
-            "actual": _num(self.actual),
+            "bound": _json_index(self.bound),
+            "actual": _json_index(self.actual),
             "satisfied": self.satisfied,
             "equality": self.equality,
             "window_limited": self.window_limited,
         }
-
-
-def _num(v):
-    if v == float("-inf"):
-        return "-inf"
-    if v == float("inf"):
-        return "inf"
-    return int(v)
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,7 @@ class UnobstructedReport:
         return {
             "holds": self.holds,
             "branch": self.branch,
-            "margins": [_num(m) for m in self.margins],
+            "margins": [_json_index(m) for m in self.margins],
             "window_limited": self.window_limited,
         }
 

@@ -84,6 +84,16 @@ def _window(text):
         raise argparse.ArgumentTypeError(f"window must be lo:hi, got {text!r}")
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _cmd_table(args):
     t = table_from_expr(args.expr)
     lo, hi = args.window
@@ -258,7 +268,7 @@ def build_parser():
     p.set_defaults(func=_cmd_unobstructed)
 
     p = sub.add_parser("wedge-kernel", help="kernel dimensions of wedge pairs")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--eta1", help='JSON pairs, e.g. [[[1,2],"1"],[[3,4],"1/2"]]')
     p.add_argument("--eta2")

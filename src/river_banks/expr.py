@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
-from river_banks.tables import BottSumTable, CohomologyTable, SumTable
+from river_banks.tables import (
+    BottSumTable,
+    CohomologyTable,
+    SumTable,
+    homogeneous_table,
+    structure_sheaf_table,
+)
 
 
 class ExprError(ValueError):
@@ -263,9 +269,9 @@ def _build(node, n):
             raise ExprError(
                 f"partition {list(node.parts)} has length {len(node.parts)}, "
                 f"but the ambient space is P{n}")
-        return BottSumTable(n, [(1, GenPartition(node.parts))])
+        return homogeneous_table(GenPartition(node.parts))
     if isinstance(node, Line):
-        return BottSumTable(n, [(1, GenPartition((node.t,) * n))])
+        return structure_sheaf_table(n, node.t)
     if isinstance(node, Push):
         if len(node.a) != n:
             raise ExprError(

@@ -139,32 +139,3 @@ def _rank_int(rows):
             break
     return rank_
 
-
-def rank_mod_p(matrix, p: int) -> int:
-    """Rank of the reduction mod p; raises ValueError if a denominator dies mod p."""
-    m = []
-    for row in matrix:
-        red = []
-        for c in row:
-            c = Fraction(c)
-            if c.denominator % p == 0:
-                raise ValueError(f"denominator of {c} vanishes mod {p}")
-            red.append(c.numerator * pow(c.denominator, -1, p) % p)
-        m.append(red)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank_ = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank_, nrows) if m[r][col] % p), None)
-        if piv is None:
-            continue
-        m[rank_], m[piv] = m[piv], m[rank_]
-        inv = pow(m[rank_][col], -1, p)
-        for r in range(rank_ + 1, nrows):
-            factor = m[r][col] * inv % p
-            if factor:
-                m[r] = [(vr - factor * vp) % p for vr, vp in zip(m[r], m[rank_])]
-        rank_ += 1
-        if rank_ == nrows:
-            break
-    return rank_

@@ -5,45 +5,34 @@ m-dimensional projective space pushes the line bundle of multidegree
 (a_1, ..., a_m) forward to a rank-m! bundle whose twist by d has the
 cohomology of the multidegree (a_1 + d, ..., a_m + d) upstairs; that
 cohomology factors over the line factors, so every entry is a short product
-formula.
+formula, nonzero in at most one row per twist.
+
+The regularity indices are found by the shared antidiagonal scan of
+``CohomologyTable`` over ``_scan_range()``.  That range is certified: past its
+right end only row 0 is nonzero and before its left end only row n, so no
+index touches the boundary and none is flagged window-limited.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import prod
 
 from river_banks.ratpoly import RatPoly
 from river_banks.tables import CohomologyTable
 
 
-def _h0_line(a):
-    return a + 1 if a >= 0 else 0
-
-
-def _h1_line(a):
-    return -a - 1 if a <= -2 else 0
-
-
 def product_line_cohomology(a, i: int) -> int:
     """i-th cohomology dimension of the multidegree-``a`` line bundle upstairs.
 
-    Sums over the i-subsets of factors contributing their first cohomology
-    while the rest contribute sections.
+    A line factor of degree a_j has a_j + 1 sections when a_j >= 0, first
+    cohomology of dimension -a_j - 1 when a_j <= -2, and nothing at a_j = -1.
+    So only row i = #{j : a_j <= -2} can be nonzero, and there the entry is
+    the product of the |a_j + 1|.
     """
-    a = tuple(int(x) for x in a)
-    m = len(a)
-    if i < 0 or i > m:
+    a = [int(x) for x in a]
+    if i != sum(1 for aj in a if aj <= -2):
         return 0
-    total = 0
-    for picked in combinations(range(m), i):
-        picked = set(picked)
-        prod = 1
-        for j, aj in enumerate(a):
-            prod *= _h1_line(aj) if j in picked else _h0_line(aj)
-            if prod == 0:
-                break
-        total += prod
-    return total
+    return prod(abs(aj + 1) for aj in a)
 
 
 class KunnethTable(CohomologyTable):
@@ -70,22 +59,6 @@ class KunnethTable(CohomologyTable):
 
     def _scan_range(self):
         return (-max(self.a) - self.n - 2, -min(self.a) + self.n + 2)
-
-    def _reg_limited(self, k):
-        # Row j > 0 needs some factor of degree <= -2, so high columns are
-        # clean and the scan over the certified range terminates.
-        lo, hi = self._scan_range()
-        for m in range(hi, lo - 1, -1):
-            if any(self.entry(j, m - j) for j in range(k + 1, self.n + 1)):
-                return (m + 1, False)
-        return (lo, False)
-
-    def _coreg_limited(self, k):
-        lo, hi = self._scan_range()
-        for m in range(lo, hi + 1):
-            if any(self.entry(j, m - j) for j in range(0, self.n - k)):
-                return (m - 1, False)
-        return (hi, False)
 
     def __repr__(self):
         return f"<KunnethTable {','.join(str(x) for x in self.a)}>"

@@ -18,9 +18,15 @@ antidiagonal ``{(j, m - j)}`` that the regularity indices quantify over:
 * ``coreg(k)`` = greatest m such that rows j < n - k hold only zeros in
   display columns <= m.
 
-For literal tables these are computed by scanning the window; an answer that
-touches the window boundary is reported with a ``window_limited`` flag
-instead of being silently extrapolated.
+Sums of homogeneous tables read the indices off their labels, and dual,
+twist and sum wrappers derive theirs from their inner tables.  Every other
+table -- pushforwards and literal windows -- is scanned by the one shared
+antidiagonal scan: for reg(k) display columns are walked from the right end
+of ``_scan_range()`` leftwards until one has a nonzero cell in rows j > k,
+for coreg(k) from the left end rightwards over rows j < n - k, both through
+``entry``.  An answer that touches the end of the range is reported with a
+``window_limited`` flag instead of being silently extrapolated; pushforward
+ranges are certified, so only literal windows ever raise the flag.
 """
 
 from __future__ import annotations
@@ -97,10 +103,18 @@ class CohomologyTable:
         return self._coreg_limited(k)[0]
 
     def _reg_limited(self, k):
-        raise NotImplementedError
+        lo, hi = self._scan_range()
+        c = _first_dirty(self._cell, range(k + 1, self.n + 1), range(hi, lo - 1, -1))
+        return (lo, True) if c is None else (c + 1, c == hi)
 
     def _coreg_limited(self, k):
-        raise NotImplementedError
+        lo, hi = self._scan_range()
+        c = _first_dirty(self._cell, range(self.n - k), range(lo, hi + 1))
+        return (hi, True) if c is None else (c - 1, c == lo)
+
+    def _cell(self, j, c):
+        """The cell of row j in display column c."""
+        return self.entry(j, c - j)
 
     # --- structural operations ----------------------------------------
 
@@ -113,7 +127,7 @@ class CohomologyTable:
     def __add__(self, other):
         if not isinstance(other, CohomologyTable):
             return NotImplemented
-        return add(self, other)
+        return SumTable((self, other))
 
     def hilbert_polynomial(self) -> RatPoly:
         raise NotImplementedError
@@ -317,26 +331,6 @@ class LiteralTable(CohomologyTable):
             raise WindowExceededError(i, d, self.lo, self.hi)
         return self.rows_by_i[i][c - self.lo]
 
-    def _column_dirty(self, c, row_range):
-        off = c - self.lo
-        return any(self.rows_by_i[j][off] for j in row_range)
-
-    def _reg_limited(self, k):
-        dirty = [c for c in range(self.lo, self.hi + 1)
-                 if self._column_dirty(c, range(k + 1, self.n + 1))]
-        if not dirty:
-            return (self.lo, True)
-        m = max(dirty) + 1
-        return (m, m > self.hi)
-
-    def _coreg_limited(self, k):
-        dirty = [c for c in range(self.lo, self.hi + 1)
-                 if self._column_dirty(c, range(0, self.n - k))]
-        if not dirty:
-            return (self.hi, True)
-        m = min(dirty) - 1
-        return (m, m < self.lo)
-
     def hilbert_polynomial(self):
         raise InsufficientDataError(
             "a finite window does not determine the twist polynomial"
@@ -346,33 +340,18 @@ class LiteralTable(CohomologyTable):
         return (self.lo, self.hi)
 
 
-# --- module-level operation surface ------------------------------------
+def _first_dirty(cell, rows, cols):
+    """The first display column c of ``cols`` with a nonzero cell(j, c), j in ``rows``.
+
+    None when every such cell is zero.  This is the antidiagonal scan behind
+    every scanned regularity index.
+    """
+    return next((c for c in cols if any(cell(j, c) for j in rows)), None)
 
 
-def entry(t: CohomologyTable, i: int, d: int):
-    return t.entry(i, d)
-
-
-def reg(t: CohomologyTable, k: int):
-    return t.reg(k)
-
-
-def coreg(t: CohomologyTable, k: int):
-    return t.coreg(k)
-
-
-def dual(t: CohomologyTable) -> CohomologyTable:
-    return t.dual()
-
-
-def twist(t: CohomologyTable, s: int) -> CohomologyTable:
-    return t.twist(s)
-
-
-def add(t1: CohomologyTable, t2: CohomologyTable) -> CohomologyTable:
-    if t1.n != t2.n:
-        raise ValueError(f"ambient dimension mismatch: {t1.n} vs {t2.n}")
-    return SumTable((t1, t2))
+def _cells(t: CohomologyTable, lo: int, hi: int):
+    """Rows 0..n of ``t`` over display columns lo..hi, as a list of lists."""
+    return [[t.entry(i, c - i) for c in range(lo, hi + 1)] for i in range(t.n + 1)]
 
 
 @dataclass(frozen=True)
@@ -458,10 +437,6 @@ def is_supernatural(t: CohomologyTable, chi: RatPoly | None = None) -> bool:
     return chi.degree == t.n and len(chi.integer_roots()) == t.n
 
 
-def hilbert_polynomial(t: CohomologyTable) -> RatPoly:
-    return t.hilbert_polynomial()
-
-
 def beilinson_terms(t: CohomologyTable, e: int):
     """Multiplicities along display column e, as (row j, entry(j, e - j)) pairs.
 
@@ -483,20 +458,16 @@ def render_ascii(t: CohomologyTable, lo: int, hi: int) -> str:
     if hi < lo:
         raise ValueError(f"empty window {lo}..{hi}")
     n = t.n
-    cols = list(range(lo, hi + 1))
-    cells = {}
-    for i in range(n + 1):
-        for c in cols:
-            v = t.entry(i, c - i)
-            cells[i, c] = str(v) if v else "."
-    widths = {c: max(len(str(c)), max(len(cells[i, c]) for i in range(n + 1)))
-              for c in cols}
+    cols = range(lo, hi + 1)
+    cells = [[str(v) if v else "." for v in row] for row in _cells(t, lo, hi)]
+    widths = [max(len(str(c)), *(len(row[x]) for row in cells))
+              for x, c in enumerate(cols)]
     label_w = len(f"{n}:")
     lines = []
     for i in range(n, -1, -1):
-        body = " ".join(cells[i, c].rjust(widths[c]) for c in cols)
+        body = " ".join(v.rjust(w) for v, w in zip(cells[i], widths))
         lines.append(f"{i}:".rjust(label_w) + " " + body)
-    index = " ".join(str(c).rjust(widths[c]) for c in cols)
+    index = " ".join(str(c).rjust(w) for c, w in zip(cols, widths))
     lines.append(" " * label_w + " " + index)
     return "\n".join(lines) + "\n"
 
@@ -579,15 +550,13 @@ def table_to_json(t: CohomologyTable, lo: int, hi: int) -> dict:
     Entries that do not fit a signed 64-bit integer are emitted as decimal
     strings.
     """
+    cells = _cells(t, lo, hi)
     rows = []
     for i in range(t.n, -1, -1):
-        row = []
-        for c in range(lo, hi + 1):
-            v = t.entry(i, c - i)
+        for c, v in enumerate(cells[i], lo):
             if isinstance(v, Fraction):
                 raise ValueError(f"non-integral entry {v} at (i={i}, col={c})")
-            row.append(v if abs(v) <= INT64_MAX else str(v))
-        rows.append(row)
+        rows.append([v if abs(v) <= INT64_MAX else str(v) for v in cells[i]])
     return {"n": t.n, "window": [lo, hi], "rows": rows}
 
 

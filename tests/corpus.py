@@ -1,10 +1,14 @@
-"""Seeded random inputs and entry-level scan oracles shared by the tests.
+"""Seeded random inputs and entry-level oracles shared by the tests.
 
-The oracles compute regularity indices by scanning table entries directly,
-independent of the closed forms and structural recursions under test.
+The scan oracles compute regularity indices by scanning table entries
+directly, independent of the closed forms and structural recursions under
+test; the subset-sum oracle computes a pushforward entry by the full
+Kunneth sum, independent of the one-row closed form.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
@@ -62,3 +66,20 @@ def reg_condition_holds(t, k, m):
 
 def coreg_condition_holds(t, k, m):
     return not any(t.entry(j, m - j) for j in range(0, t.n - k))
+
+
+def subset_sum_cohomology(a, i):
+    """Row i of the multidegree-``a`` line bundle on a product of lines.
+
+    Sums over the i-subsets of factors contributing their first cohomology
+    while the rest contribute sections.
+    """
+    if i < 0:
+        return 0
+    total = 0
+    for picked in combinations(range(len(a)), i):
+        prod = 1
+        for j, aj in enumerate(a):
+            prod *= (-aj - 1 if aj <= -2 else 0) if j in picked else max(aj + 1, 0)
+        total += prod
+    return total

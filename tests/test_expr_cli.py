@@ -159,6 +159,12 @@ class TestCliCommands:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["kernel_dim"] == 7
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_wedge_kernel_rejects_nonpositive_trials(self, capsys, trials):
+        assert main(["wedge-kernel", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--trials" in captured.err
+
     def test_golden_verify(self, capsys):
         assert main(["golden", "verify"]) == 0
         out = json.loads(capsys.readouterr().out)

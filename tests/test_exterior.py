@@ -8,7 +8,6 @@ from river_banks.exterior import (
     TwoForm,
     kernel_dim,
     rank,
-    rank_mod_p,
     wedge_matrix,
 )
 
@@ -87,6 +86,36 @@ def _gauss_rank(m):
                 m[r] = [a - f * b for a, b in zip(m[r], m[r0])]
         r0 += 1
     return r0
+
+
+def rank_mod_p(matrix, p: int) -> int:
+    """Rank of the reduction mod p; raises ValueError if a denominator dies mod p."""
+    m = []
+    for row in matrix:
+        red = []
+        for c in row:
+            c = Fraction(c)
+            if c.denominator % p == 0:
+                raise ValueError(f"denominator of {c} vanishes mod {p}")
+            red.append(c.numerator * pow(c.denominator, -1, p) % p)
+        m.append(red)
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rank_ = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank_, nrows) if m[r][col] % p), None)
+        if piv is None:
+            continue
+        m[rank_], m[piv] = m[piv], m[rank_]
+        inv = pow(m[rank_][col], -1, p)
+        for r in range(rank_ + 1, nrows):
+            factor = m[r][col] * inv % p
+            if factor:
+                m[r] = [(vr - factor * vp) % p for vr, vp in zip(m[r], m[rank_])]
+        rank_ += 1
+        if rank_ == nrows:
+            break
+    return rank_
 
 
 class TestRank:

@@ -1,10 +1,18 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from river_banks import golden
 from river_banks.kunneth import product_line_cohomology, pushforward_table
+from river_banks.tables import regularity_profile
 
-from corpus import coreg_condition_holds, random_kunneth, reg_condition_holds
+from corpus import (
+    coreg_condition_holds,
+    random_kunneth,
+    reg_condition_holds,
+    subset_sum_cohomology,
+)
 
 
 class TestProductLineCohomology:
@@ -16,6 +24,11 @@ class TestProductLineCohomology:
     def test_out_of_range_degree(self):
         assert product_line_cohomology((1, 1), -1) == 0
         assert product_line_cohomology((1, 1), 3) == 0
+
+    @given(st.lists(st.integers(-9, 9), max_size=8))
+    def test_closed_form_matches_subset_sum(self, a):
+        for i in range(-1, len(a) + 2):
+            assert product_line_cohomology(a, i) == subset_sum_cohomology(a, i)
 
 
 class TestPushforwardTable:
@@ -64,6 +77,8 @@ class TestInvariants:
         rng = random.Random(33)
         for _ in range(20):
             t = random_kunneth(rng)
+            prof = regularity_profile(t)
+            assert not any(prof.reg_window_limited + prof.coreg_window_limited)
             for k in range(t.n):
                 m = t.reg(k)
                 assert all(reg_condition_holds(t, k, m + s) for s in range(2 * t.n + 5))

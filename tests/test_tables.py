@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from river_banks import golden
 from river_banks.bott import bott_cohomology
@@ -14,9 +15,9 @@ from river_banks.tables import (
     POS_INFINITY,
     BottSumTable,
     LiteralTable,
+    RegularityProfile,
     UndecidableError,
     WindowExceededError,
-    add,
     ascii_normalize,
     beilinson_terms,
     homogeneous_table,
@@ -42,6 +43,39 @@ from corpus import (
 
 def gp(*parts):
     return GenPartition(parts)
+
+
+@st.composite
+def literal_windows(draw):
+    n = draw(st.integers(1, 4))
+    lo = draw(st.integers(-6, 6))
+    width = draw(st.integers(1, 8))
+    row = st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=width, max_size=width)
+    return LiteralTable(n, lo, lo + width - 1, draw(st.lists(row, min_size=n + 1,
+                                                             max_size=n + 1)))
+
+
+def brute_profile(t):
+    """The module docstring's definitions, read cell by cell off the stored rows.
+
+    reg(k) is the least m in lo..hi+1 whose columns m..hi are clean in rows
+    j > k; coreg(k) the greatest m in lo-1..hi whose columns lo..m are clean
+    in rows j < n - k.  Either is window-limited when it sits at an end of
+    its candidate range, where the window cannot tell what lies beyond.
+    """
+    lo, hi = t.window
+
+    def clean(rows, cols):
+        return not any(t.rows_by_i[j][c - lo] for j in rows for c in cols)
+
+    reg, coreg = [], []
+    for k in range(t.n):
+        above, below = range(k + 1, t.n + 1), range(t.n - k)
+        reg.append(min(m for m in range(lo, hi + 2) if clean(above, range(m, hi + 1))))
+        coreg.append(max(m for m in range(lo - 1, hi + 1) if clean(below, range(lo, m + 1))))
+    return RegularityProfile(tuple(reg), tuple(coreg),
+                             tuple(m in (lo, hi + 1) for m in reg),
+                             tuple(m in (lo - 1, hi) for m in coreg))
 
 
 class TestEntry:
@@ -127,6 +161,10 @@ class TestRegCoreg:
         prof = regularity_profile(t)
         assert prof.reg == (3,) and prof.reg_window_limited == (True,)
 
+    @given(literal_windows())
+    def test_literal_profile_matches_definition(self, t):
+        assert regularity_profile(t) == brute_profile(t)
+
 
 class TestDual:
     def test_involution(self):
@@ -179,10 +217,10 @@ class TestTwistAdd:
         assert o.twist(3).coreg(0) == -4
 
     def test_add_entries(self):
-        s = add(structure_sheaf_table(2), homogeneous_table(gp(1, 0)))
+        s = structure_sheaf_table(2) + homogeneous_table(gp(1, 0))
         assert s.entry(0, 0) == 1 + 3
         with pytest.raises(ValueError):
-            add(structure_sheaf_table(2), structure_sheaf_table(3))
+            structure_sheaf_table(2) + structure_sheaf_table(3)
 
     def test_sum_reg_law(self):
         rng = random.Random(26)
@@ -190,7 +228,7 @@ class TestTwistAdd:
             n = rng.randint(1, 4)
             t1 = random_bott_sum(rng, n=n)
             t2 = random_bott_sum(rng, n=n)
-            s = add(t1, t2)
+            s = t1 + t2
             for k in range(n):
                 assert s.reg(k) == max(t1.reg(k), t2.reg(k))
                 assert s.coreg(k) == min(t1.coreg(k), t2.coreg(k))
