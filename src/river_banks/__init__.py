@@ -41,11 +41,9 @@ from river_banks.tables import (
     POS_INFINITY,
     BottSumTable,
     CohomologyTable,
-    DualTable,
     LiteralTable,
     RegularityProfile,
     SumTable,
-    TwistTable,
     UndecidableError,
     WindowExceededError,
     ascii_normalize,

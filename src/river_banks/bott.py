@@ -42,7 +42,7 @@ def bott_cohomology(n: int, lam: GenPartition, d: int) -> Optional[BottCohomolog
     return _bott(n, lam.parts, d)
 
 
-@lru_cache(maxsize=200_000)
+@lru_cache(maxsize=1 << 16)
 def _bott(n, parts, d):
     beta = [parts[i] + n - i for i in range(n)] + [-d]
     if len(set(beta)) < n + 1:

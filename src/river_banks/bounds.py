@@ -148,20 +148,12 @@ def check_tensor_bounds(tf: CohomologyTable, tg: CohomologyTable,
 def check_sharpness(lam: GenPartition, mu: GenPartition) -> BoundReport:
     """Equality report for a pair of single homogeneous bundles.
 
-    The product's k-th regularity index must equal the min-formula value
-    -max over k + l = p of (lam_k + mu_l) for every p.
+    The reg side of ``check_tensor_bounds`` on the two bundles and their
+    product: the product's p-th regularity index must equal the min-formula
+    value -max over k + l = p of (lam_k + mu_l) for every p.
     """
-    if lam.n != mu.n:
-        raise ValueError(f"length mismatch: {lam.n} vs {mu.n}")
-    n = lam.n
-    product = tensor_homogeneous(homogeneous_table(lam), homogeneous_table(mu))
-    entries = []
-    for p in range(n):
-        bound = min(-lam.part(k) - mu.part(p - k) for k in range(p + 1))
-        actual = product.reg(p)
-        entries.append(BoundEntry(p, bound, actual, actual <= bound,
-                                  actual == bound, False))
-    return BoundReport("reg", tuple(entries))
+    tl, tm = homogeneous_table(lam), homogeneous_table(mu)
+    return check_tensor_bounds(tl, tm, tensor_homogeneous(tl, tm))[0]
 
 
 def lr_witness(lam: GenPartition, mu: GenPartition, p: int) -> GenPartition:

@@ -7,6 +7,12 @@ cohomology of the multidegree (a_1 + d, ..., a_m + d) upstairs; that
 cohomology factors over the line factors, so every entry is a short product
 formula, nonzero in at most one row per twist.
 
+Pushforwards are closed under twists and duals.  Twisting by s adds s to
+every a_j.  The dual of the pushforward of O(a) is the pushforward of O(-a)
+tensored with the relative dualizing bundle, which is O(-2, ..., -2) times
+the pullback of O(n + 1), that is O(n - 1, ..., n - 1); so the dual is the
+pushforward of the multidegree (n - 1 - a_1, ..., n - 1 - a_n).
+
 The regularity indices are found by the shared antidiagonal scan of
 ``CohomologyTable`` over ``_scan_range()``.  That range is certified: past its
 right end only row 0 is nonzero and before its left end only row n, so no
@@ -48,8 +54,11 @@ class KunnethTable(CohomologyTable):
     def _entry(self, i, d):
         return product_line_cohomology(tuple(aj + d for aj in self.a), i)
 
+    def dual(self):
+        return KunnethTable(self.n - 1 - aj for aj in self.a)
+
     def twist(self, s):
-        return KunnethTable(tuple(aj + s for aj in self.a))
+        return KunnethTable(aj + s for aj in self.a)
 
     def hilbert_polynomial(self):
         poly = RatPoly([1])

@@ -14,8 +14,8 @@ entry, so ``part(0) == parts[-1]`` and ``part(n - 1) == parts[0]``.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 
 class GenPartition:
@@ -81,19 +81,19 @@ def schur_dim(nu, size: int) -> int:
 
     ``nu`` is a weakly decreasing integer vector of length ``size`` whose
     first entry is the largest; the value is the product over i < j of
-    (nu_i - nu_j + j - i) / (j - i), always a positive integer.
+    (nu_i - nu_j + j - i) / (j - i), always a positive integer.  It is computed
+    in integers: the numerators' product divided exactly by the product of the
+    (j - i), which is the superfactorial 0! 1! ... (size - 1)!.
     """
     nu = tuple(nu.parts) if isinstance(nu, GenPartition) else tuple(int(p) for p in nu)
     if len(nu) != size:
         raise ValueError(f"label has length {len(nu)}, expected {size}")
     if any(a < b for a, b in zip(nu, nu[1:])):
         raise ValueError(f"label is not weakly decreasing: {nu}")
-    val = Fraction(1)
-    for i in range(size):
-        for j in range(i + 1, size):
-            val *= Fraction(nu[i] - nu[j] + j - i, j - i)
-    assert val.denominator == 1 and val > 0
-    return int(val)
+    num = prod(nu[i] - nu[j] + j - i for i in range(size) for j in range(i + 1, size))
+    val, rem = divmod(num, prod(map(factorial, range(size))))
+    assert rem == 0 and val > 0
+    return val
 
 
 def lr_expand(lam: GenPartition, mu: GenPartition) -> LRExpansion:

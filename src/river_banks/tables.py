@@ -2,10 +2,15 @@
 
 A table knows its ambient projective dimension n and answers ``entry(i, d)``
 -- the dimension of the i-th cohomology group of the d-th twist -- exactly.
-Generator backends (sums of homogeneous-bundle tables and the dual / twist /
-direct-sum wrappers) are defined for every twist; literal backends hold a
-finite window of values and refuse to answer outside it, since inventing
-zeros beyond a printed excerpt would fabricate vanishing.
+There are three backends: sums of homogeneous-bundle tables, pushforward
+tables (``kunneth.KunnethTable``) and literal windows, plus ``SumTable`` for
+direct sums of mixed backends.  Each backend is closed under Serre duality
+(``entry(i, d)`` of the dual is ``entry(n - i, -d - n - 1)``) and under
+twists (``entry(i, d)`` of ``twist(s)`` is ``entry(i, d + s)``): ``dual()``
+and ``twist(s)`` return a table of the same class, so no wrapper tables
+exist.  Generator backends are defined for every twist; literal backends
+hold a finite window of values and refuse to answer outside it, since
+inventing zeros beyond a printed excerpt would fabricate vanishing.
 
 Display convention shared by the ASCII and JSON formats: ``entry(i, d)``
 is shown in row i (rows listed top to bottom from n down to 0) and display
@@ -18,15 +23,15 @@ antidiagonal ``{(j, m - j)}`` that the regularity indices quantify over:
 * ``coreg(k)`` = greatest m such that rows j < n - k hold only zeros in
   display columns <= m.
 
-Sums of homogeneous tables read the indices off their labels, and dual,
-twist and sum wrappers derive theirs from their inner tables.  Every other
-table -- pushforwards and literal windows -- is scanned by the one shared
-antidiagonal scan: for reg(k) display columns are walked from the right end
-of ``_scan_range()`` leftwards until one has a nonzero cell in rows j > k,
-for coreg(k) from the left end rightwards over rows j < n - k, both through
-``entry``.  An answer that touches the end of the range is reported with a
-``window_limited`` flag instead of being silently extrapolated; pushforward
-ranges are certified, so only literal windows ever raise the flag.
+Sums of homogeneous tables read the indices off their labels and direct
+sums combine those of their summands.  Every other table -- pushforwards
+and literal windows -- is scanned by the one shared antidiagonal scan: for
+reg(k) display columns are walked from the right end of ``_scan_range()``
+leftwards until one has a nonzero cell in rows j > k, for coreg(k) from the
+left end rightwards over rows j < n - k, both through ``entry``.  An answer
+that touches the end of the range is reported with a ``window_limited``
+flag instead of being silently extrapolated; pushforward ranges are
+certified, so only literal windows ever raise the flag.
 """
 
 from __future__ import annotations
@@ -118,12 +123,6 @@ class CohomologyTable:
 
     # --- structural operations ----------------------------------------
 
-    def dual(self) -> "CohomologyTable":
-        return DualTable(self)
-
-    def twist(self, s: int) -> "CohomologyTable":
-        return TwistTable(self, s)
-
     def __add__(self, other):
         if not isinstance(other, CohomologyTable):
             return NotImplemented
@@ -178,6 +177,10 @@ class BottSumTable(CohomologyTable):
             return (POS_INFINITY, False)
         return (min(-lam.part(self.n - 1 - k) - 1 for _, lam in self.terms), False)
 
+    def dual(self):
+        return BottSumTable(self.n, [(m, GenPartition(-p for p in reversed(lam.parts)))
+                                     for m, lam in self.terms])
+
     def twist(self, s):
         return BottSumTable(self.n, [(m, lam.shift(s)) for m, lam in self.terms])
 
@@ -208,60 +211,6 @@ def structure_sheaf_table(n: int, t: int = 0) -> BottSumTable:
     return homogeneous_table(GenPartition((t,) * n))
 
 
-class DualTable(CohomologyTable):
-    """Serre-dual table: entry(i, d) of the dual is entry(n - i, -d - n - 1)."""
-
-    def __init__(self, inner):
-        self.n = inner.n
-        self.inner = inner
-
-    def _entry(self, i, d):
-        return self.inner.entry(self.n - i, -d - self.n - 1)
-
-    def _reg_limited(self, k):
-        v, flag = self.inner._coreg_limited(k)
-        return (-v - 1, flag)
-
-    def _coreg_limited(self, k):
-        v, flag = self.inner._reg_limited(k)
-        return (-v - 1, flag)
-
-    def hilbert_polynomial(self):
-        chi = self.inner.hilbert_polynomial().compose_linear(-1, -self.n - 1)
-        return chi * Fraction((-1) ** self.n)
-
-    def _scan_range(self):
-        lo, hi = self.inner._scan_range()
-        return (-hi - self.n - 1, -lo - self.n - 1)
-
-
-class TwistTable(CohomologyTable):
-    """Table of a twist: entry(i, d) = entry(inner, i, d + s)."""
-
-    def __init__(self, inner, s):
-        self.n = inner.n
-        self.inner = inner
-        self.s = int(s)
-
-    def _entry(self, i, d):
-        return self.inner.entry(i, d + self.s)
-
-    def _reg_limited(self, k):
-        v, flag = self.inner._reg_limited(k)
-        return (v - self.s, flag)
-
-    def _coreg_limited(self, k):
-        v, flag = self.inner._coreg_limited(k)
-        return (v - self.s, flag)
-
-    def hilbert_polynomial(self):
-        return self.inner.hilbert_polynomial().compose_linear(1, self.s)
-
-    def _scan_range(self):
-        lo, hi = self.inner._scan_range()
-        return (lo - self.s, hi - self.s)
-
-
 class SumTable(CohomologyTable):
     """Entrywise direct sum of tables on the same ambient space."""
 
@@ -285,6 +234,12 @@ class SumTable(CohomologyTable):
     def _coreg_limited(self, k):
         pairs = [t._coreg_limited(k) for t in self.tables]
         return (min(v for v, _ in pairs), any(f for _, f in pairs))
+
+    def dual(self):
+        return SumTable(t.dual() for t in self.tables)
+
+    def twist(self, s):
+        return SumTable(t.twist(s) for t in self.tables)
 
     def hilbert_polynomial(self):
         acc = RatPoly()
@@ -330,6 +285,13 @@ class LiteralTable(CohomologyTable):
         if not self.lo <= c <= self.hi:
             raise WindowExceededError(i, d, self.lo, self.hi)
         return self.rows_by_i[i][c - self.lo]
+
+    def dual(self):
+        rows = [row[::-1] for row in reversed(self.rows_by_i)]
+        return LiteralTable(self.n, -self.hi - 1, -self.lo - 1, rows)
+
+    def twist(self, s):
+        return LiteralTable(self.n, self.lo - s, self.hi - s, self.rows_by_i)
 
     def hilbert_polynomial(self):
         raise InsufficientDataError(
@@ -422,16 +384,17 @@ def is_natural(t: CohomologyTable, window=None) -> bool:
 def is_supernatural(t: CohomologyTable, chi: RatPoly | None = None) -> bool:
     """Natural cohomology plus a twist polynomial with n distinct integer roots.
 
-    Literal tables need ``chi`` supplied; without it the question is not
-    decidable from a finite window and ``UndecidableError`` is raised.
+    Tables holding a literal window need ``chi`` supplied; without it the
+    question is not decidable from a finite window and ``UndecidableError``
+    is raised.  Generator tables use their own polynomial and ignore ``chi``.
     """
-    if isinstance(t, LiteralTable):
+    try:
+        chi = t.hilbert_polynomial()
+    except InsufficientDataError:
         if chi is None:
             raise UndecidableError(
                 "supernaturality of a windowed table needs the twist polynomial"
-            )
-    else:
-        chi = t.hilbert_polynomial()
+            ) from None
     if not is_natural(t):
         return False
     return chi.degree == t.n and len(chi.integer_roots()) == t.n

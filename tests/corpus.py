@@ -33,7 +33,11 @@ def random_kunneth(rng, n=None, lo=-5, hi=5):
 
 
 def random_generator_table(rng):
-    """A generator-backed table, possibly wrapped in twists and duals."""
+    """A homogeneous sum or a pushforward, possibly twisted and dualized.
+
+    Twists and duals return a table of the same backend, so the result is a
+    ``BottSumTable`` or a ``KunnethTable``.
+    """
     t = random_kunneth(rng) if rng.random() < 0.4 else random_bott_sum(rng)
     if rng.random() < 0.4:
         t = t.twist(rng.randint(-3, 3))

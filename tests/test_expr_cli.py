@@ -9,7 +9,7 @@ from river_banks.cli import main
 from river_banks.expr import ExprError, parse_expr, table_from_expr
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
-from river_banks.tables import BottSumTable, SumTable, ascii_normalize
+from river_banks.tables import BottSumTable, ascii_normalize
 
 
 def gp(*parts):
@@ -31,7 +31,7 @@ class TestParseExpr:
 
     def test_sum_with_scale_and_dual(self):
         t = table_from_expr("dual(S[2,1,0]) (+) 2*O(-1) on P3")
-        assert isinstance(t, SumTable)
+        assert isinstance(t, BottSumTable)
         assert t.n == 3
         assert t.entry(0, 1) == table_from_expr("dual(S[2,1,0]) on P3").entry(0, 1) \
             + 2 * table_from_expr("O(-1) on P3").entry(0, 1)
@@ -96,6 +96,13 @@ class TestCliCommands:
         rc = main(["tensor", "push(1,0) on P2", "S[1,0] on P2"])
         assert rc == 2
         assert "check-bounds" in capsys.readouterr().err
+
+    def test_tensor_accepts_a_dual_operand(self, capsys):
+        # the dual of a homogeneous sum is the homogeneous sum of the dual labels
+        assert main(["tensor", "dual(S[1,0]) on P2", "S[1,0] on P2"]) == 0
+        dual_out = capsys.readouterr().out
+        assert main(["tensor", "S[0,-1] on P2", "S[1,0] on P2"]) == 0
+        assert dual_out == capsys.readouterr().out
 
     def test_check_bounds_and_exit_codes(self, tmp_path, capsys):
         fg = tmp_path / "fg.txt"

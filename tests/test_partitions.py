@@ -1,6 +1,8 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from river_banks.partitions import GenPartition, leq, lr_expand, schur_dim
 
@@ -58,6 +60,18 @@ def hook_content_dim(shape, size):
     return val // den
 
 
+def gelfand_tsetlin_count(top):
+    """Number of Gelfand-Tsetlin patterns with top row ``top``, by enumeration.
+
+    Each next row has one entry fewer and interlaces the row above it:
+    top[i] >= row[i] >= top[i + 1].
+    """
+    if len(top) == 1:
+        return 1
+    rows = product(*(range(b, a + 1) for a, b in zip(top, top[1:])))
+    return sum(gelfand_tsetlin_count(row) for row in rows)
+
+
 class TestSchurDim:
     def test_examples(self):
         assert schur_dim((0, 0, 0), 3) == 1
@@ -76,6 +90,11 @@ class TestSchurDim:
             n = rng.randint(1, 5)
             lam = random_partition(rng, n, 0, 5)
             assert schur_dim(lam, n) == hook_content_dim(lam.parts, n)
+
+    @given(st.lists(st.integers(-3, 5), min_size=1, max_size=4))
+    def test_counts_gelfand_tsetlin_patterns(self, parts):
+        nu = sorted(parts, reverse=True)
+        assert schur_dim(nu, len(nu)) == gelfand_tsetlin_count(nu)
 
     def test_shift_invariance(self):
         rng = random.Random(72)

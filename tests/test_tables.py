@@ -35,6 +35,7 @@ from corpus import (
     coreg_condition_holds,
     random_bott_sum,
     random_generator_table,
+    random_kunneth,
     reg_condition_holds,
     scan_coreg,
     scan_reg,
@@ -53,6 +54,25 @@ def literal_windows(draw):
     row = st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=width, max_size=width)
     return LiteralTable(n, lo, lo + width - 1, draw(st.lists(row, min_size=n + 1,
                                                              max_size=n + 1)))
+
+
+def cell_or_window(t, i, d):
+    """entry(i, d), or WindowExceededError itself for a cell outside a window."""
+    try:
+        return t.entry(i, d)
+    except WindowExceededError:
+        return WindowExceededError
+
+
+def check_dual_twist_formulas(t, s, twists):
+    """dual() and twist(s) obey their defining formulas and keep the backend."""
+    n = t.n
+    dual, twisted = t.dual(), t.twist(s)
+    assert type(dual) is type(twisted) is type(t)
+    for i in range(n + 1):
+        for d in twists:
+            assert cell_or_window(dual, i, d) == cell_or_window(t, n - i, -d - n - 1)
+            assert cell_or_window(twisted, i, d) == cell_or_window(t, i, d + s)
 
 
 def brute_profile(t):
@@ -188,20 +208,27 @@ class TestDual:
             for k in range(t.n):
                 assert t.coreg(k) == -d.reg(k) - 1
 
-    def test_dual_label_matches_dual_table(self):
-        # the dual of a homogeneous bundle is homogeneous with negated,
-        # reversed label; both routes must give the same table
+    def test_generator_dual_and_twist_follow_the_formulas(self):
         rng = random.Random(25)
         for _ in range(25):
-            n = rng.randint(1, 4)
-            lam = GenPartition(
-                sorted((rng.randint(-3, 4) for _ in range(n)), reverse=True))
-            starred = GenPartition(sorted((-p for p in lam.parts), reverse=True))
-            t = homogeneous_table(lam).dual()
-            s = homogeneous_table(starred)
-            for i in range(n + 1):
-                for d in range(-9, 9):
-                    assert t.entry(i, d) == s.entry(i, d)
+            t = random_generator_table(rng)
+            s = rng.randint(-4, 4)
+            check_dual_twist_formulas(t, s, range(-9, 9))
+            check_dual_twist_formulas(t + random_kunneth(rng, n=t.n), s, range(-9, 9))
+
+    @given(literal_windows(), st.integers(-4, 4))
+    def test_literal_dual_and_twist_follow_the_formulas(self, t, s):
+        lo, hi = t.window
+        check_dual_twist_formulas(t, s, range(lo - t.n - 3, hi + 4))
+        check_dual_twist_formulas(t + t, s, range(lo - t.n - 3, hi + 4))
+        assert is_natural(t.dual()) == is_natural(t) == is_natural(t.twist(s))
+
+    def test_dual_of_literal_window_is_scanned_over_its_own_columns(self):
+        # twist -2 of the dual has two nonzero groups, in rows 0 and 1
+        t = LiteralTable(2, 0, 1, [[0, 0], [1, 0], [0, 1]]).dual()
+        assert not is_natural(t)
+        assert t.window == (-2, -1)
+        assert t.entry(0, -2) == t.entry(1, -2) == 1
 
 
 class TestTwistAdd:
@@ -326,6 +353,19 @@ class TestNaturalSupernatural:
             is_supernatural(golden.load("phantom"))
         # with a polynomial supplied the window check can run
         assert not is_supernatural(golden.load("hm"), chi=RatPoly([1]))
+
+    def test_wrapped_and_summed_literals_use_the_supplied_chi(self):
+        phantom = golden.load("phantom")
+        # the window's alternating sums are d (d - 1) (d + 2) (d + 4) / 6
+        chi = RatPoly([0, 1]) * RatPoly([-1, 1]) * RatPoly([2, 1]) * RatPoly([4, 1])
+        chi = chi * Fraction(1, 6)
+        for t, chi_t in ((phantom.dual(), chi.compose_linear(-1, -5)),
+                         (phantom.twist(3), chi.compose_linear(1, 3)),
+                         (phantom + phantom, chi * 2)):
+            with pytest.raises(UndecidableError):
+                is_supernatural(t)
+            assert is_supernatural(t, chi=chi_t)
+            assert not is_supernatural(t, chi=RatPoly([1]))
 
 
 class TestHilbertPolynomial:
