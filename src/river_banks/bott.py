@@ -4,15 +4,17 @@ The bundle labelled by a generalized partition of length n is the
 corresponding Schur functor of the universal rank-n quotient bundle on
 n-dimensional projective space, twisted by a power of the hyperplane bundle
 when the label has a uniform shift.  For each twist at most one cohomological
-degree carries a nonzero group; which one, and its dimension, falls out of a
-dotted weight sequence:
+degree carries a nonzero group; which one, and its dimension, is the
+dot-action straightening (``partitions.straighten``, the same primitive that
+expands tensor products) of the weight (parts[0], ..., parts[n-1], -d).
+With the staircase (n, ..., 1, 0) added it reads
 
     beta = (parts[0] + n, parts[1] + n - 1, ..., parts[n-1] + 1, -d)
 
 A repeated entry kills all cohomology; otherwise the inversion count of beta
 is the cohomological degree and the strictly sorted sequence, minus the
-staircase (n, ..., 1, 0), labels a Schur module over an (n+1)-dimensional
-space whose dimension is the answer.  This convention is certified by the
+staircase, labels a Schur module over an (n+1)-dimensional space whose
+dimension is the answer.  This convention is certified by the
 self-checks in the test suite (section dimensions of line bundles, top
 cohomology of the dualizing twist, and the regularity formula below).
 """
@@ -24,7 +26,7 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple, Optional
 
-from river_banks.partitions import GenPartition, schur_dim
+from river_banks.partitions import GenPartition, schur_dim, straighten
 from river_banks.ratpoly import RatPoly
 
 
@@ -44,13 +46,8 @@ def bott_cohomology(n: int, lam: GenPartition, d: int) -> Optional[BottCohomolog
 
 @lru_cache(maxsize=1 << 16)
 def _bott(n, parts, d):
-    beta = [parts[i] + n - i for i in range(n)] + [-d]
-    if len(set(beta)) < n + 1:
-        return None
-    inv = sum(1 for i in range(n + 1) for j in range(i + 1, n + 1) if beta[i] < beta[j])
-    srt = sorted(beta, reverse=True)
-    mu = tuple(srt[i] - (n - i) for i in range(n + 1))
-    return BottCohomology(inv, schur_dim(mu, n + 1))
+    hit = straighten(parts + (-d,))
+    return None if hit is None else BottCohomology(hit[0], schur_dim(hit[1], n + 1))
 
 
 def homogeneous_reg(lam: GenPartition, k: int) -> int:
@@ -69,12 +66,7 @@ def chi_polynomial(n: int, lam: GenPartition) -> RatPoly:
     """
     if lam.n != n:
         raise ValueError(f"label has length {lam.n}, expected {n}")
-    b = [lam.parts[i] + n - i for i in range(n)]
-    const = Fraction(1, factorial(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            const *= Fraction(b[i] - b[j], j - i)
-    poly = RatPoly([const])
-    for bi in b:
-        poly = poly * RatPoly([bi, 1])
+    poly = RatPoly([Fraction(schur_dim(lam, n), factorial(n))])
+    for i, p in enumerate(lam.parts):
+        poly = poly * RatPoly([p + n - i, 1])
     return poly

@@ -286,7 +286,7 @@ def _build(node, n):
         inner = _build(node.inner, n)
         if isinstance(inner, BottSumTable):
             return BottSumTable(n, [(node.k * m, lam) for m, lam in inner.terms])
-        return SumTable((inner,) * node.k)
+        return SumTable(((node.k, inner),))
     if isinstance(node, DirectSum):
         built = [_build(child, n) for child in node.summands]
         flat = []
@@ -295,7 +295,7 @@ def _build(node, n):
                 flat[-1] = BottSumTable(n, list(flat[-1].terms) + list(t.terms))
             else:
                 flat.append(t)
-        return flat[0] if len(flat) == 1 else SumTable(tuple(flat))
+        return flat[0] if len(flat) == 1 else SumTable((1, t) for t in flat)
     raise TypeError(f"not an expression node: {node!r}")
 
 

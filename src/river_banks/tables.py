@@ -126,7 +126,7 @@ class CohomologyTable:
     def __add__(self, other):
         if not isinstance(other, CohomologyTable):
             return NotImplemented
-        return SumTable((self, other))
+        return SumTable(((1, self), (1, other)))
 
     def hilbert_polynomial(self) -> RatPoly:
         raise NotImplementedError
@@ -212,43 +212,43 @@ def structure_sheaf_table(n: int, t: int = 0) -> BottSumTable:
 
 
 class SumTable(CohomologyTable):
-    """Entrywise direct sum of tables on the same ambient space."""
+    """Entrywise direct sum of ``(multiplicity, table)`` terms on one ambient space."""
 
-    def __init__(self, tables):
-        tables = tuple(tables)
-        if not tables:
+    def __init__(self, terms):
+        terms = tuple(terms)
+        if not terms:
             raise ValueError("empty sum; use an empty BottSumTable for the zero table")
-        n = tables[0].n
-        if any(t.n != n for t in tables):
+        n = terms[0][1].n
+        if any(t.n != n for _, t in terms):
             raise ValueError("summands live on different projective spaces")
         self.n = n
-        self.tables = tables
+        self.terms = terms
 
     def _entry(self, i, d):
-        return _exact(sum(t.entry(i, d) for t in self.tables))
+        return _exact(sum(m * t.entry(i, d) for m, t in self.terms))
 
     def _reg_limited(self, k):
-        pairs = [t._reg_limited(k) for t in self.tables]
+        pairs = [t._reg_limited(k) for _, t in self.terms]
         return (max(v for v, _ in pairs), any(f for _, f in pairs))
 
     def _coreg_limited(self, k):
-        pairs = [t._coreg_limited(k) for t in self.tables]
+        pairs = [t._coreg_limited(k) for _, t in self.terms]
         return (min(v for v, _ in pairs), any(f for _, f in pairs))
 
     def dual(self):
-        return SumTable(t.dual() for t in self.tables)
+        return SumTable((m, t.dual()) for m, t in self.terms)
 
     def twist(self, s):
-        return SumTable(t.twist(s) for t in self.tables)
+        return SumTable((m, t.twist(s)) for m, t in self.terms)
 
     def hilbert_polynomial(self):
         acc = RatPoly()
-        for t in self.tables:
-            acc = acc + t.hilbert_polynomial()
+        for m, t in self.terms:
+            acc = acc + t.hilbert_polynomial() * m
         return acc
 
     def _scan_range(self):
-        ranges = [t._scan_range() for t in self.tables]
+        ranges = [t._scan_range() for _, t in self.terms]
         return (min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
 
 

@@ -3,11 +3,14 @@
 The scan oracles compute regularity indices by scanning table entries
 directly, independent of the closed forms and structural recursions under
 test; the subset-sum oracle computes a pushforward entry by the full
-Kunneth sum, independent of the one-row closed form.
+Kunneth sum, independent of the one-row closed form; the strip oracle
+expands a tensor product by Littlewood-Richardson tableaux, independent of
+the Brauer-Klimyk straightening.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from river_banks.kunneth import KunnethTable
@@ -87,3 +90,75 @@ def subset_sum_cohomology(a, i):
             prod *= (-aj - 1 if aj <= -2 else 0) if j in picked else max(aj + 1, 0)
         total += prod
     return total
+
+
+def lr_strips(lam, mu):
+    """Littlewood-Richardson expansion by chains of horizontal strips.
+
+    Both labels are shifted to classical partitions, one strip per part of
+    mu is added under the row-wise ballot condition, shapes needing more
+    than n rows are pruned, and the results are padded to length n and
+    shifted back.
+    """
+    n = lam.n
+    c1 = -min(lam.part(0), 0)
+    c2 = -min(mu.part(0), 0)
+    strips = [p + c2 for p in mu.parts if p + c2 > 0]
+    counts = Counter()
+
+    def grow(shape, prev_rows, vi):
+        if vi == len(strips):
+            counts[shape] += 1
+            return
+        for rows in _strip_placements(shape, strips[vi], prev_rows, n):
+            new_shape = tuple(
+                (shape[r] if r < len(shape) else 0) + rows[r] for r in range(len(rows))
+            )
+            while new_shape and new_shape[-1] == 0:
+                new_shape = new_shape[:-1]
+            grow(new_shape, rows, vi + 1)
+
+    grow(tuple(p + c1 for p in lam.parts if p + c1 > 0), None, 0)
+    back = c1 + c2
+    return {GenPartition(q - back for q in shape + (0,) * (n - len(shape))): mult
+            for shape, mult in counts.items()}
+
+
+def _strip_placements(shape, size, prev_rows, maxrows):
+    """Row counts for every admissible horizontal strip of ``size`` boxes.
+
+    A placement assigns a_r boxes to row r (0-based) with the strip condition
+    a_r <= shape[r-1] - shape[r] for r >= 1; when ``prev_rows`` is given
+    (the row counts of the previous letter), the ballot condition requires
+    the running total through row r to stay within the previous letter's
+    total through row r - 1.
+    """
+    nrows = len(shape)
+    top = min(nrows + 1, maxrows)
+    prev_cum = None
+    if prev_rows is not None:
+        prev_cum = []
+        s = 0
+        for r in range(top):
+            s += prev_rows[r] if r < len(prev_rows) else 0
+            prev_cum.append(s)
+
+    out = []
+
+    def rec(r, remaining, cum, acc):
+        if r == top:
+            if remaining == 0:
+                out.append(tuple(acc))
+            return
+        old_here = shape[r] if r < nrows else 0
+        cap = remaining if r == 0 else min(remaining, shape[r - 1] - old_here)
+        if prev_cum is not None:
+            allowed = 0 if r == 0 else prev_cum[r - 1]
+            cap = min(cap, allowed - cum)
+        for a in range(0, max(cap, -1) + 1):
+            acc.append(a)
+            rec(r + 1, remaining - a, cum + a, acc)
+            acc.pop()
+
+    rec(0, size, 0, [])
+    return out

@@ -36,6 +36,23 @@ class TestParseExpr:
         assert t.entry(0, 1) == table_from_expr("dual(S[2,1,0]) on P3").entry(0, 1) \
             + 2 * table_from_expr("O(-1) on P3").entry(0, 1)
 
+    def test_scaled_pushforward_is_evaluated_once_per_entry(self, monkeypatch):
+        calls = []
+        inner = KunnethTable._entry
+
+        def counted(table, i, d):
+            calls.append((i, d))
+            return inner(table, i, d)
+
+        monkeypatch.setattr(KunnethTable, "_entry", counted)
+        t = table_from_expr("10000*push(1,2,3) on P3")
+        base = KunnethTable((1, 2, 3))
+        cells = [(i, d) for i in range(4) for d in range(-8, 3)]
+        got = [t.entry(i, d) for i, d in cells]
+        assert len(calls) == len(cells)
+        assert got == [10000 * base.entry(i, d) for i, d in cells]
+        assert any(got)
+
     def test_twist_and_parens(self):
         t = table_from_expr("twist((S[1,0] (+) O(0)), -1) on P2")
         base = table_from_expr("S[1,0] (+) O(0) on P2")

@@ -1,12 +1,12 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from river_banks.partitions import GenPartition, leq, lr_expand, schur_dim
+from river_banks.partitions import GenPartition, leq, lr_expand, schur_dim, straighten
 
-from corpus import random_partition
+from corpus import lr_strips, random_partition
 
 
 def gp(*parts):
@@ -104,6 +104,34 @@ class TestSchurDim:
             assert schur_dim(lam, n) == schur_dim(lam.shift(5), n)
 
 
+def straighten_by_search(weight):
+    """Straightening by searching S_k for the permutation that sorts weight + rho.
+
+    Returns the permutation's inversion count (its sign is the parity) and
+    the sorted sequence minus rho, or None when no permutation makes the
+    sequence strictly decreasing.
+    """
+    k = len(weight)
+    beta = [w + k - 1 - i for i, w in enumerate(weight)]
+    for perm in permutations(range(k)):
+        seq = [beta[p] for p in perm]
+        if all(a > b for a, b in zip(seq, seq[1:])):
+            inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
+            return inv, tuple(b - (k - 1 - i) for i, b in enumerate(seq))
+    return None
+
+
+class TestStraighten:
+    def test_examples(self):
+        assert straighten((0, 1)) is None
+        assert straighten((0, 2)) == (1, (1, 1))
+        assert straighten((2, 1, 0)) == (0, (2, 1, 0))
+
+    @given(st.lists(st.integers(-4, 6), min_size=1, max_size=5))
+    def test_against_permutation_search(self, weight):
+        assert straighten(weight) == straighten_by_search(weight)
+
+
 def pieri_row_oracle(lam, m):
     """Shapes from adding a horizontal strip of m boxes to lam (single-row mu)."""
     n = lam.n
@@ -182,6 +210,14 @@ class TestLRExpand:
             lam = random_partition(rng, n, -1, 4)
             mu = random_partition(rng, n, -1, 4)
             assert lr_expand(lam, mu) == lr_expand(mu, lam)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        *[st.lists(st.integers(-3, 5), min_size=n, max_size=n)] * 2)))
+    def test_against_strip_oracle(self, pair):
+        lam, mu = (GenPartition(sorted(p, reverse=True)) for p in pair)
+        expected = lr_strips(lam, mu)
+        assert lr_expand(lam, mu) == expected
+        assert lr_expand(mu, lam) == expected
 
     def test_row_truncation(self):
         # two-row labels whose product would need four rows over rank 2
