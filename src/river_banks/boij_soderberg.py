@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from river_banks.bott import chi_polynomial
 from river_banks.partitions import GenPartition, leq
-from river_banks.ratpoly import RatPoly
 from river_banks.tables import (
     BottSumTable,
     CohomologyTable,
@@ -24,8 +22,9 @@ from river_banks.tables import (
     NEG_INFINITY,
     POS_INFINITY,
     _cells,
-    _first_dirty,
+    _grid_profile,
     homogeneous_table,
+    regularity_profile,
 )
 
 MAX_TERMS = 64
@@ -53,12 +52,7 @@ class Decomposition:
     chain_certified: bool
 
     def to_json(self):
-        return [{"coeff": _frac_str(c), "lambda": str(lam)} for c, lam in self.terms]
-
-
-def _frac_str(c):
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        return [{"coeff": str(Fraction(c)), "lambda": str(lam)} for c, lam in self.terms]
 
 
 def decompose(t: CohomologyTable) -> Decomposition:
@@ -72,8 +66,8 @@ def decompose(t: CohomologyTable) -> Decomposition:
     certifies the tails beyond the window.
     """
     n = t.n
-    reg0 = t.reg(0)
-    coreg0 = t.coreg(0)
+    prof = regularity_profile(t)
+    reg0, coreg0 = (prof.reg[0], prof.coreg[0]) if n else (NEG_INFINITY, POS_INFINITY)
     if reg0 == NEG_INFINITY and coreg0 == POS_INFINITY:
         return Decomposition((), True, True)
     if reg0 > 0:
@@ -88,7 +82,7 @@ def decompose(t: CohomologyTable) -> Decomposition:
     for _ in range(MAX_TERMS):
         if not any(any(row) for row in grid):
             break
-        lam = _pivot_label(grid, lo, hi, n, terms)
+        lam = _pivot_label(grid, lo, hi, terms)
         if prev is not None and not leq(prev, lam):
             raise NotDecomposableWithinScope(
                 f"chain order violated: {prev} vs {lam}", _partial(terms))
@@ -115,10 +109,7 @@ def decompose(t: CohomologyTable) -> Decomposition:
     except InsufficientDataError:
         chi = None
     if chi is not None:
-        recomposed = RatPoly()
-        for coeff, lam in terms:
-            recomposed = recomposed + chi_polynomial(n, lam) * coeff
-        if recomposed != chi:
+        if BottSumTable(n, terms).hilbert_polynomial() != chi:
             raise NotDecomposableWithinScope(
                 "twist polynomial of the recomposition differs from the input",
                 _partial(terms))
@@ -134,17 +125,14 @@ def _partial(terms):
     return Decomposition(tuple(terms), False, bool(terms))
 
 
-def _pivot_label(grid, lo, hi, n, terms):
+def _pivot_label(grid, lo, hi, terms):
     """Label whose parts negate the residual grid's regularity profile."""
-    parts_small_first = []
-    for k in range(n):
-        c = _first_dirty(lambda j, col: grid[j][col - lo], range(k + 1, n + 1),
-                         range(hi, lo - 1, -1))
-        if c is None:
+    reg = _grid_profile(grid, lo, hi).reg
+    for k, r in enumerate(reg):
+        if r == lo:
             raise NotDecomposableWithinScope(
                 f"residual has no support below row {k}", _partial(terms))
-        parts_small_first.append(-(c + 1))
-    if parts_small_first[0] < 0:
+    if reg[0] > 0:
         raise NotDecomposableWithinScope(
             "residual is no longer zero-regular", _partial(terms))
-    return GenPartition(reversed(parts_small_first))
+    return GenPartition(-r for r in reversed(reg))

@@ -137,8 +137,7 @@ def verify():
           == (0, 0, -2, -2, -5, -7)
           and homogeneous_table(GenPartition((1, 0))).reg(1) == -1)
 
-    dual_f = f_gen.dual()
     check("duality-identity",
-          all(f_gen.coreg(k) == -dual_f.reg(k) - 1 for k in range(3)))
+          pf.coreg == tuple(-r - 1 for r in regularity_profile(f_gen.dual()).reg))
 
     return checks

@@ -13,10 +13,12 @@ tensored with the relative dualizing bundle, which is O(-2, ..., -2) times
 the pullback of O(n + 1), that is O(n - 1, ..., n - 1); so the dual is the
 pushforward of the multidegree (n - 1 - a_1, ..., n - 1 - a_n).
 
-The regularity indices are found by the shared antidiagonal scan of
-``CohomologyTable`` over ``_scan_range()``.  That range is certified: past its
-right end only row 0 is nonzero and before its left end only row n, so no
-index touches the boundary and none is flagged window-limited.
+The regularity profile comes from the one sweep of ``CohomologyTable``:
+(n + 1) entries per display column of ``_scan_range()``, from which each
+column's top and bottom nonzero rows give every reg(k) and coreg(k) at once.
+That range is certified: past its right end only row 0 is nonzero and before
+its left end only row n, so no index touches the boundary and none is
+flagged window-limited.
 """
 
 from __future__ import annotations

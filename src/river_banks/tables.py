@@ -23,15 +23,17 @@ antidiagonal ``{(j, m - j)}`` that the regularity indices quantify over:
 * ``coreg(k)`` = greatest m such that rows j < n - k hold only zeros in
   display columns <= m.
 
-Sums of homogeneous tables read the indices off their labels and direct
-sums combine those of their summands.  Every other table -- pushforwards
-and literal windows -- is scanned by the one shared antidiagonal scan: for
-reg(k) display columns are walked from the right end of ``_scan_range()``
-leftwards until one has a nonzero cell in rows j > k, for coreg(k) from the
-left end rightwards over rows j < n - k, both through ``entry``.  An answer
-that touches the end of the range is reported with a ``window_limited``
-flag instead of being silently extrapolated; pushforward ranges are
-certified, so only literal windows ever raise the flag.
+A table answers the whole profile, every k at once, through ``_profile()``.
+Sums of homogeneous tables read it off their labels and direct sums combine
+those of their summands.  Every other table -- pushforwards and literal
+windows -- is swept once: the cells of ``_scan_range()`` are read through
+``entry`` and each display column keeps its top and its bottom nonzero row,
+the two banks of the river.  Then reg(k) is one more than the last column
+whose top row is above k, and coreg(k) one less than the first column whose
+bottom row is below n - k.  An answer that touches the end of the range is
+reported with a ``window_limited`` flag instead of being silently
+extrapolated; pushforward ranges are certified, so only literal windows
+ever raise the flag.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class CohomologyTable:
             raise ValueError(f"index {k} out of range")
         if k >= self.n:
             return NEG_INFINITY
-        return self._reg_limited(k)[0]
+        return self._profile().reg[k]
 
     def coreg(self, k: int):
         """k-th coregularity index; POS_INFINITY when the condition is vacuous."""
@@ -105,21 +107,12 @@ class CohomologyTable:
             raise ValueError(f"index {k} out of range")
         if k >= self.n:
             return POS_INFINITY
-        return self._coreg_limited(k)[0]
+        return self._profile().coreg[k]
 
-    def _reg_limited(self, k):
+    def _profile(self):
+        """The regularity profile, from one sweep of the cells of ``_scan_range()``."""
         lo, hi = self._scan_range()
-        c = _first_dirty(self._cell, range(k + 1, self.n + 1), range(hi, lo - 1, -1))
-        return (lo, True) if c is None else (c + 1, c == hi)
-
-    def _coreg_limited(self, k):
-        lo, hi = self._scan_range()
-        c = _first_dirty(self._cell, range(self.n - k), range(lo, hi + 1))
-        return (hi, True) if c is None else (c - 1, c == lo)
-
-    def _cell(self, j, c):
-        """The cell of row j in display column c."""
-        return self.entry(j, c - j)
+        return _grid_profile(_cells(self, lo, hi), lo, hi)
 
     # --- structural operations ----------------------------------------
 
@@ -167,15 +160,14 @@ class BottSumTable(CohomologyTable):
                 total += mult * hit.dim
         return _exact(total)
 
-    def _reg_limited(self, k):
-        if not self.terms:
-            return (NEG_INFINITY, False)
-        return (max(-lam.part(k) for _, lam in self.terms), False)
-
-    def _coreg_limited(self, k):
-        if not self.terms:
-            return (POS_INFINITY, False)
-        return (min(-lam.part(self.n - 1 - k) - 1 for _, lam in self.terms), False)
+    def _profile(self):
+        n, labels = self.n, [lam for _, lam in self.terms]
+        return RegularityProfile(
+            tuple(max((-lam.part(k) for lam in labels), default=NEG_INFINITY)
+                  for k in range(n)),
+            tuple(min((-lam.part(n - 1 - k) - 1 for lam in labels), default=POS_INFINITY)
+                  for k in range(n)),
+            (False,) * n, (False,) * n)
 
     def dual(self):
         return BottSumTable(self.n, [(m, GenPartition(-p for p in reversed(lam.parts)))
@@ -227,13 +219,15 @@ class SumTable(CohomologyTable):
     def _entry(self, i, d):
         return _exact(sum(m * t.entry(i, d) for m, t in self.terms))
 
-    def _reg_limited(self, k):
-        pairs = [t._reg_limited(k) for _, t in self.terms]
-        return (max(v for v, _ in pairs), any(f for _, f in pairs))
+    def _profile(self):
+        profiles = [t._profile() for _, t in self.terms]
 
-    def _coreg_limited(self, k):
-        pairs = [t._coreg_limited(k) for _, t in self.terms]
-        return (min(v for v, _ in pairs), any(f for _, f in pairs))
+        def combine(pick, field):
+            return tuple(map(pick, zip(*(getattr(p, field) for p in profiles))))
+
+        return RegularityProfile(combine(max, "reg"), combine(min, "coreg"),
+                                 combine(any, "reg_window_limited"),
+                                 combine(any, "coreg_window_limited"))
 
     def dual(self):
         return SumTable((m, t.dual()) for m, t in self.terms)
@@ -302,18 +296,37 @@ class LiteralTable(CohomologyTable):
         return (self.lo, self.hi)
 
 
-def _first_dirty(cell, rows, cols):
-    """The first display column c of ``cols`` with a nonzero cell(j, c), j in ``rows``.
-
-    None when every such cell is zero.  This is the antidiagonal scan behind
-    every scanned regularity index.
-    """
-    return next((c for c in cols if any(cell(j, c) for j in rows)), None)
-
-
 def _cells(t: CohomologyTable, lo: int, hi: int):
     """Rows 0..n of ``t`` over display columns lo..hi, as a list of lists."""
+    if hi < lo:
+        raise ValueError(f"empty window {lo}..{hi}")
     return [[t.entry(i, c - i) for c in range(lo, hi + 1)] for i in range(t.n + 1)]
+
+
+def _grid_profile(grid, lo, hi):
+    """The regularity profile of rows 0..n of ``grid`` over display columns lo..hi.
+
+    One pass records each nonzero column's top and bottom nonzero rows, the
+    river's two banks.  reg(k) is one more than the last column whose top row
+    is above k, coreg(k) one less than the first column whose bottom row is
+    below n - k.  Without such a column the answer is lo (for reg) or hi (for
+    coreg), flagged window-limited; so is an answer read off column hi (for
+    reg) or lo (for coreg).
+    """
+    n = len(grid) - 1
+    banks = []
+    for x, c in enumerate(range(lo, hi + 1)):
+        rows = [j for j in range(n + 1) if grid[j][x]]
+        if rows:
+            banks.append((c, rows[-1], rows[0]))
+    reg, coreg = [], []
+    for k in range(n):
+        c = next((c for c, top, _ in reversed(banks) if top > k), None)
+        reg.append((lo, True) if c is None else (c + 1, c == hi))
+        c = next((c for c, _, bottom in banks if bottom < n - k), None)
+        coreg.append((hi, True) if c is None else (c - 1, c == lo))
+    return RegularityProfile(tuple(v for v, _ in reg), tuple(v for v, _ in coreg),
+                             tuple(f for _, f in reg), tuple(f for _, f in coreg))
 
 
 @dataclass(frozen=True)
@@ -343,30 +356,20 @@ def _json_index(v):
 
 
 def regularity_profile(t: CohomologyTable) -> RegularityProfile:
-    regs, rflags, coregs, cflags = [], [], [], []
-    for k in range(t.n):
-        v, f = t._reg_limited(k)
-        regs.append(v)
-        rflags.append(f)
-        v, f = t._coreg_limited(k)
-        coregs.append(v)
-        cflags.append(f)
-    return RegularityProfile(tuple(regs), tuple(coregs), tuple(rflags), tuple(cflags))
+    return t._profile()
 
 
 # --- classification ------------------------------------------------------
 
 
-def is_natural(t: CohomologyTable, window=None) -> bool:
-    """True when no twist in range has two nonzero cohomology groups.
+def is_natural(t: CohomologyTable) -> bool:
+    """True when no twist in ``_scan_range()`` has two nonzero cohomology groups.
 
-    For generator backends the scan covers a certified range outside of
-    which only the extreme rows can be nonzero; for literal tables only the
-    visible cells can be, and are, consulted.
+    For generator backends that range is certified: outside of it only the
+    extreme rows can be nonzero.  For literal tables only the visible cells
+    can be, and are, consulted.
     """
-    if window is None:
-        window = t._scan_range()
-    lo, hi = window
+    lo, hi = t._scan_range()
     for d in range(lo - t.n, hi + 1):
         seen = 0
         for i in range(t.n + 1):
@@ -418,8 +421,6 @@ def beilinson_terms(t: CohomologyTable, e: int):
 
 def render_ascii(t: CohomologyTable, lo: int, hi: int) -> str:
     """Rows n..0 with ``i:`` prefixes, dots for zeros, then the column index line."""
-    if hi < lo:
-        raise ValueError(f"empty window {lo}..{hi}")
     n = t.n
     cols = range(lo, hi + 1)
     cells = [[str(v) if v else "." for v in row] for row in _cells(t, lo, hi)]

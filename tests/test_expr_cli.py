@@ -88,6 +88,12 @@ class TestCliCommands:
         blob = json.loads(capsys.readouterr().out)
         assert blob == {"n": 1, "window": [0, 1], "rows": [[0, 0], [1, 2]]}
 
+    @pytest.mark.parametrize("fmt", ["ascii", "json"])
+    def test_table_rejects_an_empty_window(self, capsys, fmt):
+        assert main(["table", "O(0) on P1", "--window", "3:1", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "empty window 3..1" in captured.err
+
     def test_indices_from_file(self, tmp_path, capsys):
         path = tmp_path / "hm.txt"
         path.write_text(golden.source("hm"))

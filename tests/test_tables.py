@@ -14,6 +14,7 @@ from river_banks.tables import (
     NEG_INFINITY,
     POS_INFINITY,
     BottSumTable,
+    CohomologyTable,
     LiteralTable,
     RegularityProfile,
     UndecidableError,
@@ -47,8 +48,8 @@ def gp(*parts):
 
 
 @st.composite
-def literal_windows(draw):
-    n = draw(st.integers(1, 4))
+def literal_windows(draw, n=None):
+    n = n or draw(st.integers(1, 4))
     lo = draw(st.integers(-6, 6))
     width = draw(st.integers(1, 8))
     row = st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=width, max_size=width)
@@ -184,6 +185,35 @@ class TestRegCoreg:
     @given(literal_windows())
     def test_literal_profile_matches_definition(self, t):
         assert regularity_profile(t) == brute_profile(t)
+
+    @given(st.data())
+    def test_sum_of_literal_windows_combines_profiles(self, data):
+        # the two windows are drawn independently, so their columns usually differ
+        t1 = data.draw(literal_windows())
+        t2 = data.draw(literal_windows(n=t1.n))
+        p1, p2, ps = (regularity_profile(t) for t in (t1, t2, t1 + t2))
+        assert ps.reg == tuple(map(max, p1.reg, p2.reg))
+        assert ps.coreg == tuple(map(min, p1.coreg, p2.coreg))
+        assert ps.reg_window_limited == tuple(
+            a or b for a, b in zip(p1.reg_window_limited, p2.reg_window_limited))
+        assert ps.coreg_window_limited == tuple(
+            a or b for a, b in zip(p1.coreg_window_limited, p2.coreg_window_limited))
+
+    def test_scanned_profile_reads_each_cell_once(self, monkeypatch):
+        calls = []
+        inner = CohomologyTable.entry
+
+        def counted(table, i, d):
+            calls.append((i, d))
+            return inner(table, i, d)
+
+        monkeypatch.setattr(CohomologyTable, "entry", counted)
+        t = pushforward_table((5, 3, 1, 0, -2, -4))
+        lo, hi = t._scan_range()
+        prof = regularity_profile(t)
+        assert len(calls) <= (t.n + 1) * (hi - lo + 1)
+        assert prof.reg == tuple(scan_reg(t, k) for k in range(t.n))
+        assert prof.coreg == tuple(scan_coreg(t, k) for k in range(t.n))
 
 
 class TestDual:
