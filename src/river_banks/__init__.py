@@ -8,12 +8,7 @@ zero-regular tables into chains of homogeneous tables, and verifies the
 wedge-pair kernel obstruction, all without floating point.
 """
 
-from river_banks.bott import (
-    BottCohomology,
-    bott_cohomology,
-    chi_polynomial,
-    homogeneous_reg,
-)
+from river_banks.bott import BottCohomology, bott_cohomology, chi_polynomial
 from river_banks.boij_soderberg import (
     Decomposition,
     NotDecomposableWithinScope,
@@ -32,7 +27,7 @@ from river_banks.bounds import (
     unobstructed_criterion,
 )
 from river_banks.exterior import TwoForm, kernel_dim, wedge_matrix
-from river_banks.expr import BundleExpr, ExprError, parse_expr, table_from_expr
+from river_banks.expr import ExprError, table_from_expr
 from river_banks.kunneth import KunnethTable, product_line_cohomology, pushforward_table
 from river_banks.partitions import GenPartition, leq, lr_expand, schur_dim
 from river_banks.ratpoly import RatPoly

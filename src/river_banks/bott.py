@@ -16,7 +16,8 @@ is the cohomological degree and the strictly sorted sequence, minus the
 staircase, labels a Schur module over an (n+1)-dimensional space whose
 dimension is the answer.  This convention is certified by the
 self-checks in the test suite (section dimensions of line bundles, top
-cohomology of the dualizing twist, and the regularity formula below).
+cohomology of the dualizing twist, and the regularity indices that
+``tables.BottSumTable`` reads off its labels).
 """
 
 from __future__ import annotations
@@ -48,13 +49,6 @@ def bott_cohomology(n: int, lam: GenPartition, d: int) -> Optional[BottCohomolog
 def _bott(n, parts, d):
     hit = straighten(parts + (-d,))
     return None if hit is None else BottCohomology(hit[0], schur_dim(hit[1], n + 1))
-
-
-def homogeneous_reg(lam: GenPartition, k: int) -> int:
-    """k-th regularity index of the lam-bundle: the negated k-th smallest part."""
-    if not 0 <= k < lam.n:
-        raise ValueError(f"index {k} out of range 0..{lam.n - 1}")
-    return -lam.part(k)
 
 
 def chi_polynomial(n: int, lam: GenPartition) -> RatPoly:

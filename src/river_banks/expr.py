@@ -13,21 +13,32 @@
 Whitespace is insignificant.  The ambient clause pins the projective
 dimension; without it the dimension is inferred from S[...] lengths and
 push(...) arities and must be determined by at least one of them.
+
+``table_from_expr`` is the grammar's only entry.  It parses in one pass,
+straight into a table: each rule returns the dimension its subexpression
+determines (or None) and a function from the ambient dimension n to the
+table, since only O(t) needs n and n may come from a later 'on P<n>'.
+Every error is an ``ExprError``; nesting deeper than ``MAX_DEPTH`` and
+ambient dimensions past ``tables.MAX_AMBIENT_DIM`` are refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
 from river_banks.tables import (
+    MAX_AMBIENT_DIM,
     BottSumTable,
     CohomologyTable,
     SumTable,
     homogeneous_table,
     structure_sheaf_table,
 )
+
+#: Deepest nesting of parentheses, dual(...) and twist(...) that parses.
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -38,106 +49,61 @@ class ExprError(ValueError):
         super().__init__(message if pos is None else f"{message} (at column {pos + 1})")
 
 
-@dataclass(frozen=True)
-class Hom:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Line:
-    t: int
-
-
-@dataclass(frozen=True)
-class Push:
-    a: tuple
-
-
-@dataclass(frozen=True)
-class Dual:
-    inner: object
-
-
-@dataclass(frozen=True)
-class Twist:
-    inner: object
-    t: int
-
-
-@dataclass(frozen=True)
-class DirectSum:
-    summands: tuple
-
-
-@dataclass(frozen=True)
-class Scale:
-    k: int
-    inner: object
-
-
-@dataclass(frozen=True)
-class BundleExpr:
-    """Parsed expression with an optional ambient dimension clause."""
-
-    root: object
-    ambient: int | None
-
-
-_NAMES = {"S", "O", "push", "dual", "twist", "on", "P"}
+_TOKEN = re.compile(r"(?P<SUM>\(\s*\+\s*\))|(?P<INT>[+-]?\d+)|(?P<NAME>[^\W\d_]+)"
+                    r"|(?P<PUNCT>[()\[\],*])|(?P<BAD>\S)")
 
 
 def _tokenize(text):
     toks = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            j = i + 1
-            while j < size and text[j].isspace():
-                j += 1
-            if j < size and text[j] == "+":
-                k = j + 1
-                while k < size and text[k].isspace():
-                    k += 1
-                if k < size and text[k] == ")":
-                    toks.append(("(+)", "(+)", i))
-                    i = k + 1
-                    continue
-            toks.append(("(", "(", i))
-            i += 1
-            continue
-        if ch in ")[],*":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch in "+-" and i + 1 < size and text[i + 1].isdigit()):
-            j = i + 1
-            while j < size and text[j].isdigit():
-                j += 1
-            toks.append(("INT", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < size and text[j].isalpha():
-                j += 1
-            toks.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
-    toks.append(("END", None, size))
+    for m in _TOKEN.finditer(text):
+        kind, v, at = m.lastgroup, m.group(), m.start()
+        if kind == "NAME" and not v.isalpha():
+            # numerals such as '²' or '½' are word characters but not letters
+            at += next(i for i, ch in enumerate(v) if not ch.isalpha())
+            kind = "BAD"
+        if kind == "BAD":
+            raise ExprError(f"unexpected character {text[at]!r}", at)
+        if kind == "INT":
+            try:
+                v = int(v)
+            except ValueError:  # more digits than int() converts
+                raise ExprError(f"integer of {len(v)} characters is too long", at) from None
+        elif kind == "SUM":
+            kind = v = "(+)"
+        elif kind == "PUNCT":
+            kind = v
+        toks.append((kind, v, at))
+    toks.append(("END", None, len(text)))
     return toks
 
 
+def _scaled(k, t):
+    """k*X as one term: a homogeneous sum scales its multiplicities."""
+    if isinstance(t, BottSumTable):
+        return BottSumTable(t.n, [(k * m, lam) for m, lam in t.terms])
+    return SumTable(((k, t),))
+
+
+def _direct_sum(tables):
+    """Adjacent homogeneous sums merge into one; other summands stay as they are."""
+    flat = []
+    for t in tables:
+        if isinstance(t, BottSumTable) and flat and isinstance(flat[-1], BottSumTable):
+            flat[-1] = BottSumTable(t.n, flat[-1].terms + t.terms)
+        else:
+            flat.append(t)
+    return flat[0] if len(flat) == 1 else SumTable((1, t) for t in flat)
+
+
 class _Parser:
+    """Each rule returns (dimension or None, n -> table)."""
+
     def __init__(self, text):
-        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+        # first pair of summands on different spaces, raised once the text parses
+        self.mismatch = None
 
     def peek(self):
         return self.toks[self.pos]
@@ -150,35 +116,37 @@ class _Parser:
         self.pos += 1
         return v
 
-    def parse(self):
-        root = self.sum()
-        ambient = None
-        k, v, at = self.peek()
-        if k == "NAME" and v == "on":
-            self.take("NAME")
-            self.take("NAME", "P")
-            ambient = self.take("INT")
-            if ambient < 1:
-                raise ExprError(f"ambient dimension must be positive, got {ambient}", at)
-        self.take("END")
-        return BundleExpr(root, ambient)
-
     def sum(self):
-        terms = [self.term()]
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprError(f"expression nests deeper than {MAX_DEPTH} levels",
+                            self.peek()[2])
+        dim, build = self.term()
+        builds = [build]
         while self.peek()[0] == "(+)":
             self.take("(+)")
-            terms.append(self.term())
-        return terms[0] if len(terms) == 1 else DirectSum(tuple(terms))
+            got, build = self.term()
+            builds.append(build)
+            if dim is None:
+                dim = got
+            elif got is not None and got != dim and self.mismatch is None:
+                self.mismatch = ExprError(
+                    f"summands live on different projective spaces: {dim} vs {got}")
+        self.depth -= 1
+        if len(builds) == 1:
+            return dim, build
+        return dim, lambda n: _direct_sum([b(n) for b in builds])
 
     def term(self):
         k, v, at = self.peek()
-        if k == "INT":
-            self.take("INT")
-            if v < 1:
-                raise ExprError(f"multiplicity must be a positive integer, got {v}", at)
-            self.take("*")
-            return Scale(v, self.atom())
-        return self.atom()
+        if k != "INT":
+            return self.atom()
+        self.take("INT")
+        if v < 1:
+            raise ExprError(f"multiplicity must be a positive integer, got {v}", at)
+        self.take("*")
+        dim, build = self.atom()
+        return dim, lambda n: _scaled(v, build(n))
 
     def atom(self):
         k, v, at = self.peek()
@@ -189,41 +157,33 @@ class _Parser:
             return inner
         if k != "NAME":
             raise ExprError(f"expected a bundle expression, found {v!r}", at)
+        if v not in ("S", "O", "push", "dual", "twist"):
+            raise ExprError(f"unknown bundle constructor {v!r}", at)
+        self.take("NAME")
         if v == "S":
-            self.take("NAME")
             self.take("[")
             parts = self.int_list("]")
             try:
-                GenPartition(parts)
+                lam = GenPartition(parts)
             except ValueError as exc:
                 raise ExprError(str(exc), at) from None
-            return Hom(tuple(parts))
+            return lam.n, lambda n: homogeneous_table(lam)
+        self.take("(")
         if v == "O":
-            self.take("NAME")
-            self.take("(")
             t = self.take("INT")
             self.take(")")
-            return Line(t)
+            return None, lambda n: structure_sheaf_table(n, t)
         if v == "push":
-            self.take("NAME")
-            self.take("(")
             a = self.int_list(")")
-            return Push(tuple(a))
+            return len(a), lambda n: KunnethTable(a)
+        dim, build = self.sum()
         if v == "dual":
-            self.take("NAME")
-            self.take("(")
-            inner = self.sum()
             self.take(")")
-            return Dual(inner)
-        if v == "twist":
-            self.take("NAME")
-            self.take("(")
-            inner = self.sum()
-            self.take(",")
-            t = self.take("INT")
-            self.take(")")
-            return Twist(inner, t)
-        raise ExprError(f"unknown bundle constructor {v!r}", at)
+            return dim, lambda n: build(n).dual()
+        self.take(",")
+        t = self.take("INT")
+        self.take(")")
+        return dim, lambda n: build(n).twist(t)
 
     def int_list(self, closer):
         vals = [self.take("INT")]
@@ -234,79 +194,26 @@ class _Parser:
         return vals
 
 
-def parse_expr(text: str) -> BundleExpr:
-    """Parse the grammar above; raises ExprError with a column on bad input."""
-    return _Parser(text).parse()
-
-
-def _infer(node):
-    if isinstance(node, Hom):
-        return len(node.parts)
-    if isinstance(node, Push):
-        return len(node.a)
-    if isinstance(node, Line):
-        return None
-    if isinstance(node, (Dual, Scale, Twist)):
-        return _infer(node.inner)
-    if isinstance(node, DirectSum):
-        found = None
-        for child in node.summands:
-            got = _infer(child)
-            if got is None:
-                continue
-            if found is None:
-                found = got
-            elif found != got:
-                raise ExprError(
-                    f"summands live on different projective spaces: {found} vs {got}")
-        return found
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _build(node, n):
-    if isinstance(node, Hom):
-        if len(node.parts) != n:
-            raise ExprError(
-                f"partition {list(node.parts)} has length {len(node.parts)}, "
-                f"but the ambient space is P{n}")
-        return homogeneous_table(GenPartition(node.parts))
-    if isinstance(node, Line):
-        return structure_sheaf_table(n, node.t)
-    if isinstance(node, Push):
-        if len(node.a) != n:
-            raise ExprError(
-                f"push{list(node.a)} targets P{len(node.a)}, "
-                f"but the ambient space is P{n}")
-        return KunnethTable(node.a)
-    if isinstance(node, Dual):
-        return _build(node.inner, n).dual()
-    if isinstance(node, Twist):
-        return _build(node.inner, n).twist(node.t)
-    if isinstance(node, Scale):
-        inner = _build(node.inner, n)
-        if isinstance(inner, BottSumTable):
-            return BottSumTable(n, [(node.k * m, lam) for m, lam in inner.terms])
-        return SumTable(((node.k, inner),))
-    if isinstance(node, DirectSum):
-        built = [_build(child, n) for child in node.summands]
-        flat = []
-        for t in built:
-            if isinstance(t, BottSumTable) and flat and isinstance(flat[-1], BottSumTable):
-                flat[-1] = BottSumTable(n, list(flat[-1].terms) + list(t.terms))
-            else:
-                flat.append(t)
-        return flat[0] if len(flat) == 1 else SumTable((1, t) for t in flat)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def table_from_expr(text: str) -> CohomologyTable:
-    """Parse and build in one step, resolving the ambient dimension."""
-    expr = parse_expr(text)
-    inferred = _infer(expr.root)
-    n = expr.ambient if expr.ambient is not None else inferred
+    """The table of an expression; raises ExprError, with a column where it can."""
+    parser = _Parser(text)
+    inferred, build = parser.sum()
+    ambient = None
+    k, v, at = parser.peek()
+    if k == "NAME" and v == "on":
+        parser.take("NAME")
+        parser.take("NAME", "P")
+        ambient = parser.take("INT")
+        if ambient < 1:
+            raise ExprError(f"ambient dimension must be positive, got {ambient}", at)
+    parser.take("END")
+    if parser.mismatch is not None:
+        raise parser.mismatch
+    n = ambient if ambient is not None else inferred
     if n is None:
         raise ExprError("ambient dimension is undetermined; append 'on P<n>'")
-    if inferred is not None and expr.ambient is not None and inferred != expr.ambient:
-        raise ExprError(
-            f"expression determines P{inferred} but the clause says P{expr.ambient}")
-    return _build(expr.root, n)
+    if inferred is not None and ambient is not None and inferred != ambient:
+        raise ExprError(f"expression determines P{inferred} but the clause says P{ambient}")
+    if n > MAX_AMBIENT_DIM:
+        raise ExprError(f"P{n} is past the limit P{MAX_AMBIENT_DIM} on the ambient dimension")
+    return build(n)

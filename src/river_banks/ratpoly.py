@@ -69,14 +69,6 @@ class RatPoly:
         terms = [f"{c}*x^{k}" if k else str(c) for k, c in enumerate(self.coeffs) if c]
         return "RatPoly(" + " + ".join(terms) + ")"
 
-    def compose_linear(self, a, b) -> "RatPoly":
-        """The polynomial x |-> p(a*x + b)."""
-        inner = RatPoly([b, a])
-        acc = RatPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RatPoly([c])
-        return acc
-
     def integer_roots(self) -> list[int]:
         """Sorted distinct integer roots, found exactly.
 

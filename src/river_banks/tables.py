@@ -296,10 +296,22 @@ class LiteralTable(CohomologyTable):
         return (self.lo, self.hi)
 
 
+#: Refusals for hostile sizes, checked before any work: expressions on a
+#: space past P^MAX_AMBIENT_DIM do not parse, and no grid read by ``_cells``
+#: (a render, a profile sweep, a decomposition window) holds more than
+#: MAX_CELLS cells.
+MAX_AMBIENT_DIM = 100
+MAX_CELLS = 100_000
+
+
 def _cells(t: CohomologyTable, lo: int, hi: int):
     """Rows 0..n of ``t`` over display columns lo..hi, as a list of lists."""
     if hi < lo:
         raise ValueError(f"empty window {lo}..{hi}")
+    size = (t.n + 1) * (hi - lo + 1)
+    if size > MAX_CELLS:
+        raise ValueError(f"display columns {lo}..{hi} of P{t.n} hold {size} cells, "
+                         f"past the limit of {MAX_CELLS}")
     return [[t.entry(i, c - i) for c in range(lo, hi + 1)] for i in range(t.n + 1)]
 
 

@@ -4,14 +4,10 @@ from math import comb
 
 import pytest
 
-from river_banks.bott import (
-    BottCohomology,
-    bott_cohomology,
-    chi_polynomial,
-    homogeneous_reg,
-)
+from river_banks.bott import BottCohomology, bott_cohomology, chi_polynomial
 from river_banks.partitions import GenPartition
 from river_banks.ratpoly import RatPoly
+from river_banks.tables import NEG_INFINITY, homogeneous_table
 
 from corpus import random_partition
 
@@ -65,16 +61,15 @@ def scan_homogeneous_reg(n, lam, k):
 
 class TestHomogeneousReg:
     def test_examples(self):
-        assert homogeneous_reg(gp(0, 0), 0) == 0
-        assert homogeneous_reg(gp(1, 0), 1) == -1
-        lam = gp(7, 5, 2, 2, 0, 0)
-        assert [homogeneous_reg(lam, k) for k in range(6)] == [0, 0, -2, -2, -5, -7]
+        assert homogeneous_table(gp(0, 0)).reg(0) == 0
+        assert homogeneous_table(gp(1, 0)).reg(1) == -1
+        t = homogeneous_table(gp(7, 5, 2, 2, 0, 0))
+        assert [t.reg(k) for k in range(6)] == [0, 0, -2, -2, -5, -7]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            homogeneous_reg(gp(1, 0), 2)
-        with pytest.raises(ValueError):
-            homogeneous_reg(gp(1, 0), -1)
+            homogeneous_table(gp(1, 0)).reg(-1)
+        assert homogeneous_table(gp(1, 0)).reg(2) == NEG_INFINITY  # vacuous for k >= n
 
     def test_matches_scan_oracle(self):
         rng = random.Random(12)
@@ -82,7 +77,7 @@ class TestHomogeneousReg:
             n = rng.randint(1, 5)
             lam = random_partition(rng, n, -4, 6)
             k = rng.randint(0, n - 1)
-            assert scan_homogeneous_reg(n, lam, k) == homogeneous_reg(lam, k)
+            assert scan_homogeneous_reg(n, lam, k) == homogeneous_table(lam).reg(k)
 
 
 class TestSingleRow:

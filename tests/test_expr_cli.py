@@ -1,15 +1,24 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from river_banks import golden
 from river_banks.cli import main
-from river_banks.expr import ExprError, parse_expr, table_from_expr
+from river_banks.expr import MAX_DEPTH, ExprError, table_from_expr
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
-from river_banks.tables import BottSumTable, ascii_normalize
+from river_banks.tables import (
+    MAX_AMBIENT_DIM,
+    MAX_CELLS,
+    BottSumTable,
+    CohomologyTable,
+    ascii_normalize,
+)
 
 
 def gp(*parts):
@@ -18,10 +27,9 @@ def gp(*parts):
 
 class TestParseExpr:
     def test_single_homogeneous(self):
-        expr = parse_expr("S[1,0] on P2")
-        assert expr.ambient == 2
         t = table_from_expr("S[1,0] on P2")
         assert isinstance(t, BottSumTable)
+        assert t.n == 2
         assert t.terms == ((1, gp(1, 0)),)
 
     def test_pushforward(self):
@@ -66,15 +74,62 @@ class TestParseExpr:
 
     def test_errors_carry_positions(self):
         with pytest.raises(ExprError):
-            parse_expr("S[1,0] extra")
+            table_from_expr("S[1,0] extra")
         with pytest.raises(ExprError):
-            parse_expr("S[0,1] on P2")
+            table_from_expr("S[0,1] on P2")
         with pytest.raises(ExprError):
             table_from_expr("O(3)")
         with pytest.raises(ExprError):
             table_from_expr("S[1,0] on P3")
         with pytest.raises(ExprError):
             table_from_expr("S[1,0] (+) S[1,0,0] on P2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("S[1,0] extra", "expected 'END', found 'extra' (at column 8)"),
+        ("S[0,1] on P2", "parts are not weakly decreasing: (0, 1) (at column 1)"),
+        ("O(3)", "ambient dimension is undetermined; append 'on P<n>'"),
+        ("S[1,0] on P3", "expression determines P2 but the clause says P3"),
+        ("S[1,0] (+) S[1,0,0] on P2", "summands live on different projective spaces: 2 vs 3"),
+        # a syntax error anywhere wins over a dimension mismatch
+        ("S[1,0] (+) S[1,0,0] on P2 )", "expected 'END', found ')' (at column 27)"),
+        # mismatches are found in post-order: the inner sum's first
+        ("(S[1] (+) S[1,0]) (+) push(1,2,3)",
+         "summands live on different projective spaces: 1 vs 2"),
+        ("0*O(1) on P1", "multiplicity must be a positive integer, got 0 (at column 1)"),
+        ("O(1) on P0", "ambient dimension must be positive, got 0 (at column 6)"),
+        ("foo(1)", "unknown bundle constructor 'foo' (at column 1)"),
+        ("pushé(1)", "unknown bundle constructor 'pushé' (at column 1)"),
+        ("S[1,,0] on P2", "expected 'INT', found ',' (at column 5)"),
+        ("O(1) # on P1", "unexpected character '#' (at column 6)"),
+        ("twist(O(1) 2) on P1", "expected ',', found 2 (at column 12)"),
+        ("S[1,0](+ )", "expected a bundle expression, found None (at column 11)"),
+        ("+O(1)", "unexpected character '+' (at column 1)"),
+        ("O(½) on P1", "unexpected character '½' (at column 3)"),
+        # '²' is a digit to str.isdigit but not to int()
+        ("S[²]", "unexpected character '²' (at column 3)"),
+        ("O(1²) on P1", "unexpected character '²' (at column 4)"),
+        ("O(" + "9" * 5000 + ") on P1", "integer of 5000 characters is too long (at column 3)"),
+        ("O(0) on P1500", f"P1500 is past the limit P{MAX_AMBIENT_DIM} on the ambient dimension"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ExprError) as info:
+            table_from_expr(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "(" * (MAX_DEPTH - 1) + "O(0)" + ")" * (MAX_DEPTH - 1) + " on P1",
+        "dual(" * (MAX_DEPTH - 1) + "S[1,0]" + ")" * (MAX_DEPTH - 1),
+    ])
+    def test_nesting_up_to_the_limit_parses(self, text):
+        assert table_from_expr(text).n in (1, 2)
+
+    @pytest.mark.parametrize("text", [
+        "(" * MAX_DEPTH + "O(0)" + ")" * MAX_DEPTH + " on P1",
+        "twist(" * MAX_DEPTH + "S[1,0]" + ", 1)" * MAX_DEPTH,
+    ])
+    def test_nesting_past_the_limit_is_refused(self, text):
+        with pytest.raises(ExprError, match=f"nests deeper than {MAX_DEPTH} levels"):
+            table_from_expr(text)
 
 
 class TestCliCommands:
@@ -210,3 +265,113 @@ class TestCliCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["reg"] == [0, -1]
+
+
+# --- the exit-code contract on arbitrary input ------------------------------
+
+# grammar characters, the keywords' letters, and characters that are easy to
+# misread: digits int() rejects ('²'), numerals that are not digits ('½'),
+# digits it accepts ('٣'), a non-ASCII letter, a non-ASCII space, an underscore
+NOISE = "()[],*+- SOPpushdualtwistonP0123456789²½٣é _#"
+
+
+def bundle_exprs(n):
+    """Well-formed expressions whose summands all live on P^n."""
+    ints = st.integers(-3, 4)
+    labels = st.lists(ints, min_size=n, max_size=n)
+    leaves = st.one_of(
+        labels.map(lambda p: f"S[{','.join(map(str, sorted(p, reverse=True)))}]"),
+        ints.map(lambda t: f"O({t})"),
+        labels.map(lambda a: f"push({','.join(map(str, a))})"),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            inner.map(lambda e: f"dual({e})"),
+            st.tuples(inner, ints).map(lambda p: f"twist({p[0]}, {p[1]})"),
+            st.tuples(st.integers(1, 3), inner).map(lambda p: f"{p[0]}*({p[1]})"),
+            st.lists(inner, min_size=2, max_size=3).map(" (+) ".join),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=4).map(lambda e: f"{e} on P{n}")
+
+
+@st.composite
+def mutated(draw, texts):
+    """A drawn text with up to three characters inserted, deleted or replaced."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(NOISE) | st.characters())
+        cut = draw(st.integers(0, 1))
+        text = text[:i] + draw(st.sampled_from(("", ch))) + text[i + cut:]
+    return text
+
+
+@st.composite
+def cli_calls(draw):
+    """Argument vectors for the subcommands that read expressions, on small sizes."""
+    n = draw(st.integers(1, 3))
+    expr = draw(mutated(bundle_exprs(n)) | st.text(NOISE, max_size=12))
+    other = draw(bundle_exprs(n))
+    lo = draw(st.integers(-6, 6))
+    window = ["--window", f"{lo}:{lo + draw(st.integers(0, 9))}"]
+    return draw(st.sampled_from([
+        ["table", expr, *window],
+        ["table", expr, *window, "--format", "json"],
+        ["indices", expr],
+        ["tensor", expr, other],
+        ["tensor", expr, other, *window],
+        ["decompose", expr],
+        ["unobstructed", expr],
+    ]))
+
+
+any_expr = st.one_of(st.text(NOISE), st.text(), mutated(st.integers(1, 3).flatmap(bundle_exprs)))
+
+
+class TestExitCodeContract:
+    @settings(deadline=None, max_examples=300)
+    @given(any_expr)
+    @example("S[²]")
+    @example("O(" + "9" * 5000 + ") on P1")
+    def test_parser_raises_only_expr_error(self, text):
+        try:
+            t = table_from_expr(text)
+        except ExprError:
+            return
+        assert isinstance(t, CohomologyTable)
+
+    @settings(deadline=None, max_examples=60)
+    @given(cli_calls())
+    @example(["indices", "(" * 1200 + "O(0)" + ")" * 1200 + " on P1"])
+    def test_main_returns_a_documented_code(self, argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("expr", [
+        "(" * 1200 + "O(0)" + ")" * 1200 + " on P1",
+        "dual(" * 400 + "S[1,0]" + ")" * 400,
+    ])
+    def test_deep_nesting_is_a_usage_error(self, capsys, expr):
+        assert main(["indices", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"nests deeper than {MAX_DEPTH} levels" in captured.err
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["table", "S[1,0] on P2", "--window", "-1000000:1000000"], f"limit of {MAX_CELLS}"),
+        (["decompose", "S[1000000000,0] on P2"], f"limit of {MAX_CELLS}"),
+        (["table", "O(0) on P1500", "--window", "0:3"], f"limit P{MAX_AMBIENT_DIM}"),
+        (["decompose", "O(0) on P300"], f"limit P{MAX_AMBIENT_DIM}"),
+    ])
+    def test_hostile_sizes_are_refused_before_any_work(self, capsys, monkeypatch,
+                                                       argv, limit):
+        entries = []
+        monkeypatch.setattr(CohomologyTable, "entry",
+                            lambda t, i, d: entries.append((i, d)))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and limit in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert entries == []

@@ -389,8 +389,11 @@ class TestNaturalSupernatural:
         # the window's alternating sums are d (d - 1) (d + 2) (d + 4) / 6
         chi = RatPoly([0, 1]) * RatPoly([-1, 1]) * RatPoly([2, 1]) * RatPoly([4, 1])
         chi = chi * Fraction(1, 6)
-        for t, chi_t in ((phantom.dual(), chi.compose_linear(-1, -5)),
-                         (phantom.twist(3), chi.compose_linear(1, 3)),
+        # chi(-d - 5) for the dual and chi(d + 3) for the twist, as linear factors
+        dual_chi = RatPoly([5, 1]) * RatPoly([6, 1]) * RatPoly([3, 1]) * RatPoly([1, 1])
+        twist_chi = RatPoly([3, 1]) * RatPoly([2, 1]) * RatPoly([5, 1]) * RatPoly([7, 1])
+        for t, chi_t in ((phantom.dual(), dual_chi * Fraction(1, 6)),
+                         (phantom.twist(3), twist_chi * Fraction(1, 6)),
                          (phantom + phantom, chi * 2)):
             with pytest.raises(UndecidableError):
                 is_supernatural(t)
