@@ -3,31 +3,43 @@
 The bundle labelled by a generalized partition of length n is the
 corresponding Schur functor of the universal rank-n quotient bundle on
 n-dimensional projective space, twisted by a power of the hyperplane bundle
-when the label has a uniform shift.  For each twist at most one cohomological
-degree carries a nonzero group; which one, and its dimension, is the
-dot-action straightening (``partitions.straighten``, the same primitive that
-expands tensor products) of the weight (parts[0], ..., parts[n-1], -d).
-With the staircase (n, ..., 1, 0) added it reads
+when the label has a uniform shift.  Its twists are read off the label's
+root sequence: with beta_i = parts[i] + n - i (strictly decreasing), the
+roots are the -beta_i, listed increasing as ``neg``.  By Bott's theorem and
+the Weyl dimension formula, twist d
 
-    beta = (parts[0] + n, parts[1] + n - 1, ..., parts[n-1] + 1, -d)
+* vanishes in every degree when d is a root;
+* otherwise has its one nonzero group in degree #{i : beta_i < -d}, the
+  number of roots above d;
+* of dimension schur_dim(parts, n) / n! * |prod(d - r for r in neg)|.
 
-A repeated entry kills all cohomology; otherwise the inversion count of beta
-is the cohomological degree and the strictly sorted sequence, minus the
-staircase, labels a Schur module over an (n+1)-dimensional space whose
-dimension is the answer.  This convention is certified by the
-self-checks in the test suite (section dimensions of line bundles, top
-cohomology of the dualizing twist, and the regularity indices that
-``tables.BottSumTable`` reads off its labels).
+This is the dot-action straightening of (parts[0], ..., parts[n-1], -d)
+in closed form: only the entry -d + 0 can be out of order, so the
+inversions are the beta_i below -d; the Weyl product over the n + 1 entries
+is the one over the label's n entries times the n factors beta_i + d, and
+its denominator gains the factor n!.  The test suite keeps the
+straightening as the oracle.  ``chi_polynomial`` is the same constant times
+the same linear factors, without the absolute value.
+
+Two memos.  ``_roots`` holds each label's roots, its Schur dimension and n!,
+so that ``schur_dim`` runs once per label.  ``_bott`` holds the answer per
+(label, twist) and stays because a grid (``tables._cells``) asks for each
+twist once per row, and a hit is several times cheaper than the closed
+form.  It has to hold the keys of one grid while its rows are read, not the
+history: about 1700 for a chain of 8 labels on P^7 over 200 columns, 1090
+for O(0) on P^100 over 990 columns.  A larger memo only keeps twists that
+do not come back.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple, Optional
 
-from river_banks.partitions import GenPartition, schur_dim, straighten
+from river_banks.partitions import GenPartition, schur_dim
 from river_banks.ratpoly import RatPoly
 
 
@@ -45,10 +57,20 @@ def bott_cohomology(n: int, lam: GenPartition, d: int) -> Optional[BottCohomolog
     return _bott(n, lam.parts, d)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 10)
+def _roots(parts):
+    """(increasing roots, schur_dim(parts, n), n!) of a label with n parts."""
+    n = len(parts)
+    return tuple(i - n - p for i, p in enumerate(parts)), schur_dim(parts, n), factorial(n)
+
+
+@lru_cache(maxsize=1 << 12)
 def _bott(n, parts, d):
-    hit = straighten(parts + (-d,))
-    return None if hit is None else BottCohomology(hit[0], schur_dim(hit[1], n + 1))
+    neg, num, den = _roots(parts)
+    below = bisect_left(neg, d)
+    if below < n and neg[below] == d:
+        return None
+    return BottCohomology(n - below, num * abs(prod(map(d.__sub__, neg))) // den)
 
 
 def chi_polynomial(n: int, lam: GenPartition) -> RatPoly:
@@ -60,7 +82,8 @@ def chi_polynomial(n: int, lam: GenPartition) -> RatPoly:
     """
     if lam.n != n:
         raise ValueError(f"label has length {lam.n}, expected {n}")
-    poly = RatPoly([Fraction(schur_dim(lam, n), factorial(n))])
-    for i, p in enumerate(lam.parts):
-        poly = poly * RatPoly([p + n - i, 1])
+    neg, num, den = _roots(lam.parts)
+    poly = RatPoly([Fraction(num, den)])
+    for r in neg:
+        poly = poly * RatPoly([-r, 1])
     return poly

@@ -10,9 +10,11 @@
             | 'twist' '(' sum ',' INT ')'
             | '(' sum ')'
 
-Whitespace is insignificant.  The ambient clause pins the projective
-dimension; without it the dimension is inferred from S[...] lengths and
-push(...) arities and must be determined by at least one of them.
+INT is an optional sign and ASCII digits; other decimal digits, such as
+'٣', are refused rather than read.  Whitespace is insignificant.  The
+ambient clause pins the projective dimension; without it the dimension is
+inferred from S[...] lengths and push(...) arities and must be determined
+by at least one of them.
 
 ``table_from_expr`` is the grammar's only entry.  It parses in one pass,
 straight into a table: each rule returns the dimension its subexpression
@@ -49,7 +51,7 @@ class ExprError(ValueError):
         super().__init__(message if pos is None else f"{message} (at column {pos + 1})")
 
 
-_TOKEN = re.compile(r"(?P<SUM>\(\s*\+\s*\))|(?P<INT>[+-]?\d+)|(?P<NAME>[^\W\d_]+)"
+_TOKEN = re.compile(r"(?P<SUM>\(\s*\+\s*\))|(?P<INT>[+-]?[0-9]+)|(?P<NAME>[^\W\d_]+)"
                     r"|(?P<PUNCT>[()\[\],*])|(?P<BAD>\S)")
 
 

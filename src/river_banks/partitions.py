@@ -10,11 +10,13 @@ form ``"4,1,0"``.  The subscript used by the index formulas throughout this
 package counts from the other end: ``lam.part(k)`` is the k-th SMALLEST
 entry, so ``part(0) == parts[-1]`` and ``part(n - 1) == parts[0]``.
 
-One primitive, ``straighten``, is the dot-action straightening of a weight:
-add the staircase, sort, count inversions, subtract the staircase.  Bott's
-theorem (``bott._bott``) is the straightening of one weight, and the tensor
+``straighten`` is the dot-action straightening of a weight: add the
+staircase, sort, count inversions, subtract the staircase.  The tensor
 product expansion (``lr_expand``) is the Brauer-Klimyk signed sum of the
-straightenings of lam + w over the weights w of the other factor.
+straightenings of lam + w over the weights w of the other factor.  Bott's
+theorem is the straightening of one weight, but ``bott`` reads it in closed
+form off the label's roots, so in the package ``straighten`` serves only
+``lr_expand``; the test suite keeps it as the oracle for that closed form.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ directly, independent of the closed forms and structural recursions under
 test; the subset-sum oracle computes a pushforward entry by the full
 Kunneth sum, independent of the one-row closed form; the strip oracle
 expands a tensor product by Littlewood-Richardson tableaux, independent of
-the Brauer-Klimyk straightening.
+the Brauer-Klimyk straightening; the straightening oracle reads a Bott
+twist off the dot-action straightening, independent of the root-sequence
+closed form.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
+from river_banks.bott import BottCohomology
 from river_banks.kunneth import KunnethTable
-from river_banks.partitions import GenPartition
+from river_banks.partitions import GenPartition, schur_dim, straighten
 from river_banks.tables import BottSumTable
 
 
@@ -90,6 +93,17 @@ def subset_sum_cohomology(a, i):
             prod *= (-aj - 1 if aj <= -2 else 0) if j in picked else max(aj + 1, 0)
         total += prod
     return total
+
+
+def bott_by_straightening(n, parts, d):
+    """Twist d of the ``parts``-bundle on P^n by Bott's theorem as stated.
+
+    The weight (parts, -d) is straightened by the dot action: a collision
+    kills every group, otherwise the inversion count is the degree and the
+    straightened label's Schur module over n + 1 dimensions the group.
+    """
+    hit = straighten(tuple(parts) + (-d,))
+    return None if hit is None else BottCohomology(hit[0], schur_dim(hit[1], n + 1))
 
 
 def lr_strips(lam, mu):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from river_banks.boij_soderberg import (
     NotZeroRegularError,
@@ -31,6 +32,19 @@ def random_chain_sum(rng, n=None, max_terms=4):
         chain.append(lam)
     coeffs = [rng.randint(1, 5) for _ in chain]
     return list(zip(coeffs, chain)), BottSumTable(n, list(zip(coeffs, chain)))
+
+
+@st.composite
+def planted_chains(draw):
+    """A zero-regular sum of homogeneous tables along a strictly increasing chain."""
+    n = draw(st.integers(1, 4))
+    lam = sorted(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), reverse=True)
+    chain = [lam]
+    for _ in range(draw(st.integers(0, 3))):
+        bump = sorted(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), reverse=True)
+        bump[0] = 1
+        chain.append([p + b for p, b in zip(chain[-1], bump)])
+    return BottSumTable(n, [(draw(st.integers(1, 5)), lam) for lam in chain])
 
 
 class TestDecompose:
@@ -122,6 +136,10 @@ class TestRoundTrip:
             dec2 = decompose(doubled)
             assert [lam for _, lam in dec.terms] == [lam for _, lam in dec2.terms]
             assert [2 * c for c, _ in dec.terms] == [c for c, _ in dec2.terms]
+
+    @given(planted_chains())
+    def test_recompose_gives_back_the_planted_terms(self, t):
+        assert recompose(decompose(t), t.n).terms == t.terms
 
     def test_recompose_empty(self):
         t = recompose(decompose(BottSumTable(3, [])), 3)

@@ -3,13 +3,15 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from river_banks import bott, partitions
 from river_banks.bott import BottCohomology, bott_cohomology, chi_polynomial
 from river_banks.partitions import GenPartition
 from river_banks.ratpoly import RatPoly
-from river_banks.tables import NEG_INFINITY, homogeneous_table
+from river_banks.tables import NEG_INFINITY, homogeneous_table, render_ascii
 
-from corpus import random_partition
+from corpus import bott_by_straightening, random_partition
 
 
 def gp(*parts):
@@ -46,6 +48,32 @@ class TestBottCohomology:
             lam = random_partition(rng, n, -3, 4)
             t, d = rng.randint(-3, 3), rng.randint(-8, 8)
             assert bott_cohomology(n, lam.shift(t), d) == bott_cohomology(n, lam, d + t)
+
+
+labels = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.integers(-8, 9), min_size=n, max_size=n)
+    .map(lambda p: GenPartition(sorted(p, reverse=True))))
+
+
+class TestRootSequence:
+    @settings(max_examples=600)
+    @given(labels, st.integers(-25, 24))
+    def test_matches_straightening(self, lam, d):
+        assert bott_cohomology(lam.n, lam, d) == bott_by_straightening(lam.n, lam.parts, d)
+
+    def test_schur_dim_runs_once_per_label(self, monkeypatch):
+        calls, original = [], partitions.schur_dim
+
+        def counted(nu, size):
+            calls.append((nu, size))
+            return original(nu, size)
+
+        monkeypatch.setattr(partitions, "schur_dim", counted)
+        monkeypatch.setattr(bott, "schur_dim", counted)
+        bott._roots.cache_clear()
+        bott._bott.cache_clear()
+        render_ascii(homogeneous_table(gp(4, 2, 2, 1, -3)), -20, 19)
+        assert calls == [((4, 2, 2, 1, -3), 5)]
 
 
 def scan_homogeneous_reg(n, lam, k):

@@ -108,6 +108,8 @@ class TestParseExpr:
         # '²' is a digit to str.isdigit but not to int()
         ("S[²]", "unexpected character '²' (at column 3)"),
         ("O(1²) on P1", "unexpected character '²' (at column 4)"),
+        # int() reads '٣' (Arabic-Indic three), the grammar's integers are ASCII
+        ("O(2) on P27٣", "unexpected character '٣' (at column 12)"),
         ("O(" + "9" * 5000 + ") on P1", "integer of 5000 characters is too long (at column 3)"),
         ("O(0) on P1500", f"P1500 is past the limit P{MAX_AMBIENT_DIM} on the ambient dimension"),
     ])
@@ -271,7 +273,8 @@ class TestCliCommands:
 
 # grammar characters, the keywords' letters, and characters that are easy to
 # misread: digits int() rejects ('²'), numerals that are not digits ('½'),
-# digits it accepts ('٣'), a non-ASCII letter, a non-ASCII space, an underscore
+# non-ASCII digits it accepts ('٣'), a non-ASCII letter, a non-ASCII space, an
+# underscore
 NOISE = "()[],*+- SOPpushdualtwistonP0123456789²½٣é _#"
 
 

@@ -57,6 +57,24 @@ def literal_windows(draw, n=None):
                                                              max_size=n + 1)))
 
 
+@st.composite
+def bott_sums_and_windows(draw):
+    """A BottSumTable with integer multiplicities and a display window lo..hi."""
+    n = draw(st.integers(1, 4))
+    label = st.lists(st.integers(-3, 5), min_size=n, max_size=n).map(
+        lambda p: GenPartition(sorted(p, reverse=True)))
+    terms = draw(st.lists(st.tuples(st.integers(1, 4), label), min_size=1, max_size=3))
+    lo = draw(st.integers(-10, 6))
+    return BottSumTable(n, terms), lo, lo + draw(st.integers(0, 11))
+
+
+def assert_same_window(got, t, lo, hi):
+    assert (got.n, got.lo, got.hi) == (t.n, lo, hi)
+    for i in range(t.n + 1):
+        for c in range(lo, hi + 1):
+            assert got.entry(i, c - i) == t.entry(i, c - i)
+
+
 def cell_or_window(t, i, d):
     """entry(i, d), or WindowExceededError itself for a cell outside a window."""
     try:
@@ -314,6 +332,11 @@ class TestAsciiFormat:
             assert again.rows_by_i == t.rows_by_i
             assert (again.lo, again.hi) == (t.lo, t.hi)
 
+    @given(bott_sums_and_windows())
+    def test_round_trip_bott_sums(self, case):
+        t, lo, hi = case
+        assert_same_window(parse_ascii(render_ascii(t, lo, hi)), t, lo, hi)
+
     def test_parse_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             parse_ascii("1: 1 2\n0: 1\n   0 1\n")
@@ -341,6 +364,12 @@ class TestJsonFormat:
         for i in range(4):
             for c in range(-4, 4):
                 assert t.entry(i, c - i) == f.entry(i, c - i)
+
+    @given(bott_sums_and_windows())
+    def test_round_trip_bott_sums(self, case):
+        t, lo, hi = case
+        blob = json.loads(json.dumps(table_to_json(t, lo, hi)))
+        assert_same_window(literal_from_json(blob), t, lo, hi)
 
     def test_big_entries_become_strings(self):
         big = 2**70
