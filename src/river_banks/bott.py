@@ -40,7 +40,7 @@ from math import factorial, prod
 from typing import NamedTuple, Optional
 
 from river_banks.partitions import GenPartition, schur_dim
-from river_banks.ratpoly import RatPoly
+from river_banks.ratpoly import RatPoly, _from_roots
 
 
 class BottCohomology(NamedTuple):
@@ -83,7 +83,4 @@ def chi_polynomial(n: int, lam: GenPartition) -> RatPoly:
     if lam.n != n:
         raise ValueError(f"label has length {lam.n}, expected {n}")
     neg, num, den = _roots(lam.parts)
-    poly = RatPoly([Fraction(num, den)])
-    for r in neg:
-        poly = poly * RatPoly([-r, 1])
-    return poly
+    return _from_roots(neg, Fraction(num, den))

@@ -13,20 +13,36 @@ tensored with the relative dualizing bundle, which is O(-2, ..., -2) times
 the pullback of O(n + 1), that is O(n - 1, ..., n - 1); so the dual is the
 pushforward of the multidegree (n - 1 - a_1, ..., n - 1 - a_n).
 
-The regularity profile comes from the one sweep of ``CohomologyTable``:
-(n + 1) entries per display column of ``_scan_range()``, from which each
-column's top and bottom nonzero rows give every reg(k) and coreg(k) at once.
-That range is certified: past its right end only row 0 is nonzero and before
-its left end only row n, so no index touches the boundary and none is
-flagged window-limited.
+The regularity profile is read off the sorted multidegree a_(0) <= ... <=
+a_(n-1) without reading any entry.  Twist d vanishes exactly at the zero
+twists d = -a_j - 1; any other twist is nonzero in the one row
+i(d) = #{j : a_j <= -2 - d}, at display column d + i(d).  A step from a
+twist to the next, both nonzero, raises that column by one, so:
+
+* over the nonzero twists d <= -2 - a_(k), those with a row above k, the
+  column is largest at that bound or just left of a zero twist, a twist
+  -2 - a_j either way; reg(k) is one more than the largest column over the
+  nonzero twists -2 - a_(j), j >= k;
+* over the nonzero twists d >= -a_(n-1-k), those with a row below n - k,
+  the column is smallest at that bound or just right of a zero twist, a
+  twist -a_j either way; coreg(k) is one less than the smallest column over
+  the nonzero twists -a_(j), j <= n - 1 - k.
+
+That is O(n) per index whatever the size of the a_j, and no index is
+window-limited.  coreg is computed on its own, not through the dual, so the
+duality identity stays a check.  A pushforward is natural by construction,
+and its twist polynomial prod(d + a_j + 1) has the roots -a_j - 1, so it is
+supernatural exactly when the a_j are distinct.  ``_scan_range()`` stays
+for the naturality scan of a direct sum that holds a pushforward.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import prod
 
-from river_banks.ratpoly import RatPoly
-from river_banks.tables import CohomologyTable
+from river_banks.ratpoly import _from_roots
+from river_banks.tables import NEG_INFINITY, POS_INFINITY, CohomologyTable, RegularityProfile
 
 
 def product_line_cohomology(a, i: int) -> int:
@@ -63,10 +79,29 @@ class KunnethTable(CohomologyTable):
         return KunnethTable(aj + s for aj in self.a)
 
     def hilbert_polynomial(self):
-        poly = RatPoly([1])
-        for aj in self.a:
-            poly = poly * RatPoly([aj + 1, 1])
-        return poly
+        return _from_roots(-aj - 1 for aj in self.a)
+
+    def _chi_roots(self, chi):
+        return sorted({-aj - 1 for aj in self.a})
+
+    def _profile(self):
+        a, n = sorted(self.a), self.n
+        present = set(a)
+
+        def column(d):
+            return d + bisect_right(a, -2 - d)
+
+        # The columns of the twists -2 - a_(j) and -a_(j), with the zero
+        # twists among them out of the running.  The last entry of ``right``
+        # and the first of ``left`` are never zero twists.
+        right = [NEG_INFINITY if x + 1 in present else column(-2 - x) for x in a]
+        left = [POS_INFINITY if x - 1 in present else column(-x) for x in a]
+        return RegularityProfile(tuple(max(right[k:]) + 1 for k in range(n)),
+                                 tuple(min(left[:n - k]) - 1 for k in range(n)),
+                                 (False,) * n, (False,) * n)
+
+    def _is_natural(self):
+        return True
 
     def _scan_range(self):
         return (-max(self.a) - self.n - 2, -min(self.a) + self.n + 2)

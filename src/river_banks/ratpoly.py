@@ -92,6 +92,14 @@ class RatPoly:
         return sorted(roots)
 
 
+def _from_roots(roots, lead=1) -> RatPoly:
+    """``lead * prod(x - r for r in roots)``, multiplied out in integers first."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [below - r * c for below, c in zip([0, *coeffs], [*coeffs, 0])]
+    return RatPoly(c * lead for c in coeffs)
+
+
 def _divisors(m):
     out = []
     for d in range(1, isqrt(m) + 1):

@@ -24,16 +24,15 @@ antidiagonal ``{(j, m - j)}`` that the regularity indices quantify over:
   display columns <= m.
 
 A table answers the whole profile, every k at once, through ``_profile()``.
-Sums of homogeneous tables read it off their labels and direct sums combine
-those of their summands.  Every other table -- pushforwards and literal
-windows -- is swept once: the cells of ``_scan_range()`` are read through
-``entry`` and each display column keeps its top and its bottom nonzero row,
-the two banks of the river.  Then reg(k) is one more than the last column
-whose top row is above k, and coreg(k) one less than the first column whose
-bottom row is below n - k.  An answer that touches the end of the range is
+Sums of homogeneous tables read it off their labels, pushforwards off their
+multidegree, and direct sums combine those of their summands.  Only literal
+windows are swept: the cells of ``_scan_range()`` are read through ``entry``
+and each display column keeps its top and its bottom nonzero row, the two
+banks of the river.  Then reg(k) is one more than the last column whose top
+row is above k, and coreg(k) one less than the first column whose bottom
+row is below n - k.  An answer that touches the end of the window is
 reported with a ``window_limited`` flag instead of being silently
-extrapolated; pushforward ranges are certified, so only literal windows
-ever raise the flag.
+extrapolated.
 """
 
 from __future__ import annotations
@@ -113,6 +112,26 @@ class CohomologyTable:
         """The regularity profile, from one sweep of the cells of ``_scan_range()``."""
         lo, hi = self._scan_range()
         return _grid_profile(_cells(self, lo, hi), lo, hi)
+
+    def _is_natural(self):
+        """True when no twist in ``_scan_range()`` has two nonzero cohomology groups."""
+        lo, hi = self._scan_range()
+        for d in range(lo - self.n, hi + 1):
+            seen = 0
+            for i in range(self.n + 1):
+                try:
+                    v = self.entry(i, d)
+                except WindowExceededError:
+                    continue
+                if v:
+                    seen += 1
+                    if seen > 1:
+                        return False
+        return True
+
+    def _chi_roots(self, chi):
+        """The distinct integer roots of ``chi``, the twist polynomial of this table."""
+        return chi.integer_roots()
 
     # --- structural operations ----------------------------------------
 
@@ -375,25 +394,14 @@ def regularity_profile(t: CohomologyTable) -> RegularityProfile:
 
 
 def is_natural(t: CohomologyTable) -> bool:
-    """True when no twist in ``_scan_range()`` has two nonzero cohomology groups.
+    """True when no twist of ``t`` has two nonzero cohomology groups.
 
-    For generator backends that range is certified: outside of it only the
-    extreme rows can be nonzero.  For literal tables only the visible cells
-    can be, and are, consulted.
+    A pushforward is natural by construction and answers at once.  Other
+    generator backends scan ``_scan_range()``, which is certified: outside
+    of it only the extreme rows can be nonzero.  For literal tables only the
+    visible cells can be, and are, consulted.
     """
-    lo, hi = t._scan_range()
-    for d in range(lo - t.n, hi + 1):
-        seen = 0
-        for i in range(t.n + 1):
-            try:
-                v = t.entry(i, d)
-            except WindowExceededError:
-                continue
-            if v:
-                seen += 1
-                if seen > 1:
-                    return False
-    return True
+    return t._is_natural()
 
 
 def is_supernatural(t: CohomologyTable, chi: RatPoly | None = None) -> bool:
@@ -401,7 +409,8 @@ def is_supernatural(t: CohomologyTable, chi: RatPoly | None = None) -> bool:
 
     Tables holding a literal window need ``chi`` supplied; without it the
     question is not decidable from a finite window and ``UndecidableError``
-    is raised.  Generator tables use their own polynomial and ignore ``chi``.
+    is raised.  Generator tables use their own polynomial and ignore ``chi``;
+    a pushforward reads its roots off its multidegree.
     """
     try:
         chi = t.hilbert_polynomial()
@@ -412,7 +421,7 @@ def is_supernatural(t: CohomologyTable, chi: RatPoly | None = None) -> bool:
             ) from None
     if not is_natural(t):
         return False
-    return chi.degree == t.n and len(chi.integer_roots()) == t.n
+    return chi.degree == t.n and len(t._chi_roots(chi)) == t.n
 
 
 def beilinson_terms(t: CohomologyTable, e: int):

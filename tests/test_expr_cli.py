@@ -362,6 +362,14 @@ class TestExitCodeContract:
         assert captured.out == ""
         assert f"nests deeper than {MAX_DEPTH} levels" in captured.err
 
+    def test_wide_pushforward_indices_read_off_the_multidegree(self, capsys):
+        assert main(["indices", "push(1000000000,0,-1000000000) on P3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"n": 3, "reg": [1000000000, 1, -999999998],
+                       "coreg": [-999999999, 0, 999999999],
+                       "reg_window_limited": [False] * 3,
+                       "coreg_window_limited": [False] * 3}
+
     @pytest.mark.parametrize("argv, limit", [
         (["table", "S[1,0] on P2", "--window", "-1000000:1000000"], f"limit of {MAX_CELLS}"),
         (["decompose", "S[1000000000,0] on P2"], f"limit of {MAX_CELLS}"),

@@ -1,18 +1,47 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from river_banks import golden
-from river_banks.kunneth import product_line_cohomology, pushforward_table
-from river_banks.tables import regularity_profile
+from river_banks import golden, tables
+from river_banks.kunneth import KunnethTable, product_line_cohomology, pushforward_table
+from river_banks.ratpoly import RatPoly
+from river_banks.tables import (
+    CohomologyTable,
+    is_natural,
+    is_supernatural,
+    regularity_profile,
+)
 
 from corpus import (
     coreg_condition_holds,
     random_kunneth,
     reg_condition_holds,
+    scan_coreg,
+    scan_reg,
     subset_sum_cohomology,
 )
+
+
+@st.composite
+def multidegrees(draw, max_size=8):
+    """Entries -7..7, often with an entry repeated two or more times."""
+    a = draw(st.lists(st.integers(-7, 7), min_size=1, max_size=max_size))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                                  max_size=3)):
+        a[dst % len(a)] = a[src % len(a)]
+    return a
+
+
+@st.composite
+def pushforwards(draw):
+    """A pushforward of ``multidegrees()``, possibly twisted and dualized."""
+    t = KunnethTable(draw(multidegrees()))
+    if draw(st.booleans()):
+        t = t.twist(draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        t = t.dual()
+    return t
 
 
 class TestProductLineCohomology:
@@ -86,3 +115,47 @@ class TestInvariants:
                 m = t.coreg(k)
                 assert all(coreg_condition_holds(t, k, m - s) for s in range(2 * t.n + 5))
                 assert not coreg_condition_holds(t, k, m + 1)
+
+
+class TestClosedFormProfile:
+    @given(pushforwards())
+    # a repeated entry: across the zero twist -3 the column rises from -1
+    # at twist -2 = -2 - a_(0) to 0 at twist -4, so reg(0) = 1 comes from -4
+    @example(KunnethTable((0, 2, 2, 2)))
+    # -2 - a_(0) = -1 is the zero twist of a_(1) = 0
+    @example(KunnethTable((-1, 0, 3)))
+    def test_matches_the_sweep_and_the_scan_oracles(self, t):
+        lo, hi = t._scan_range()
+        prof = t._profile()
+        assert prof == tables._grid_profile(tables._cells(t, lo, hi), lo, hi)
+        assert prof.reg == tuple(scan_reg(t, k) for k in range(t.n))
+        assert prof.coreg == tuple(scan_coreg(t, k) for k in range(t.n))
+
+    def test_profile_and_naturality_read_no_entries(self, monkeypatch):
+        entries = []
+        monkeypatch.setattr(CohomologyTable, "entry",
+                            lambda t, i, d: entries.append((i, d)))
+        t = pushforward_table((10**9, 0, -10**9))
+        prof = regularity_profile(t)
+        assert is_natural(t)
+        assert entries == []
+        assert prof.reg == (10**9, 1, 2 - 10**9)
+        assert prof.coreg == (1 - 10**9, 0, 10**9 - 1)
+        assert not any(prof.reg_window_limited + prof.coreg_window_limited)
+
+
+class TestSupernatural:
+    def test_roots_come_from_the_multidegree(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("integer_roots called")
+
+        monkeypatch.setattr(RatPoly, "integer_roots", refuse)
+        assert is_supernatural(pushforward_table((10**9, 0, -10**9)))
+        assert not is_supernatural(pushforward_table((1, 1, 0)))
+
+    @given(multidegrees(max_size=5))
+    def test_matches_the_integer_roots_of_chi(self, a):
+        t = KunnethTable(a)
+        chi = t.hilbert_polynomial()
+        assert is_supernatural(t) == (len(chi.integer_roots()) == t.n)
+        assert is_supernatural(t) == (len(set(a)) == t.n)

@@ -218,6 +218,11 @@ class TestRegCoreg:
             a or b for a, b in zip(p1.coreg_window_limited, p2.coreg_window_limited))
 
     def test_scanned_profile_reads_each_cell_once(self, monkeypatch):
+        # a literal window over the certified range of a pushforward, which
+        # itself reads its profile off its multidegree
+        push = pushforward_table((5, 3, 1, 0, -2, -4))
+        lo, hi = push._scan_range()
+        t = literal_from_json(table_to_json(push, lo, hi))
         calls = []
         inner = CohomologyTable.entry
 
@@ -226,12 +231,11 @@ class TestRegCoreg:
             return inner(table, i, d)
 
         monkeypatch.setattr(CohomologyTable, "entry", counted)
-        t = pushforward_table((5, 3, 1, 0, -2, -4))
-        lo, hi = t._scan_range()
         prof = regularity_profile(t)
         assert len(calls) <= (t.n + 1) * (hi - lo + 1)
         assert prof.reg == tuple(scan_reg(t, k) for k in range(t.n))
         assert prof.coreg == tuple(scan_coreg(t, k) for k in range(t.n))
+        assert prof == regularity_profile(push)
 
 
 class TestDual:
