@@ -16,8 +16,8 @@ import json
 import os
 import random
 import re
+import reprlib
 import sys
-from fractions import Fraction
 
 from river_banks import golden
 from river_banks.boij_soderberg import (
@@ -177,11 +177,33 @@ def _cmd_unobstructed(args):
     return OK if report.holds else VIOLATION
 
 
+_COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_two_form(text):
-    pairs = json.loads(text)
-    return TwoForm.from_pairs(
-        ((int(i), int(j)), Fraction(c)) for (i, j), c in pairs
-    )
+    """A form from JSON ``[[[i, j], c], ...]``, checked before any arithmetic.
+
+    Indices must be JSON integers and each coefficient a JSON integer or a
+    "p" or "p/q" string of ASCII digits, as ``TwoForm.from_pairs`` documents;
+    booleans, floats and exponents are refused.
+    """
+    try:
+        pairs = json.loads(text)
+    except RecursionError:
+        raise ValueError("form JSON nests too deeply") from None
+    if not isinstance(pairs, list):
+        raise ValueError(f"a form is a JSON list of [[i, j], coefficient] pairs, "
+                         f"got {reprlib.repr(pairs)}")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], list)
+                and len(pair[0]) == 2 and all(type(i) is int for i in pair[0])):
+            raise ValueError("expected [[i, j], coefficient] with JSON integers i and j, "
+                             f"got {reprlib.repr(pair)}")
+        c = pair[1]
+        if type(c) is not int and not (isinstance(c, str) and _COEFF.fullmatch(c)):
+            raise ValueError("a coefficient must be a JSON integer or a \"p\" or \"p/q\" "
+                             f"string of ASCII digits, got {reprlib.repr(c)}")
+    return TwoForm.from_pairs(pairs)
 
 
 def _cmd_wedge_kernel(args):

@@ -4,6 +4,15 @@ A pair of 2-forms over a 5-dimensional space defines the stacked linear map
 from the 10-dimensional space of 2-forms to two copies of the 5-dimensional
 space of 4-forms given by wedging with each form; its kernel is always
 nonzero, and this module computes the kernel dimension exactly.
+
+The arithmetic stays in integers wherever the input allows.  A ``TwoForm``
+keeps each integral coefficient as an ``int`` and only a genuinely rational
+one as a ``Fraction``.  Of the 100 products of a basis 2-form with a basis
+2-form, the 30 with four distinct indices are nonzero; ``_WEDGE`` lists them
+once, at import, as (column, coefficient index, 4-form row, sign), so that
+``wedge_matrix`` is one multiply-add per table row and block.  ``rank``
+scales each row by the lcm of its denominators and runs fraction-free
+(Bareiss) elimination over the integers.
 """
 
 from __future__ import annotations
@@ -12,10 +21,31 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from river_banks.tables import _exact
+
 DIM = 5
 BASIS2 = tuple(combinations(range(1, DIM + 1), 2))
 BASIS4 = tuple(combinations(range(1, DIM + 1), 4))
-_INDEX4 = {quad: r for r, quad in enumerate(BASIS4)}
+
+
+def _wedge_table():
+    index4 = {quad: r for r, quad in enumerate(BASIS4)}
+    table = []
+    for col, (a, b) in enumerate(BASIS2):
+        for k, (c, d) in enumerate(BASIS2):
+            quad = (a, b, c, d)
+            if len(set(quad)) == 4:
+                inv = sum(1 for s in range(4) for t in range(s + 1, 4) if quad[s] > quad[t])
+                table.append((col, k, index4[tuple(sorted(quad))], (-1) ** inv))
+    return tuple(table)
+
+
+_WEDGE = _wedge_table()
+
+
+def _coeff(c):
+    """An exact coefficient: an int when integral, a Fraction otherwise."""
+    return c if type(c) is int else _exact(Fraction(c))
 
 
 class TwoForm:
@@ -24,7 +54,7 @@ class TwoForm:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(map(_coeff, coeffs))
         if len(coeffs) != len(BASIS2):
             raise ValueError(f"expected {len(BASIS2)} coefficients, got {len(coeffs)}")
         self.coeffs = coeffs
@@ -37,14 +67,18 @@ class TwoForm:
     def monomial(cls, i, j, coeff=1):
         if not (1 <= i < j <= DIM):
             raise ValueError(f"monomial indices must satisfy 1 <= i < j <= {DIM}")
-        vals = [Fraction(0)] * len(BASIS2)
-        vals[BASIS2.index((i, j))] = Fraction(coeff)
+        vals = [0] * len(BASIS2)
+        vals[BASIS2.index((i, j))] = coeff
         return cls(vals)
 
     @classmethod
     def from_pairs(cls, pairs):
-        """Build from ((i, j), coefficient) pairs; coefficients may be 'p/q' strings."""
-        vals = [Fraction(0)] * len(BASIS2)
+        """Build from ((i, j), coefficient) pairs with 1 <= i < j <= 5.
+
+        A coefficient is an integer, a Fraction, or a "p" or "p/q" string;
+        repeated monomials add up.
+        """
+        vals = [0] * len(BASIS2)
         for (i, j), c in pairs:
             if not (1 <= i < j <= DIM):
                 raise ValueError(f"bad monomial index ({i}, {j})")
@@ -77,26 +111,13 @@ class TwoForm:
         return f"TwoForm({body})"
 
 
-def _wedge4(a, b, c, d):
-    """(sorted 4-tuple, sign) of e_a e_b e_c e_d, or (None, 0) on a repeat."""
-    quad = (a, b, c, d)
-    if len(set(quad)) < 4:
-        return None, 0
-    inv = sum(1 for s in range(4) for t in range(s + 1, 4) if quad[s] > quad[t])
-    return tuple(sorted(quad)), (-1) ** inv
-
-
 def wedge_matrix(eta1: TwoForm, eta2: TwoForm):
     """Matrix of w |-> (w ^ eta1, w ^ eta2); 10 rows (two 4-form blocks), 10 columns."""
-    rows = [[Fraction(0)] * len(BASIS2) for _ in range(2 * len(BASIS4))]
-    for col, (a, b) in enumerate(BASIS2):
-        for block, eta in enumerate((eta1, eta2)):
-            for (c, d), coeff in zip(BASIS2, eta.coeffs):
-                if not coeff:
-                    continue
-                quad, sign = _wedge4(a, b, c, d)
-                if sign:
-                    rows[block * len(BASIS4) + _INDEX4[quad]][col] += sign * coeff
+    rows = [[0] * len(BASIS2) for _ in range(2 * len(BASIS4))]
+    for block, eta in enumerate((eta1, eta2)):
+        coeffs, offset = eta.coeffs, block * len(BASIS4)
+        for col, k, row, sign in _WEDGE:
+            rows[offset + row][col] += sign * coeffs[k]
     return rows
 
 
@@ -109,8 +130,8 @@ def rank(matrix) -> int:
     """Exact rank over the rationals via integer fraction-free elimination."""
     rows = []
     for row in matrix:
-        den = lcm(*(Fraction(c).denominator for c in row)) if row else 1
-        rows.append([int(Fraction(c) * den) for c in row])
+        den = lcm(*(c.denominator for c in row))
+        rows.append([c.numerator * (den // c.denominator) for c in row])
     return _rank_int(rows)
 
 

@@ -73,7 +73,8 @@ class RatPoly:
         """Sorted distinct integer roots, found exactly.
 
         Clears denominators, factors out the power of x, and tests the
-        divisors of the resulting constant term.
+        divisors of the resulting constant term that lie within the Cauchy
+        bound: every root r has |r| <= 1 + max |a_k / a_deg| over k < deg.
         """
         if not self.coeffs:
             raise ValueError("the zero polynomial has no well-defined root set")
@@ -84,8 +85,8 @@ class RatPoly:
         while ints[low] == 0:
             roots.add(0)
             low += 1
-        const = abs(ints[low])
-        for d in _divisors(const):
+        bound = 1 + max(map(abs, ints[low:-1]), default=0) // abs(ints[-1])
+        for d in _divisors(abs(ints[low]), bound):
             for r in (d, -d):
                 if self(r) == 0:
                     roots.add(r)
@@ -100,11 +101,12 @@ def _from_roots(roots, lead=1) -> RatPoly:
     return RatPoly(c * lead for c in coeffs)
 
 
-def _divisors(m):
+def _divisors(m, bound):
+    """The divisors of m that are at most ``bound``."""
     out = []
-    for d in range(1, isqrt(m) + 1):
+    for d in range(1, min(isqrt(m), bound) + 1):
         if m % d == 0:
             out.append(d)
-            if d != m // d:
+            if d < m // d <= bound:
                 out.append(m // d)
     return out

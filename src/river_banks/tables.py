@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from river_banks.bott import bott_cohomology, chi_polynomial
+from river_banks.bott import _roots, bott_cohomology, chi_polynomial
 from river_banks.partitions import GenPartition
 from river_banks.ratpoly import RatPoly
 
@@ -194,6 +194,18 @@ class BottSumTable(CohomologyTable):
 
     def twist(self, s):
         return BottSumTable(self.n, [(m, lam.shift(s)) for m, lam in self.terms])
+
+    def _is_natural(self):
+        # By Bott's theorem every twist of one label has at most one nonzero group.
+        return len(self.terms) <= 1 or super()._is_natural()
+
+    def _chi_roots(self, chi):
+        # One label's chi has that label's n distinct roots.  Equal labels
+        # are merged, so several terms share no root sequence and chi's
+        # roots have to be searched for.
+        if len(self.terms) == 1:
+            return list(_roots(self.terms[0][1].parts)[0])
+        return chi.integer_roots()
 
     def hilbert_polynomial(self):
         acc = RatPoly()
@@ -396,10 +408,10 @@ def regularity_profile(t: CohomologyTable) -> RegularityProfile:
 def is_natural(t: CohomologyTable) -> bool:
     """True when no twist of ``t`` has two nonzero cohomology groups.
 
-    A pushforward is natural by construction and answers at once.  Other
-    generator backends scan ``_scan_range()``, which is certified: outside
-    of it only the extreme rows can be nonzero.  For literal tables only the
-    visible cells can be, and are, consulted.
+    A pushforward or a single homogeneous bundle is natural by construction
+    and answers at once.  Other generator backends scan ``_scan_range()``,
+    which is certified: outside of it only the extreme rows can be nonzero.
+    For literal tables only the visible cells can be, and are, consulted.
     """
     return t._is_natural()
 
@@ -410,7 +422,8 @@ def is_supernatural(t: CohomologyTable, chi: RatPoly | None = None) -> bool:
     Tables holding a literal window need ``chi`` supplied; without it the
     question is not decidable from a finite window and ``UndecidableError``
     is raised.  Generator tables use their own polynomial and ignore ``chi``;
-    a pushforward reads its roots off its multidegree.
+    a pushforward reads its roots off its multidegree and a single
+    homogeneous bundle off its label; other tables search chi's integer roots.
     """
     try:
         chi = t.hilbert_polynomial()

@@ -7,12 +7,14 @@ Kunneth sum, independent of the one-row closed form; the strip oracle
 expands a tensor product by Littlewood-Richardson tableaux, independent of
 the Brauer-Klimyk straightening; the straightening oracle reads a Bott
 twist off the dot-action straightening, independent of the root-sequence
-closed form.
+closed form; the wedge oracle builds the paired wedge matrix from products
+signed by sorting their indices, independent of the precomputed wedge table.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 from river_banks.bott import BottCohomology
@@ -176,3 +178,33 @@ def _strip_placements(shape, size, prev_rows, maxrows):
 
     rec(0, size, 0, [])
     return out
+
+
+def sort_with_sign(indices):
+    """(sorted tuple, sign of the sorting permutation) by bubble sort; sign 0 on a repeat."""
+    xs, sign = list(indices), 1
+    for end in range(len(xs) - 1, 0, -1):
+        for k in range(end):
+            if xs[k] > xs[k + 1]:
+                xs[k], xs[k + 1] = xs[k + 1], xs[k]
+                sign = -sign
+    return tuple(xs), (sign if len(set(xs)) == len(xs) else 0)
+
+
+def wedge_matrix_by_sorting(eta1, eta2):
+    """Matrix of w |-> (w ^ eta1, w ^ eta2) over the lexicographic bases of 2- and 4-forms.
+
+    Reads each form through ``to_pairs`` and signs every product e_a e_b e_c e_d
+    by sorting (a, b, c, d); rows are the 4-forms of the eta1 block, then of
+    the eta2 block, columns the 2-forms.
+    """
+    basis2 = list(combinations(range(1, 6), 2))
+    basis4 = list(combinations(range(1, 6), 4))
+    rows = [[Fraction(0)] * len(basis2) for _ in range(2 * len(basis4))]
+    for block, eta in enumerate((eta1, eta2)):
+        for pair, coeff in eta.to_pairs():
+            for col, w in enumerate(basis2):
+                quad, sign = sort_with_sign(w + pair)
+                if sign:
+                    rows[block * len(basis4) + basis4.index(quad)][col] += sign * Fraction(coeff)
+    return rows

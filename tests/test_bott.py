@@ -3,12 +3,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from river_banks import bott, partitions
 from river_banks.bott import BottCohomology, bott_cohomology, chi_polynomial
 from river_banks.partitions import GenPartition
-from river_banks.ratpoly import RatPoly
+from river_banks.ratpoly import RatPoly, _from_roots
 from river_banks.tables import NEG_INFINITY, homogeneous_table, render_ascii
 
 from corpus import bott_by_straightening, random_partition
@@ -148,3 +148,22 @@ class TestChiPolynomial:
             lam = random_partition(rng, n, -3, 5)
             expected = sorted({-(lam.part(k - 1) + k) for k in range(1, n + 1)})
             assert chi_polynomial(n, lam).integer_roots() == expected
+
+
+@settings(deadline=None)
+# (x - 3)(3x + 2): the root 3 is the Cauchy bound 1 + 7 // 3 and the cofactor of 2 in 6
+@example(roots=[3], cofactor=[2, 3], scale=1)
+@given(st.lists(st.integers(-9, 9), max_size=3), st.lists(st.integers(-5, 5), min_size=1,
+                                                        max_size=4),
+       st.fractions(-3, 3, max_denominator=7).filter(bool))
+def test_integer_roots_match_a_search_of_every_candidate(roots, cofactor, scale):
+    p = _from_roots(roots) * RatPoly(cofactor) * scale
+    if p.degree < 0:
+        return
+    # every root r has |r| <= max(1, sum |a_k / a_deg|), a bound other than Cauchy's
+    ints = [c / scale for c in p.coeffs]
+    span = int(max(1, sum(abs(c) for c in ints[:-1]) / abs(ints[-1])))
+    found = [r for r in range(-span, span + 1)
+             if sum(int(c) * r ** k for k, c in enumerate(ints)) == 0]
+    assert p.integer_roots() == found
+    assert set(roots) <= set(p.integer_roots())

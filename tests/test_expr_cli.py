@@ -1,14 +1,17 @@
+import hashlib
 import io
 import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from river_banks import golden
 from river_banks.cli import main
+from river_banks.exterior import TwoForm
 from river_banks.expr import MAX_DEPTH, ExprError, table_from_expr
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
@@ -19,6 +22,9 @@ from river_banks.tables import (
     CohomologyTable,
     ascii_normalize,
 )
+
+
+CLI_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "cli_expected.json"
 
 
 def gp(*parts):
@@ -246,6 +252,36 @@ class TestCliCommands:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["kernel_dim"] == 7
 
+    @pytest.mark.parametrize("seed", [7, 11, 13])
+    def test_wedge_kernel_matches_the_recorded_digest(self, capsys, seed):
+        recorded = json.loads(CLI_EXPECTED.read_text())[f"wedge-kernel-{seed}"]
+        assert main(["wedge-kernel", "--trials", "200", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == recorded["stdout_sha256"]
+
+    @pytest.mark.parametrize("eta1, message", [
+        ('[[[1,2],"1e10000000"]]', "'1e10000000'"),
+        ("[[[1,2],1e400]]", "got inf"),
+        ('[[[1.9,2],"1"]]', "with JSON integers i and j"),
+        ('[[[true,2],"1"]]', "with JSON integers i and j"),
+        ("[[[1,2],true]]", "got True"),
+        ('[[[1,2],"٣"]]', "ASCII digits"),
+        ('[[[1,2],"1"],5]', "expected [[i, j], coefficient]"),
+        ('[[[1,2,3],"1"]]', "expected [[i, j], coefficient]"),
+        ('{"1,2": 1}', "a form is a JSON list"),
+        ("[" * 100000, "nests too deeply"),
+    ])
+    def test_wedge_kernel_refuses_a_malformed_form_before_any_arithmetic(
+            self, capsys, monkeypatch, eta1, message):
+        def refuse(*args):
+            raise AssertionError("reached arithmetic")
+
+        monkeypatch.setattr(TwoForm, "from_pairs", refuse)
+        assert main(["wedge-kernel", "--eta1", eta1, "--eta2", "[]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_wedge_kernel_rejects_nonpositive_trials(self, capsys, trials):
         assert main(["wedge-kernel", "--trials", trials]) == 2
@@ -330,6 +366,30 @@ def cli_calls(draw):
     ]))
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                               max_size=2),
+    max_leaves=6)
+# "p" or "p/q" strings, zero denominators included
+ratio_texts = st.tuples(st.integers(-99, 99), st.none() | st.integers(0, 3)).map(
+    lambda t: str(t[0]) if t[1] is None else f"{t[0]}/{t[1]}")
+well_formed_pairs = st.tuples(
+    st.sampled_from([[i, j] for i in range(1, 6) for j in range(i + 1, 6)]),
+    st.integers(-9, 9) | ratio_texts,
+).map(list)
+any_pairs = st.tuples(
+    st.lists(st.integers(-1, 7) | json_values, max_size=3),
+    st.integers() | ratio_texts | st.text("0123456789/-+.e _٣", max_size=6) | json_values,
+).map(list)
+form_texts = st.one_of(
+    st.lists(well_formed_pairs, max_size=4).map(json.dumps),
+    st.lists(well_formed_pairs | any_pairs, max_size=4).map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(max_size=12),
+)
+
+
 any_expr = st.one_of(st.text(NOISE), st.text(), mutated(st.integers(1, 3).flatmap(bundle_exprs)))
 
 
@@ -351,6 +411,19 @@ class TestExitCodeContract:
     def test_main_returns_a_documented_code(self, argv):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2, 3)
+
+    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
+                       reason='a zero denominator such as "1/0" raises ZeroDivisionError '
+                              "(exit 1 from the shell), the case wedge-kernel-div0 that "
+                              "bench/workloads.py lists in KNOWN_DEFECTS")
+    # Derandomized so that the known failure is found on every run; the
+    # generation phase alone, since the failing input needs no shrinking.
+    @settings(deadline=None, max_examples=300, derandomize=True, database=None,
+              phases=[Phase.generate])
+    @given(form_texts, form_texts)
+    def test_wedge_kernel_returns_a_documented_code(self, eta1, eta2):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["wedge-kernel", "--eta1", eta1, "--eta2", eta2]) in (0, 1, 2, 3)
 
     @pytest.mark.parametrize("expr", [
         "(" * 1200 + "O(0)" + ")" * 1200 + " on P1",

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from river_banks.exterior import (
     BASIS2,
@@ -11,7 +12,22 @@ from river_banks.exterior import (
     wedge_matrix,
 )
 
+from corpus import wedge_matrix_by_sorting
+
 PRIMES = (10**9 + 7, 10**9 + 9, 10**9 + 21, 10**9 + 33)
+
+small_ints = st.integers(-9, 9)
+coefficients = small_ints | st.fractions(-20, 20, max_denominator=12)
+nonzero_scalars = (st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=7)).filter(bool)
+base_forms = st.one_of(
+    st.randoms(use_true_random=False).map(TwoForm.random),
+    st.lists(small_ints, min_size=10, max_size=10).map(TwoForm),
+    st.lists(coefficients, min_size=10, max_size=10).map(TwoForm),
+    st.lists(st.tuples(st.sampled_from(BASIS2), coefficients), max_size=3).map(TwoForm.from_pairs),
+    st.just(TwoForm.zero()),
+)
+# integer, rational, sparse and zero forms, and nonzero multiples of them
+two_forms = base_forms | st.tuples(nonzero_scalars, base_forms).map(lambda p: p[0] * p[1])
 
 
 class TestTwoForm:
@@ -50,6 +66,26 @@ class TestWedgeMatrix:
         eta2 = TwoForm.from_pairs([((1, 3), 1), ((2, 5), 1)])
         assert rank(wedge_matrix(eta1, eta2)) == 9
         assert kernel_dim(eta1, eta2) == 1
+
+
+class TestAgainstTheSortingOracle:
+    @given(two_forms, two_forms)
+    def test_wedge_matrix_matches_entry_for_entry(self, eta1, eta2):
+        m = wedge_matrix(eta1, eta2)
+        assert m == wedge_matrix_by_sorting(eta1, eta2)
+        if all(type(c) is int for c in eta1.coeffs + eta2.coeffs):
+            assert all(type(v) is int for row in m for v in row)
+
+    @given(two_forms, two_forms)
+    def test_kernel_dim_is_ten_minus_the_oracle_rank(self, eta1, eta2):
+        assert kernel_dim(eta1, eta2) == 10 - _gauss_rank(wedge_matrix_by_sorting(eta1, eta2))
+
+    @given(two_forms)
+    def test_values_round_trip_through_pairs(self, eta):
+        again = TwoForm.from_pairs(eta.to_pairs())
+        assert again == eta and hash(again) == hash(eta) and repr(again) == repr(eta)
+        for c in eta.coeffs:
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 class TestKernelDim:

@@ -411,6 +411,24 @@ class TestNaturalSupernatural:
         assert is_natural(pushforward_table((1, 1, 0)))
         assert not is_supernatural(pushforward_table((1, 1, 0)))
 
+    def test_one_label_reads_its_roots_off_the_label(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(RatPoly, "integer_roots", refuse)
+        monkeypatch.setattr(CohomologyTable, "entry", refuse)
+        assert is_supernatural(homogeneous_table(gp(100000, 5, 0)))
+        assert is_supernatural(BottSumTable(3, [(2, gp(10**9, 0, -10**9)),
+                                                (Fraction(1, 3), gp(10**9, 0, -10**9))]))
+
+    @given(bott_sums_and_windows())
+    def test_matches_the_scan_and_the_integer_roots_of_chi(self, table_and_window):
+        t = table_and_window[0]
+        chi = t.hilbert_polynomial()
+        natural = CohomologyTable._is_natural(t)
+        assert is_natural(t) == natural
+        assert is_supernatural(t) == (natural and len(chi.integer_roots()) == t.n)
+
     def test_literal_needs_chi(self):
         with pytest.raises(UndecidableError):
             is_supernatural(golden.load("phantom"))
