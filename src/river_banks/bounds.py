@@ -16,6 +16,7 @@ of a bundle to vanish.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -114,35 +115,22 @@ def check_tensor_bounds(tf: CohomologyTable, tg: CohomologyTable,
     """
     if not (tf.n == tg.n == tfg.n):
         raise ValueError("all three tables must share the ambient dimension")
-    n = tf.n
     pf, pg, pfg = (regularity_profile(t) for t in (tf, tg, tfg))
+    return (_bound_report("reg", pf, pg, pfg, min, 0, operator.le),
+            _bound_report("coreg", pf, pg, pfg, max, 1, operator.ge))
 
-    reg_entries = []
-    coreg_entries = []
-    for p in range(n):
-        flags = pfg.reg_window_limited[p]
-        cands = []
-        for k in range(p + 1):
-            cands.append(pf.reg[k] + pg.reg[p - k])
-            flags = flags or pf.reg_window_limited[k] or pg.reg_window_limited[p - k]
-        bound = min(cands)
-        actual = pfg.reg[p]
-        reg_entries.append(BoundEntry(p, bound, actual, actual <= bound,
-                                      actual == bound, flags))
 
-        flags = pfg.coreg_window_limited[p]
-        cands = []
-        for k in range(p + 1):
-            cands.append(pf.coreg[k] + pg.coreg[p - k])
-            flags = (flags or pf.coreg_window_limited[k]
-                     or pg.coreg_window_limited[p - k])
-        bound = 1 + max(cands)
-        actual = pfg.coreg[p]
-        coreg_entries.append(BoundEntry(p, bound, actual, actual >= bound,
-                                        actual == bound, flags))
-
-    return (BoundReport("reg", tuple(reg_entries)),
-            BoundReport("coreg", tuple(coreg_entries)))
+def _bound_report(side, pf, pg, pfg, pick, shift, holds):
+    """One side: bound(p) = shift + pick over k + l = p of f(k) + g(l), against fg(p)."""
+    f, g, fg = (getattr(prof, side) for prof in (pf, pg, pfg))
+    ff, gf, fgf = (getattr(prof, f"{side}_window_limited") for prof in (pf, pg, pfg))
+    entries = []
+    for p, actual in enumerate(fg):
+        bound = shift + pick(f[k] + g[p - k] for k in range(p + 1))
+        flags = fgf[p] or any(ff[k] or gf[p - k] for k in range(p + 1))
+        entries.append(BoundEntry(p, bound, actual, holds(actual, bound),
+                                  actual == bound, flags))
+    return BoundReport(side, tuple(entries))
 
 
 def check_sharpness(lam: GenPartition, mu: GenPartition) -> BoundReport:

@@ -65,13 +65,21 @@ def _seed(args):
     return int(env) if env else DEFAULT_SEED
 
 
+def _json(text, what):
+    """``json.loads``, with nesting past the recursion limit a usage error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} JSON nests too deeply") from None
+
+
 def _load_table(ref):
     """A table from a file path (ASCII or JSON by extension) or an expression."""
     if os.path.exists(ref):
         with open(ref) as fh:
             text = fh.read()
         if ref.endswith(".json"):
-            return literal_from_json(json.loads(text))
+            return literal_from_json(_json(text, "table"))
         return parse_ascii(text)
     return table_from_expr(ref)
 
@@ -187,10 +195,7 @@ def _parse_two_form(text):
     "p" or "p/q" string of ASCII digits, as ``TwoForm.from_pairs`` documents;
     booleans, floats and exponents are refused.
     """
-    try:
-        pairs = json.loads(text)
-    except RecursionError:
-        raise ValueError("form JSON nests too deeply") from None
+    pairs = _json(text, "form")
     if not isinstance(pairs, list):
         raise ValueError(f"a form is a JSON list of [[i, j], coefficient] pairs, "
                          f"got {reprlib.repr(pairs)}")

@@ -30,10 +30,9 @@ twist to the next, both nonzero, raises that column by one, so:
 
 That is O(n) per index whatever the size of the a_j, and no index is
 window-limited.  coreg is computed on its own, not through the dual, so the
-duality identity stays a check.  A pushforward is natural by construction,
-and its twist polynomial prod(d + a_j + 1) has the roots -a_j - 1, so it is
-supernatural exactly when the a_j are distinct.  ``_scan_range()`` stays
-for the naturality scan of a direct sum that holds a pushforward.
+duality identity stays a check.  A pushforward is one natural piece: its
+twist polynomial prod(d + a_j + 1) has the roots -a_j - 1, so it is
+supernatural exactly when the a_j are distinct.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import prod
 
-from river_banks.ratpoly import _from_roots
 from river_banks.tables import NEG_INFINITY, POS_INFINITY, CohomologyTable, RegularityProfile
 
 
@@ -78,11 +76,8 @@ class KunnethTable(CohomologyTable):
     def twist(self, s):
         return KunnethTable(aj + s for aj in self.a)
 
-    def hilbert_polynomial(self):
-        return _from_roots(-aj - 1 for aj in self.a)
-
-    def _chi_roots(self, chi):
-        return sorted({-aj - 1 for aj in self.a})
+    def _pieces(self):
+        return [(1, tuple(sorted(-aj - 1 for aj in self.a)))]
 
     def _profile(self):
         a, n = sorted(self.a), self.n
@@ -99,12 +94,6 @@ class KunnethTable(CohomologyTable):
         return RegularityProfile(tuple(max(right[k:]) + 1 for k in range(n)),
                                  tuple(min(left[:n - k]) - 1 for k in range(n)),
                                  (False,) * n, (False,) * n)
-
-    def _is_natural(self):
-        return True
-
-    def _scan_range(self):
-        return (-max(self.a) - self.n - 2, -min(self.a) + self.n + 2)
 
     def __repr__(self):
         return f"<KunnethTable {','.join(str(x) for x in self.a)}>"

@@ -33,22 +33,35 @@ row is above k, and coreg(k) one less than the first column whose bottom
 row is below n - k.  An answer that touches the end of the window is
 reported with a ``window_limited`` flag instead of being silently
 extrapolated.
+
+Generator tables list their natural pieces through ``_pieces()``, as
+(constant, increasing roots): twist d of a piece vanishes at a root and
+otherwise has one group, of dimension constant * |prod(d - r)|, in row
+#{r > d}.  A label is one piece (``bott._roots``), a pushforward one with
+the roots -a_j - 1, and a direct sum has its summands' pieces, scaled by
+their positive multiplicities.  ``hilbert_polynomial``, ``is_natural`` and
+``is_supernatural`` are derived from the pieces once, for every backend.
+A literal window has none (``None``) and answers from its visible cells.
 """
 
 from __future__ import annotations
 
+import re
+import reprlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from river_banks.bott import _roots, bott_cohomology, chi_polynomial
+from river_banks.bott import _roots, bott_cohomology
 from river_banks.partitions import GenPartition
-from river_banks.ratpoly import RatPoly
+from river_banks.ratpoly import RatPoly, _from_roots
 
 #: Explicit index values for vacuous regularity conditions (never sentinels).
 NEG_INFINITY = float("-inf")
 POS_INFINITY = float("inf")
 
 INT64_MAX = 2**63 - 1
+_DIGITS = re.compile("[0-9]+")
 
 
 class WindowExceededError(LookupError):
@@ -113,25 +126,9 @@ class CohomologyTable:
         lo, hi = self._scan_range()
         return _grid_profile(_cells(self, lo, hi), lo, hi)
 
-    def _is_natural(self):
-        """True when no twist in ``_scan_range()`` has two nonzero cohomology groups."""
-        lo, hi = self._scan_range()
-        for d in range(lo - self.n, hi + 1):
-            seen = 0
-            for i in range(self.n + 1):
-                try:
-                    v = self.entry(i, d)
-                except WindowExceededError:
-                    continue
-                if v:
-                    seen += 1
-                    if seen > 1:
-                        return False
-        return True
-
-    def _chi_roots(self, chi):
-        """The distinct integer roots of ``chi``, the twist polynomial of this table."""
-        return chi.integer_roots()
+    def _pieces(self):
+        """(constant, increasing roots) of each natural piece; None for a literal window."""
+        raise NotImplementedError
 
     # --- structural operations ----------------------------------------
 
@@ -141,10 +138,15 @@ class CohomologyTable:
         return SumTable(((1, self), (1, other)))
 
     def hilbert_polynomial(self) -> RatPoly:
-        raise NotImplementedError
+        """The twist polynomial, the sum of constant * prod(d - r) over the pieces."""
+        pieces = self._pieces()
+        if pieces is None:
+            raise InsufficientDataError(
+                "a finite window does not determine the twist polynomial")
+        return sum((_from_roots(roots, c) for c, roots in pieces), RatPoly())
 
     def _scan_range(self):
-        """Display columns (lo, hi) certified to contain every index answer."""
+        """Display columns (lo, hi) of the cells a windowed table shows."""
         raise NotImplementedError
 
 
@@ -195,29 +197,9 @@ class BottSumTable(CohomologyTable):
     def twist(self, s):
         return BottSumTable(self.n, [(m, lam.shift(s)) for m, lam in self.terms])
 
-    def _is_natural(self):
-        # By Bott's theorem every twist of one label has at most one nonzero group.
-        return len(self.terms) <= 1 or super()._is_natural()
-
-    def _chi_roots(self, chi):
-        # One label's chi has that label's n distinct roots.  Equal labels
-        # are merged, so several terms share no root sequence and chi's
-        # roots have to be searched for.
-        if len(self.terms) == 1:
-            return list(_roots(self.terms[0][1].parts)[0])
-        return chi.integer_roots()
-
-    def hilbert_polynomial(self):
-        acc = RatPoly()
-        for mult, lam in self.terms:
-            acc = acc + chi_polynomial(self.n, lam) * mult
-        return acc
-
-    def _scan_range(self):
-        if not self.terms:
-            return (-self.n - 2, self.n + 2)
-        parts = [p for _, lam in self.terms for p in lam.parts]
-        return (-max(parts) - self.n - 2, -min(parts) + self.n + 2)
+    def _pieces(self):
+        roots = [(m, _roots(lam.parts)) for m, lam in self.terms]
+        return [(m * Fraction(num, den), neg) for m, (neg, num, den) in roots]
 
     def __repr__(self):
         inner = " + ".join(f"{m}*S[{lam}]" for m, lam in self.terms) or "0"
@@ -244,6 +226,8 @@ class SumTable(CohomologyTable):
         n = terms[0][1].n
         if any(t.n != n for _, t in terms):
             raise ValueError("summands live on different projective spaces")
+        if any(m <= 0 for m, _ in terms):
+            raise ValueError(f"non-positive multiplicity in {[m for m, _ in terms]}")
         self.n = n
         self.terms = terms
 
@@ -266,14 +250,15 @@ class SumTable(CohomologyTable):
     def twist(self, s):
         return SumTable((m, t.twist(s)) for m, t in self.terms)
 
-    def hilbert_polynomial(self):
-        acc = RatPoly()
-        for m, t in self.terms:
-            acc = acc + t.hilbert_polynomial() * m
-        return acc
+    def _pieces(self):
+        inner = [(m, t._pieces()) for m, t in self.terms]
+        if any(pieces is None for _, pieces in inner):
+            return None
+        return [(m * c, roots) for m, pieces in inner for c, roots in pieces]
 
     def _scan_range(self):
-        ranges = [t._scan_range() for _, t in self.terms]
+        # outside its windowed summands' columns every cell of the sum raises
+        ranges = [t._scan_range() for _, t in self.terms if t._pieces() is None]
         return (min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
 
 
@@ -318,10 +303,8 @@ class LiteralTable(CohomologyTable):
     def twist(self, s):
         return LiteralTable(self.n, self.lo - s, self.hi - s, self.rows_by_i)
 
-    def hilbert_polynomial(self):
-        raise InsufficientDataError(
-            "a finite window does not determine the twist polynomial"
-        )
+    def _pieces(self):
+        return None
 
     def _scan_range(self):
         return (self.lo, self.hi)
@@ -408,33 +391,48 @@ def regularity_profile(t: CohomologyTable) -> RegularityProfile:
 def is_natural(t: CohomologyTable) -> bool:
     """True when no twist of ``t`` has two nonzero cohomology groups.
 
-    A pushforward or a single homogeneous bundle is natural by construction
-    and answers at once.  Other generator backends scan ``_scan_range()``,
-    which is certified: outside of it only the extreme rows can be nonzero.
-    For literal tables only the visible cells can be, and are, consulted.
+    A generator table compares the rows #{r > d} of its pieces' distinct
+    root sequences at each root u and at u + 1: rows change only at roots,
+    so these twists cover every case, whatever the size of the labels.  A
+    literal window consults its visible cells, the only ones it has.
     """
-    return t._is_natural()
+    pieces = t._pieces()
+    if pieces is None:
+        lo, hi = t._scan_range()
+        for d in range(lo - t.n, hi + 1):
+            seen = 0
+            for i in range(t.n + 1):
+                try:
+                    seen += t.entry(i, d) != 0
+                except WindowExceededError:
+                    pass
+            if seen > 1:
+                return False
+        return True
+    seqs = {roots for _, roots in pieces}
+    for d in {u + s for roots in seqs for u in roots for s in (0, 1)}:
+        if len({len(r) - bisect_right(r, d) for r in seqs if d not in r}) > 1:
+            return False
+    return True
 
 
 def is_supernatural(t: CohomologyTable, chi: RatPoly | None = None) -> bool:
     """Natural cohomology plus a twist polynomial with n distinct integer roots.
 
-    Tables holding a literal window need ``chi`` supplied; without it the
-    question is not decidable from a finite window and ``UndecidableError``
-    is raised.  Generator tables use their own polynomial and ignore ``chi``;
-    a pushforward reads its roots off its multidegree and a single
-    homogeneous bundle off its label; other tables search chi's integer roots.
+    A generator table ignores ``chi``: it is supernatural exactly when all
+    its pieces share one sequence of n distinct roots, since with positive
+    constants a natural table's polynomial vanishes at an integer only
+    where every piece does.  A literal window searches the integer roots of
+    a supplied ``chi``, and raises ``UndecidableError`` without one.
     """
-    try:
-        chi = t.hilbert_polynomial()
-    except InsufficientDataError:
-        if chi is None:
-            raise UndecidableError(
-                "supernaturality of a windowed table needs the twist polynomial"
-            ) from None
-    if not is_natural(t):
-        return False
-    return chi.degree == t.n and len(t._chi_roots(chi)) == t.n
+    pieces = t._pieces()
+    if pieces is not None:
+        seqs = {roots for _, roots in pieces}
+        return len(seqs) == 1 and len(set(seqs.pop())) == t.n
+    if chi is None:
+        raise UndecidableError(
+            "supernaturality of a windowed table needs the twist polynomial")
+    return is_natural(t) and chi.degree == t.n and len(chi.integer_roots()) == t.n
 
 
 def beilinson_terms(t: CohomologyTable, e: int):
@@ -559,10 +557,29 @@ def table_to_json(t: CohomologyTable, lo: int, hi: int) -> dict:
 
 
 def literal_from_json(obj: dict) -> LiteralTable:
-    n = int(obj["n"])
-    lo, hi = (int(v) for v in obj["window"])
-    rows = obj["rows"]
-    if len(rows) != n + 1:
-        raise ValueError(f"expected {n + 1} rows, got {len(rows)}")
-    rows_by_i = [[int(v) for v in row] for row in reversed(rows)]
-    return LiteralTable(n, lo, hi, rows_by_i)
+    """The literal window ``table_to_json`` writes, read strictly.
+
+    ``n`` (at least 0) and the window bounds must be JSON integers, and each
+    cell a JSON integer or a string of ASCII digits, the form big entries
+    are written in; booleans, floats and other strings are refused rather
+    than rounded.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a table is a JSON object, got {reprlib.repr(obj)}")
+    n, window, rows = obj["n"], obj["window"], obj["rows"]
+    if not (type(n) is int and n >= 0 and isinstance(window, list) and len(window) == 2
+            and all(type(v) is int for v in window)):
+        raise ValueError("n must be a JSON integer >= 0 and window a pair of JSON integers, "
+                         f"got {reprlib.repr(n)} and {reprlib.repr(window)}")
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError("rows must be a JSON list of lists")
+    return LiteralTable(n, *window, [[_json_cell(v) for v in row] for row in reversed(rows)])
+
+
+def _json_cell(v):
+    if type(v) is int:
+        return v
+    if isinstance(v, str) and _DIGITS.fullmatch(v):
+        return int(v)
+    raise ValueError("a cell must be a JSON integer or a string of ASCII digits, "
+                     f"got {reprlib.repr(v)}")

@@ -1,14 +1,16 @@
-"""Seeded random inputs and entry-level oracles shared by the tests.
+"""Seeded random inputs, expression strategies and entry-level oracles for the tests.
 
-The scan oracles compute regularity indices by scanning table entries
-directly, independent of the closed forms and structural recursions under
-test; the subset-sum oracle computes a pushforward entry by the full
-Kunneth sum, independent of the one-row closed form; the strip oracle
-expands a tensor product by Littlewood-Richardson tableaux, independent of
-the Brauer-Klimyk straightening; the straightening oracle reads a Bott
-twist off the dot-action straightening, independent of the root-sequence
-closed form; the wedge oracle builds the paired wedge matrix from products
-signed by sorting their indices, independent of the precomputed wedge table.
+The scan oracles compute regularity indices, naturality, the twists where
+every group vanishes and the Euler characteristic by scanning table entries
+directly over a range the corpus certifies itself, independent of the closed
+forms, root sequences and structural recursions under test; the subset-sum
+oracle computes a pushforward entry by the full Kunneth sum, independent of
+the one-row closed form; the strip oracle expands a tensor product by
+Littlewood-Richardson tableaux, independent of the Brauer-Klimyk
+straightening; the straightening oracle reads a Bott twist off the
+dot-action straightening, independent of the root-sequence closed form;
+the wedge oracle builds the paired wedge matrix from products signed by
+sorting their indices, independent of the precomputed wedge table.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from river_banks.bott import BottCohomology
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition, schur_dim, straighten
-from river_banks.tables import BottSumTable
+from river_banks.tables import BottSumTable, LiteralTable, SumTable, WindowExceededError
 
 
 def random_partition(rng, n, lo=0, hi=4):
@@ -54,9 +58,81 @@ def random_generator_table(rng):
     return t
 
 
+def certified_range(t):
+    """Display columns (lo, hi) outside which only the extreme rows of ``t`` are nonzero.
+
+    A homogeneous label's twists vanish only at -parts[i] - n + i, a
+    pushforward's only at -a_j - 1: below those roots a twist sits in row n,
+    above them in row 0, and the columns of both stay inside the range.  A
+    literal window is its own range, and a direct sum covers its summands'.
+    """
+    if isinstance(t, LiteralTable):
+        return t.window
+    if isinstance(t, SumTable):
+        ranges = [certified_range(u) for _, u in t.terms]
+        return min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
+    parts = t.a if isinstance(t, KunnethTable) else [p for _, lam in t.terms for p in lam.parts]
+    if not parts:
+        return (-t.n - 2, t.n + 2)
+    return (-max(parts) - t.n - 2, -min(parts) + t.n + 2)
+
+
+def visible_entries(t, d):
+    """Rows 0..n of twist d, with None for a cell outside a literal window."""
+    out = []
+    for i in range(t.n + 1):
+        try:
+            out.append(t.entry(i, d))
+        except WindowExceededError:
+            out.append(None)
+    return out
+
+
+def scan_twists(t):
+    """Every twist whose cells meet the certified range."""
+    lo, hi = certified_range(t)
+    return range(lo - t.n, hi + 1)
+
+
+def scan_natural(t):
+    """No twist of the certified range holds two nonzero groups."""
+    return all(sum(1 for v in visible_entries(t, d) if v) <= 1 for d in scan_twists(t))
+
+
+def scan_vanishing_twists(t):
+    """The twists of the certified range whose every group vanishes."""
+    return [d for d in scan_twists(t) if not any(visible_entries(t, d))]
+
+
+def scan_euler(t, d):
+    """The alternating sum of the groups of twist d of a generator table."""
+    return sum((-1) ** i * v for i, v in enumerate(visible_entries(t, d)))
+
+
+def bundle_exprs(n):
+    """Well-formed expressions whose summands all live on P^n."""
+    ints = st.integers(-3, 4)
+    labels = st.lists(ints, min_size=n, max_size=n)
+    leaves = st.one_of(
+        labels.map(lambda p: f"S[{','.join(map(str, sorted(p, reverse=True)))}]"),
+        ints.map(lambda t: f"O({t})"),
+        labels.map(lambda a: f"push({','.join(map(str, a))})"),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            inner.map(lambda e: f"dual({e})"),
+            st.tuples(inner, ints).map(lambda p: f"twist({p[0]}, {p[1]})"),
+            st.tuples(st.integers(1, 3), inner).map(lambda p: f"{p[0]}*({p[1]})"),
+            st.lists(inner, min_size=2, max_size=3).map(" (+) ".join),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=4).map(lambda e: f"{e} on P{n}")
+
+
 def scan_reg(t, k):
     """Least antidiagonal above which rows j > k vanish, by direct entry scans."""
-    lo, hi = t._scan_range()
+    lo, hi = certified_range(t)
     for m in range(hi, lo - 1, -1):
         if any(t.entry(j, m - j) for j in range(k + 1, t.n + 1)):
             return m + 1
@@ -64,7 +140,7 @@ def scan_reg(t, k):
 
 
 def scan_coreg(t, k):
-    lo, hi = t._scan_range()
+    lo, hi = certified_range(t)
     for m in range(lo, hi + 1):
         if any(t.entry(j, m - j) for j in range(0, t.n - k)):
             return m - 1

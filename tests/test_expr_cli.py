@@ -23,6 +23,8 @@ from river_banks.tables import (
     ascii_normalize,
 )
 
+from corpus import bundle_exprs
+
 
 CLI_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "cli_expected.json"
 
@@ -173,6 +175,48 @@ class TestCliCommands:
         blob = json.loads(capsys.readouterr().out)
         assert blob["reg"] == [1, 0, -2]
 
+    @pytest.mark.parametrize("cell, message", [
+        ("Infinity", "got inf"),
+        ("1e400", "got inf"),
+        ("0.5", "got 0.5"),
+        ("true", "got True"),
+        ('"1e5"', "got '1e5'"),
+        ('"٣"', "ASCII digits"),
+        ('"-1"', "ASCII digits"),
+    ])
+    def test_indices_refuses_a_json_cell_that_is_not_an_integer(self, tmp_path, capsys,
+                                                                  cell, message):
+        path = tmp_path / "cell.json"
+        path.write_text(f'{{"n": 1, "window": [0, 1], "rows": [[{cell}, 0], [0, 1]]}}')
+        assert main(["indices", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100000, "table JSON nests too deeply"),
+        ('{"n": 1.0, "window": [0, 0], "rows": [[1], [0]]}', "n must be a JSON integer"),
+        ('{"n": -1, "window": [0, 0], "rows": []}', "n must be a JSON integer >= 0"),
+        ('{"n": true, "window": [0, 0], "rows": [[1], [0]]}', "n must be a JSON integer"),
+        ('{"n": 1, "window": [0, "0"], "rows": [[1], [0]]}', "n must be a JSON integer"),
+        ('{"n": 1, "window": [0], "rows": [[1], [0]]}', "n must be a JSON integer"),
+        ('{"n": 1, "window": [0, 0], "rows": ["1", "0"]}', "rows must be a JSON list of lists"),
+        ("[1, 2]", "a table is a JSON object"),
+    ])
+    def test_indices_refuses_a_malformed_json_table(self, tmp_path, capsys, text, message):
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        assert main(["indices", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_indices_reads_a_digit_string_cell(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"n": 1, "window": [0, 1], "rows": [["{10**30}", 0], [0, 1]]}}')
+        assert main(["indices", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["reg"] == [1]
+
     def test_indices_window_limited_exit(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("1: . .\n0: . .\n   0 1\n")
@@ -314,27 +358,6 @@ class TestCliCommands:
 NOISE = "()[],*+- SOPpushdualtwistonP0123456789²½٣é _#"
 
 
-def bundle_exprs(n):
-    """Well-formed expressions whose summands all live on P^n."""
-    ints = st.integers(-3, 4)
-    labels = st.lists(ints, min_size=n, max_size=n)
-    leaves = st.one_of(
-        labels.map(lambda p: f"S[{','.join(map(str, sorted(p, reverse=True)))}]"),
-        ints.map(lambda t: f"O({t})"),
-        labels.map(lambda a: f"push({','.join(map(str, a))})"),
-    )
-
-    def extend(inner):
-        return st.one_of(
-            inner.map(lambda e: f"dual({e})"),
-            st.tuples(inner, ints).map(lambda p: f"twist({p[0]}, {p[1]})"),
-            st.tuples(st.integers(1, 3), inner).map(lambda p: f"{p[0]}*({p[1]})"),
-            st.lists(inner, min_size=2, max_size=3).map(" (+) ".join),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=4).map(lambda e: f"{e} on P{n}")
-
-
 @st.composite
 def mutated(draw, texts):
     """A drawn text with up to three characters inserted, deleted or replaced."""
@@ -349,10 +372,10 @@ def mutated(draw, texts):
 
 @st.composite
 def cli_calls(draw):
-    """Argument vectors for the subcommands that read expressions, on small sizes."""
+    """Argument vectors for the subcommands that read expressions, on small sizes, and golden."""
     n = draw(st.integers(1, 3))
     expr = draw(mutated(bundle_exprs(n)) | st.text(NOISE, max_size=12))
-    other = draw(bundle_exprs(n))
+    other, third = draw(bundle_exprs(n)), draw(bundle_exprs(n))
     lo = draw(st.integers(-6, 6))
     window = ["--window", f"{lo}:{lo + draw(st.integers(0, 9))}"]
     return draw(st.sampled_from([
@@ -361,8 +384,10 @@ def cli_calls(draw):
         ["indices", expr],
         ["tensor", expr, other],
         ["tensor", expr, other, *window],
+        ["check-bounds", expr, other, third],
         ["decompose", expr],
         ["unobstructed", expr],
+        ["golden", "verify"],
     ]))
 
 
@@ -390,6 +415,19 @@ form_texts = st.one_of(
 )
 
 
+# table files: arbitrary JSON, and objects with the three keys holding
+# integers, digit strings or arbitrary JSON
+table_files = st.one_of(
+    json_values,
+    st.fixed_dictionaries({
+        "n": st.integers(0, 3) | json_values,
+        "window": st.lists(st.integers(-3, 3) | json_values, max_size=3),
+        "rows": st.lists(st.lists(st.integers(0, 9) | st.integers(0, 9).map(str) | json_values,
+                                  max_size=4), max_size=5),
+    }),
+).map(json.dumps)
+
+
 any_expr = st.one_of(st.text(NOISE), st.text(), mutated(st.integers(1, 3).flatmap(bundle_exprs)))
 
 
@@ -409,6 +447,19 @@ class TestExitCodeContract:
     @given(cli_calls())
     @example(["indices", "(" * 1200 + "O(0)" + ")" * 1200 + " on P1"])
     def test_main_returns_a_documented_code(self, argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3)
+
+    @settings(deadline=None, max_examples=100)
+    @given(table_files, st.sampled_from(["check-bounds", "indices", "decompose",
+                                         "unobstructed"]))
+    @example("[" * 100000, "check-bounds")
+    @example('{"n": -1, "window": [0, 0], "rows": []}', "decompose")
+    def test_a_table_file_gets_a_documented_code(self, tmp_path_factory, text, command):
+        path = str(tmp_path_factory.getbasetemp() / "fuzz.table.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = [command, path, path, path] if command == "check-bounds" else [command, path]
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2, 3)
 

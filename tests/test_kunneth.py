@@ -14,6 +14,7 @@ from river_banks.tables import (
 )
 
 from corpus import (
+    certified_range,
     coreg_condition_holds,
     random_kunneth,
     reg_condition_holds,
@@ -125,7 +126,7 @@ class TestClosedFormProfile:
     # -2 - a_(0) = -1 is the zero twist of a_(1) = 0
     @example(KunnethTable((-1, 0, 3)))
     def test_matches_the_sweep_and_the_scan_oracles(self, t):
-        lo, hi = t._scan_range()
+        lo, hi = certified_range(t)
         prof = t._profile()
         assert prof == tables._grid_profile(tables._cells(t, lo, hi), lo, hi)
         assert prof.reg == tuple(scan_reg(t, k) for k in range(t.n))

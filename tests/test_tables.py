@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from river_banks import golden
 from river_banks.bott import bott_cohomology
+from river_banks.expr import table_from_expr
 from river_banks.kunneth import pushforward_table
 from river_banks.partitions import GenPartition
 from river_banks.ratpoly import RatPoly
@@ -17,6 +18,7 @@ from river_banks.tables import (
     CohomologyTable,
     LiteralTable,
     RegularityProfile,
+    SumTable,
     UndecidableError,
     WindowExceededError,
     ascii_normalize,
@@ -33,13 +35,19 @@ from river_banks.tables import (
 )
 
 from corpus import (
+    bundle_exprs,
+    certified_range,
     coreg_condition_holds,
     random_bott_sum,
     random_generator_table,
     random_kunneth,
     reg_condition_holds,
     scan_coreg,
+    scan_euler,
+    scan_natural,
     scan_reg,
+    scan_twists,
+    scan_vanishing_twists,
 )
 
 
@@ -221,7 +229,7 @@ class TestRegCoreg:
         # a literal window over the certified range of a pushforward, which
         # itself reads its profile off its multidegree
         push = pushforward_table((5, 3, 1, 0, -2, -4))
-        lo, hi = push._scan_range()
+        lo, hi = certified_range(push)
         t = literal_from_json(table_to_json(push, lo, hi))
         calls = []
         inner = CohomologyTable.entry
@@ -294,6 +302,12 @@ class TestTwistAdd:
         o = structure_sheaf_table(2)
         assert o.twist(3).reg(0) == -3
         assert o.twist(3).coreg(0) == -4
+
+    @pytest.mark.parametrize("mult", [0, -1, Fraction(-1, 2)])
+    def test_sum_refuses_a_non_positive_multiplicity(self, mult):
+        o = structure_sheaf_table(2)
+        with pytest.raises(ValueError, match="non-positive multiplicity"):
+            SumTable(((1, o), (mult, pushforward_table((1, 0)))))
 
     def test_add_entries(self):
         s = structure_sheaf_table(2) + homogeneous_table(gp(1, 0))
@@ -425,9 +439,59 @@ class TestNaturalSupernatural:
     def test_matches_the_scan_and_the_integer_roots_of_chi(self, table_and_window):
         t = table_and_window[0]
         chi = t.hilbert_polynomial()
-        natural = CohomologyTable._is_natural(t)
+        natural = scan_natural(t)
         assert is_natural(t) == natural
         assert is_supernatural(t) == (natural and len(chi.integer_roots()) == t.n)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 3).flatmap(bundle_exprs))
+    # the pieces differ, yet every twist has one group: natural, not supernatural
+    @example("push(-1,-1) (+) O(-2) on P2")
+    # a pushforward and a label with one root sequence: supernatural
+    @example("push(1,0) (+) 2*O(0) on P2")
+    def test_generator_tables_match_the_entry_scan(self, text):
+        t = table_from_expr(text)
+        chi = t.hilbert_polynomial()
+        assert chi.degree == t.n
+        assert all(chi(d) == scan_euler(t, d) for d in scan_twists(t))
+        natural = scan_natural(t)
+        assert is_natural(t) == natural
+        supernatural = natural and len(scan_vanishing_twists(t)) == t.n
+        assert is_supernatural(t) == supernatural
+        assert supernatural == (natural and len(chi.integer_roots()) == t.n)
+
+    def test_pieces_that_differ_can_be_natural(self):
+        t = table_from_expr("push(-1,-1) (+) O(-2) on P2")
+        assert len({roots for _, roots in t._pieces()}) == 2
+        assert is_natural(t) and scan_natural(t)
+        assert not is_supernatural(t)
+
+    @pytest.mark.parametrize("text, natural", [
+        ("S[1000000000,5,0] (+) S[1000000000,5,1] on P3", True),
+        ("push(1000000000,0,-1000000000) (+) S[1000000000,5,0] on P3", False),
+    ])
+    def test_sums_of_huge_pieces_read_no_entry(self, monkeypatch, text, natural):
+        def refuse(*args):
+            raise AssertionError("searched")
+
+        t = table_from_expr(text)
+        monkeypatch.setattr(RatPoly, "integer_roots", refuse)
+        monkeypatch.setattr(CohomologyTable, "entry", refuse)
+        assert is_natural(t) == natural
+        assert not is_supernatural(t)
+
+    def test_windowed_sums_scan_their_visible_cells(self):
+        # no cell lies in both windows, 0..0 and 3..3, so none is visible
+        assert is_natural(LiteralTable(1, 0, 0, [[1], [0]]) + LiteralTable(1, 3, 3, [[0], [1]]))
+        # O(0) on P1 has one section at twist 0 and nothing at twist -1; the
+        # window's h^1 sits at twist 0 (column 1), then at twist -1 (column 0)
+        o = structure_sheaf_table(1)
+        clash = o + LiteralTable(1, 0, 1, [[0, 0], [0, 1]])
+        assert clash._pieces() is None
+        assert not is_natural(clash)
+        assert is_natural(o + LiteralTable(1, 0, 0, [[0], [1]]))
+        with pytest.raises(UndecidableError):
+            is_supernatural(clash)
 
     def test_literal_needs_chi(self):
         with pytest.raises(UndecidableError):
