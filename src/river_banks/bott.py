@@ -29,6 +29,12 @@ form.  It has to hold the keys of one grid while its rows are read, not the
 history: about 1700 for a chain of 8 labels on P^7 over 200 columns, 1090
 for O(0) on P^100 over 990 columns.  A larger memo only keeps twists that
 do not come back.
+
+``bott_cohomology`` is called once per label and cell: a grid of a sum
+makes one call per term per cell, and the benchmark's tracer test pins that
+shape (28 calls for a one-label render of 7 columns on P^3).  Reading a
+row of a sum at once waits for that test to change; until then a cheaper
+cell comes from a cheaper call.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ class BottCohomology(NamedTuple):
 
 def bott_cohomology(n: int, lam: GenPartition, d: int) -> Optional[BottCohomology]:
     """Cohomology of the lam-bundle twisted by d on P^n; None if all groups vanish."""
-    if lam.n != n:
+    if len(lam.parts) != n:
         raise ValueError(f"label has length {lam.n}, expected {n}")
     return _bott(n, lam.parts, d)
 

@@ -5,7 +5,10 @@ m-dimensional projective space pushes the line bundle of multidegree
 (a_1, ..., a_m) forward to a rank-m! bundle whose twist by d has the
 cohomology of the multidegree (a_1 + d, ..., a_m + d) upstairs; that
 cohomology factors over the line factors, so every entry is a short product
-formula, nonzero in at most one row per twist.
+formula, nonzero in at most one row per twist.  The table keeps a sorted
+copy of its multidegree, so a cell costs one bisect for the row that can be
+nonzero and, on that row alone, one product (``KunnethTable._entry``);
+``product_line_cohomology`` states the same formula for one multidegree.
 
 Pushforwards are closed under twists and duals.  Twisting by s adds s to
 every a_j.  The dual of the pushforward of O(a) is the pushforward of O(-a)
@@ -66,9 +69,14 @@ class KunnethTable(CohomologyTable):
             raise ValueError("multidegree needs at least one factor")
         self.a = a
         self.n = len(a)
+        self._sorted_a = tuple(sorted(a))
 
     def _entry(self, i, d):
-        return product_line_cohomology(tuple(aj + d for aj in self.a), i)
+        # twist d can only be nonzero in row #{j : a_j + d <= -2}; a zero
+        # twist d = -a_j - 1 has a zero factor in the product
+        if i != bisect_right(self._sorted_a, -2 - d):
+            return 0
+        return prod(abs(aj + d + 1) for aj in self.a)
 
     def dual(self):
         return KunnethTable(self.n - 1 - aj for aj in self.a)
@@ -77,10 +85,10 @@ class KunnethTable(CohomologyTable):
         return KunnethTable(aj + s for aj in self.a)
 
     def _pieces(self):
-        return [(1, tuple(sorted(-aj - 1 for aj in self.a)))]
+        return [(1, tuple(-aj - 1 for aj in reversed(self._sorted_a)))]
 
     def _profile(self):
-        a, n = sorted(self.a), self.n
+        a, n = self._sorted_a, self.n
         present = set(a)
 
         def column(d):

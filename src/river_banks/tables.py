@@ -85,7 +85,8 @@ class InsufficientDataError(ValueError):
 
 def _exact(v):
     """Collapse integral fractions to int so entries compare cleanly."""
-    if isinstance(v, Fraction) and v.denominator == 1:
+    # an exact type test: isinstance on an int goes through the numbers ABCs
+    if type(v) is Fraction and v.denominator == 1:
         return int(v)
     return v
 

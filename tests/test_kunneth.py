@@ -83,6 +83,36 @@ class TestPushforwardTable:
         assert t.entry(1, -1) == 0
 
 
+def checked_columns(t):
+    """The display columns of ``certified_range(t)``: all of them, up to 10^4.
+
+    Of a wider range (entries in the billions) it keeps the two ends and the
+    columns within n + 3 of a zero twist -a_j - 1, where the row of a twist
+    and its zero factors change; between those the row stays put.
+    """
+    lo, hi = certified_range(t)
+    if hi - lo <= 10**4:
+        return range(lo, hi + 1)
+    near = {c for aj in t.a for c in range(-aj - t.n - 4, -aj + t.n + 3)}
+    return sorted({lo, hi} | {c for c in near if lo <= c <= hi})
+
+
+class TestClosedFormEntry:
+    @given(pushforwards())
+    # a_j = -2 twice: twist 1 is the zero twist of two factors
+    @example(KunnethTable((-2, -2, 3)))
+    @example(KunnethTable((-2, -2, 3)).dual())
+    # m = 1, a line
+    @example(KunnethTable((5,)))
+    @example(KunnethTable((10**9, 0, -10**9)).twist(7))
+    def test_every_cell_of_the_certified_range_matches_the_kunneth_sum(self, t):
+        for c in checked_columns(t):
+            for i in range(t.n + 1):
+                shifted = [aj + c - i for aj in t.a]
+                assert (t.entry(i, c - i) == subset_sum_cohomology(shifted, i)
+                        == product_line_cohomology(shifted, i))
+
+
 class TestInvariants:
     def test_chi_is_degree_product(self):
         rng = random.Random(31)

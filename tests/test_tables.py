@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from river_banks import golden
+from river_banks.boij_soderberg import Decomposition, recompose
 from river_banks.bott import bott_cohomology
 from river_banks.expr import table_from_expr
 from river_banks.kunneth import pushforward_table
@@ -21,6 +22,8 @@ from river_banks.tables import (
     SumTable,
     UndecidableError,
     WindowExceededError,
+    _cells,
+    _exact,
     ascii_normalize,
     beilinson_terms,
     homogeneous_table,
@@ -150,6 +153,36 @@ class TestEntry:
             hm.entry(0, 6)
         with pytest.raises(WindowExceededError):
             hm.entry(4, -10)
+
+
+class TestExact:
+    def test_an_int_passes_through_unchanged(self):
+        big = 10**30
+        assert _exact(big) is big
+        assert _exact(0) == 0 and type(_exact(0)) is int
+
+    def test_an_integral_fraction_becomes_an_int(self):
+        v = _exact(Fraction(6, 3))
+        assert v == 2 and type(v) is int
+        assert type(_exact(Fraction(0))) is int
+
+    def test_a_proper_fraction_stays_a_fraction(self):
+        v = _exact(Fraction(1, 2))
+        assert v == Fraction(1, 2) and type(v) is Fraction
+
+    def test_rational_recomposition_keeps_its_cells(self):
+        # the integral cells come back as ints, the others as Fractions
+        dec = Decomposition(((Fraction(1, 3), gp(1, 0)), (Fraction(8, 9), gp(2, 0)),
+                             (Fraction(1, 3), gp(2, 1)), (Fraction(1, 2), gp(0, 0))),
+                            True, True)
+        half = Fraction(1, 2)
+        expected = [[0, 0, 0, 1, 19 * half, 45 * half, 40],
+                    [0, 0, 3, 3, 0, 0, 0],
+                    [26, 12, 5 * half, half, 0, 0, 0]]
+        cells = _cells(recompose(dec, 2), -4, 2)
+        assert cells == expected
+        assert ([[type(v) for v in row] for row in cells]
+                == [[type(v) for v in row] for row in expected])
 
 
 class TestRegCoreg:
