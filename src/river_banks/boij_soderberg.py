@@ -11,8 +11,8 @@ scope fail loudly instead of being approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from river_banks.partitions import GenPartition, leq
 from river_banks.tables import (
@@ -43,8 +43,7 @@ class NotDecomposableWithinScope(Exception):
         super().__init__(reason)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Ordered terms (coefficient, label), smallest label first."""
 
     terms: tuple

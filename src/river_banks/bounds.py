@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from river_banks.partitions import GenPartition, lr_expand
+from river_banks.partitions import GenPartition, lr_expand, schur_dim
 from river_banks.tables import (
+    MAX_TENSOR_DIM,
     BottSumTable,
     CohomologyTable,
     _json_index,
@@ -39,8 +40,7 @@ class NoWitnessError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     p: int
     bound: object
     actual: object
@@ -59,8 +59,7 @@ class BoundEntry:
         }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Per-p bound evaluations for one side (``reg`` or ``coreg``)."""
 
     side: str
@@ -90,12 +89,19 @@ def tensor_homogeneous(f: BottSumTable, g: BottSumTable) -> BottSumTable:
     """Tensor product of two sums of homogeneous bundles, as a table.
 
     Bilinear in the summands; each pairwise product expands through the
-    Littlewood-Richardson rule.
+    Littlewood-Richardson rule.  A product whose smaller factors, summed over
+    the pairs of labels, have dimension past ``tables.MAX_TENSOR_DIM`` is
+    refused before any expansion.
     """
     if not isinstance(f, BottSumTable) or not isinstance(g, BottSumTable):
         raise TypeError("tensor products are computed for homogeneous sums only")
     if f.n != g.n:
         raise ValueError(f"ambient dimension mismatch: {f.n} vs {g.n}")
+    dims = {lam: schur_dim(lam, f.n) for _, lam in (*f.terms, *g.terms)}
+    size = sum(min(dims[lam], dims[mu]) for _, lam in f.terms for _, mu in g.terms)
+    if size > MAX_TENSOR_DIM:
+        raise ValueError(f"the smaller factors of the tensor product have dimension {size}, "
+                         f"past the limit of {MAX_TENSOR_DIM}")
     acc = Counter()
     for mf, lam in f.terms:
         for mg, mu in g.terms:
@@ -161,8 +167,7 @@ def lr_witness(lam: GenPartition, mu: GenPartition, p: int) -> GenPartition:
     return min(candidates, key=lambda nu: nu.parts)
 
 
-@dataclass(frozen=True)
-class UnobstructedReport:
+class UnobstructedReport(NamedTuple):
     holds: bool
     branch: str
     margins: tuple

@@ -7,6 +7,9 @@ the answer is window-limited or undecidable from the data given.
 
 Randomized subcommands take --seed; without it the RIVER_BANKS_SEED
 environment variable applies, and failing that the documented default 1729.
+
+Start-up is most of a call, so the subcommands reach the package through
+its lazy public names (``rb.X``): a call imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -14,36 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
-import reprlib
 import sys
 
-from river_banks import golden
-from river_banks.boij_soderberg import (
-    NotDecomposableWithinScope,
-    NotZeroRegularError,
-    decompose,
-)
-from river_banks.bounds import (
-    check_sharpness,
-    check_tensor_bounds,
-    tensor_homogeneous,
-    unobstructed_criterion,
-)
-from river_banks.exterior import TwoForm, kernel_dim
-from river_banks.expr import ExprError, table_from_expr
-from river_banks.partitions import GenPartition
-from river_banks.tables import (
-    BottSumTable,
-    UndecidableError,
-    WindowExceededError,
-    literal_from_json,
-    parse_ascii,
-    regularity_profile,
-    render_ascii,
-    table_to_json,
-)
+import river_banks as rb
 
 OK, VIOLATION, USAGE, LIMITED = 0, 1, 2, 3
 DEFAULT_SEED = 1729
@@ -79,9 +56,9 @@ def _load_table(ref):
         with open(ref) as fh:
             text = fh.read()
         if ref.endswith(".json"):
-            return literal_from_json(_json(text, "table"))
-        return parse_ascii(text)
-    return table_from_expr(ref)
+            return rb.literal_from_json(_json(text, "table"))
+        return rb.parse_ascii(text)
+    return rb.table_from_expr(ref)
 
 
 def _window(text):
@@ -103,36 +80,36 @@ def _positive_int(text):
 
 
 def _cmd_table(args):
-    t = table_from_expr(args.expr)
+    t = rb.table_from_expr(args.expr)
     lo, hi = args.window
     if args.format == "ascii":
-        sys.stdout.write(render_ascii(t, lo, hi))
+        sys.stdout.write(rb.render_ascii(t, lo, hi))
     else:
-        _emit(table_to_json(t, lo, hi))
+        _emit(rb.table_to_json(t, lo, hi))
     return OK
 
 
 def _cmd_indices(args):
     t = _load_table(args.table)
-    prof = regularity_profile(t)
+    prof = rb.regularity_profile(t)
     _emit({"n": t.n, **prof.to_json()})
     limited = any(prof.reg_window_limited) or any(prof.coreg_window_limited)
     return LIMITED if limited else OK
 
 
 def _cmd_tensor(args):
-    tf = table_from_expr(args.f)
-    tg = table_from_expr(args.g)
-    if not isinstance(tf, BottSumTable) or not isinstance(tg, BottSumTable):
+    tf = rb.table_from_expr(args.f)
+    tg = rb.table_from_expr(args.g)
+    if not isinstance(tf, rb.BottSumTable) or not isinstance(tg, rb.BottSumTable):
         return _fail(
             "tensor products are computed for homogeneous sums only; compute the "
             "product table elsewhere and hand it to check-bounds as a file",
             USAGE,
         )
-    product = tensor_homogeneous(tf, tg)
+    product = rb.tensor_homogeneous(tf, tg)
     if args.window is not None:
         lo, hi = args.window
-        sys.stdout.write(render_ascii(product, lo, hi))
+        sys.stdout.write(rb.render_ascii(product, lo, hi))
     else:
         _emit({
             "n": product.n,
@@ -143,7 +120,7 @@ def _cmd_tensor(args):
 
 def _cmd_check_bounds(args):
     tf, tg, tfg = (_load_table(s) for s in (args.f, args.g, args.fg))
-    reg_rep, coreg_rep = check_tensor_bounds(tf, tg, tfg)
+    reg_rep, coreg_rep = rb.check_tensor_bounds(tf, tg, tfg)
     _emit({"reg": reg_rep.to_json(), "coreg": coreg_rep.to_json()})
     if reg_rep.certified_violation or coreg_rep.certified_violation:
         return VIOLATION
@@ -153,11 +130,11 @@ def _cmd_check_bounds(args):
 
 
 def _cmd_check_sharpness(args):
-    lam = GenPartition.parse(args.lam)
-    mu = GenPartition.parse(args.mu)
+    lam = rb.GenPartition.parse(args.lam)
+    mu = rb.GenPartition.parse(args.mu)
     if lam.n != args.n or mu.n != args.n:
         return _fail(f"partitions must have length {args.n}", USAGE)
-    report = check_sharpness(lam, mu)
+    report = rb.check_sharpness(lam, mu)
     _emit(report.to_json())
     return OK if report.all_equal else VIOLATION
 
@@ -165,10 +142,10 @@ def _cmd_check_sharpness(args):
 def _cmd_decompose(args):
     t = _load_table(args.table)
     try:
-        dec = decompose(t)
-    except NotZeroRegularError as exc:
+        dec = rb.decompose(t)
+    except rb.NotZeroRegularError as exc:
         return _fail(str(exc), USAGE)
-    except NotDecomposableWithinScope as exc:
+    except rb.NotDecomposableWithinScope as exc:
         print(f"not decomposable within scope: {exc.reason}", file=sys.stderr)
         _emit(exc.partial.to_json())
         return LIMITED
@@ -178,23 +155,30 @@ def _cmd_decompose(args):
 
 def _cmd_unobstructed(args):
     t = _load_table(args.table)
-    report = unobstructed_criterion(t)
+    report = rb.unobstructed_criterion(t)
     _emit(report.to_json())
     if report.window_limited:
         return LIMITED
     return OK if report.holds else VIOLATION
 
 
-_COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+#: Most digits in a form coefficient, counted in an integer or in each of p
+#: and q: two forms of ten distinct 300-digit "p/q" coefficients answer in
+#: about 0.5 s, and the cost grows quadratically past that.
+MAX_COEFF_DIGITS = 300
+_COEFF = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_two_form(text):
     """A form from JSON ``[[[i, j], c], ...]``, checked before any arithmetic.
 
     Indices must be JSON integers and each coefficient a JSON integer or a
-    "p" or "p/q" string of ASCII digits, as ``TwoForm.from_pairs`` documents;
-    booleans, floats and exponents are refused.
+    "p" or "p/q" string of ASCII digits, as ``TwoForm.from_pairs`` documents,
+    of at most MAX_COEFF_DIGITS digits; booleans, floats and exponents are
+    refused.
     """
+    import reprlib
+
     pairs = _json(text, "form")
     if not isinstance(pairs, list):
         raise ValueError(f"a form is a JSON list of [[i, j], coefficient] pairs, "
@@ -205,21 +189,28 @@ def _parse_two_form(text):
             raise ValueError("expected [[i, j], coefficient] with JSON integers i and j, "
                              f"got {reprlib.repr(pair)}")
         c = pair[1]
-        if type(c) is not int and not (isinstance(c, str) and _COEFF.fullmatch(c)):
+        m = _COEFF.fullmatch(c) if isinstance(c, str) else None
+        if type(c) is not int and m is None:
             raise ValueError("a coefficient must be a JSON integer or a \"p\" or \"p/q\" "
                              f"string of ASCII digits, got {reprlib.repr(c)}")
-    return TwoForm.from_pairs(pairs)
+        digits = max(map(len, m.groups(""))) if m else len(str(abs(c)))
+        if digits > MAX_COEFF_DIGITS:
+            raise ValueError(f"a coefficient has {digits} digits, past the limit of "
+                             f"{MAX_COEFF_DIGITS} digits in an integer, p or q")
+    return rb.TwoForm.from_pairs(pairs)
 
 
 def _cmd_wedge_kernel(args):
     if (args.eta1 is None) != (args.eta2 is None):
         return _fail("--eta1 and --eta2 must be given together", USAGE)
     if args.eta1 is not None:
-        dim = kernel_dim(_parse_two_form(args.eta1), _parse_two_form(args.eta2))
+        dim = rb.kernel_dim(_parse_two_form(args.eta1), _parse_two_form(args.eta2))
         _emit({"kernel_dim": dim})
         return OK if dim >= 1 else VIOLATION
+    import random
+
     rng = random.Random(_seed(args))
-    dims = [kernel_dim(TwoForm.random(rng), TwoForm.random(rng))
+    dims = [rb.kernel_dim(rb.TwoForm.random(rng), rb.TwoForm.random(rng))
             for _ in range(args.trials)]
     _emit({
         "trials": args.trials,
@@ -231,6 +222,8 @@ def _cmd_wedge_kernel(args):
 
 
 def _cmd_golden(args):
+    from river_banks import golden
+
     checks = golden.verify()
     ok = all(passed for _, passed, _ in checks)
     _emit({
@@ -314,12 +307,17 @@ def main(argv=None) -> int:
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except ExprError as exc:
-        return _fail(f"expression error: {exc}", USAGE)
-    except (WindowExceededError, UndecidableError) as exc:
-        return _fail(str(exc), LIMITED)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError, KeyError) as exc:
-        return _fail(str(exc), USAGE)
+    except Exception as exc:
+        # read only on failure, so that a call that succeeds loads neither
+        # expr nor tables for them
+        if isinstance(exc, rb.ExprError):
+            return _fail(f"expression error: {exc}", USAGE)
+        if isinstance(exc, (rb.WindowExceededError, rb.UndecidableError)):
+            return _fail(str(exc), LIMITED)
+        # json.JSONDecodeError is a ValueError
+        if isinstance(exc, (ValueError, TypeError, OSError, KeyError)):
+            return _fail(str(exc), USAGE)
+        raise
 
 
 def console_main():

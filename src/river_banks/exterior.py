@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from river_banks.tables import _exact
+from river_banks.ratpoly import _exact
 
 DIM = 5
 BASIS2 = tuple(combinations(range(1, DIM + 1), 2))

@@ -6,6 +6,14 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 
+def _exact(v):
+    """Collapse integral fractions to int so entries compare cleanly."""
+    # an exact type test: isinstance on an int goes through the numbers ABCs
+    if type(v) is Fraction and v.denominator == 1:
+        return int(v)
+    return v
+
+
 class RatPoly:
     """Immutable polynomial; ``coeffs[k]`` multiplies x**k, trailing zeros trimmed."""
 

@@ -49,12 +49,12 @@ from __future__ import annotations
 import re
 import reprlib
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from river_banks.bott import _roots, bott_cohomology
 from river_banks.partitions import GenPartition
-from river_banks.ratpoly import RatPoly, _from_roots
+from river_banks.ratpoly import RatPoly, _exact, _from_roots
 
 #: Explicit index values for vacuous regularity conditions (never sentinels).
 NEG_INFINITY = float("-inf")
@@ -81,14 +81,6 @@ class UndecidableError(Exception):
 
 class InsufficientDataError(ValueError):
     """A literal window does not determine the requested global quantity."""
-
-
-def _exact(v):
-    """Collapse integral fractions to int so entries compare cleanly."""
-    # an exact type test: isinstance on an int goes through the numbers ABCs
-    if type(v) is Fraction and v.denominator == 1:
-        return int(v)
-    return v
 
 
 class CohomologyTable:
@@ -312,11 +304,16 @@ class LiteralTable(CohomologyTable):
 
 
 #: Refusals for hostile sizes, checked before any work: expressions on a
-#: space past P^MAX_AMBIENT_DIM do not parse, and no grid read by ``_cells``
+#: space past P^MAX_AMBIENT_DIM do not parse, no grid read by ``_cells``
 #: (a render, a profile sweep, a decomposition window) holds more than
-#: MAX_CELLS cells.
+#: MAX_CELLS cells, and ``bounds.tensor_homogeneous`` expands no product
+#: whose smaller factors, summed over the pairs of labels, have dimension
+#: past MAX_TENSOR_DIM (an expansion enumerates the weights of the smaller
+#: factor; the dearest products at the limit, of two labels of length 2,
+#: take a few seconds).
 MAX_AMBIENT_DIM = 100
 MAX_CELLS = 100_000
+MAX_TENSOR_DIM = 100_000
 
 
 def _cells(t: CohomologyTable, lo: int, hi: int):
@@ -356,8 +353,7 @@ def _grid_profile(grid, lo, hi):
                              tuple(f for _, f in reg), tuple(f for _, f in coreg))
 
 
-@dataclass(frozen=True)
-class RegularityProfile:
+class RegularityProfile(NamedTuple):
     """Index vectors for k = 0..n-1, with per-entry window flags."""
 
     reg: tuple

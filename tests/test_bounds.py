@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from river_banks import golden
+from river_banks import bounds, golden
 from river_banks.bounds import (
     check_sharpness,
     check_tensor_bounds,
@@ -45,6 +45,22 @@ class TestTensorHomogeneous:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             tensor_homogeneous(structure_sheaf_table(2), structure_sheaf_table(3))
+
+    def test_size_counts_the_smaller_factor_of_each_pair(self, monkeypatch):
+        # dims 2 and 3 against 4: the pairs expand min(2, 4) + min(3, 4) = 5 weights
+        f = BottSumTable(2, [(1, gp(1, 0)), (7, gp(2, 0))])
+        g = homogeneous_table(gp(3, 0))
+        monkeypatch.setattr(bounds, "MAX_TENSOR_DIM", 5)
+        assert tensor_homogeneous(f, g).terms == tensor_homogeneous(g, f).terms
+        monkeypatch.setattr(bounds, "MAX_TENSOR_DIM", 4)
+
+        def expand(lam, mu):
+            raise AssertionError("expanded past the limit")
+
+        monkeypatch.setattr(bounds, "lr_expand", expand)
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="dimension 5, past the limit of 4"):
+                tensor_homogeneous(a, b)
 
 
 class TestCheckTensorBounds:

@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from river_banks import golden
-from river_banks.cli import main
+from river_banks import bounds, golden
+from river_banks.cli import MAX_COEFF_DIGITS, main
 from river_banks.exterior import TwoForm
 from river_banks.expr import MAX_DEPTH, ExprError, table_from_expr
 from river_banks.kunneth import KunnethTable
@@ -18,6 +20,7 @@ from river_banks.partitions import GenPartition
 from river_banks.tables import (
     MAX_AMBIENT_DIM,
     MAX_CELLS,
+    MAX_TENSOR_DIM,
     BottSumTable,
     CohomologyTable,
     ascii_normalize,
@@ -27,6 +30,7 @@ from corpus import bundle_exprs
 
 
 CLI_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "cli_expected.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def gp(*parts):
@@ -314,6 +318,12 @@ class TestCliCommands:
         ('[[[1,2,3],"1"]]', "expected [[i, j], coefficient]"),
         ('{"1,2": 1}', "a form is a JSON list"),
         ("[" * 100000, "nests too deeply"),
+        ('[[[1,2],"1/' + "7" * (MAX_COEFF_DIGITS + 1) + '"]]',
+         f"301 digits, past the limit of {MAX_COEFF_DIGITS} digits"),
+        ('[[[1,2],"-' + "7" * (MAX_COEFF_DIGITS + 1) + '/3"]]',
+         f"past the limit of {MAX_COEFF_DIGITS} digits"),
+        ("[[[1,2],1" + "0" * MAX_COEFF_DIGITS + "]]",
+         f"past the limit of {MAX_COEFF_DIGITS} digits"),
     ])
     def test_wedge_kernel_refuses_a_malformed_form_before_any_arithmetic(
             self, capsys, monkeypatch, eta1, message):
@@ -325,6 +335,33 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("eta1", [
+        '[[[1,2],"1/0"]]',
+        '[[[1,2],"-' + "7" * MAX_COEFF_DIGITS + "/" + "9" * MAX_COEFF_DIGITS + '"]]',
+        "[[[1,2],-" + "9" * MAX_COEFF_DIGITS + "]]",
+    ])
+    def test_wedge_kernel_passes_a_coefficient_at_the_digit_limit(self, monkeypatch, eta1):
+        def reached(pairs):
+            raise AssertionError("reached arithmetic")
+
+        monkeypatch.setattr(TwoForm, "from_pairs", reached)
+        with pytest.raises(AssertionError, match="reached arithmetic"):
+            main(["wedge-kernel", "--eta1", eta1, "--eta2", "[]"])
+
+    def test_wedge_kernel_answers_forms_at_the_digit_limit(self, capsys):
+        # the dearest accepted input: ten distinct limit-sized "p/q" per form
+        rng = random.Random(3)
+
+        def digits():
+            return str(rng.randrange(10 ** (MAX_COEFF_DIGITS - 1), 10 ** MAX_COEFF_DIGITS))
+
+        def form():
+            return json.dumps([[[i, j], f"{digits()}/{digits()}"]
+                               for i in range(1, 6) for j in range(i + 1, 6)])
+
+        assert main(["wedge-kernel", "--eta1", form(), "--eta2", form()]) == 0
+        assert json.loads(capsys.readouterr().out)["kernel_dim"] >= 1
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_wedge_kernel_rejects_nonpositive_trials(self, capsys, trials):
@@ -347,6 +384,80 @@ class TestCliCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["reg"] == [0, -1]
+
+
+# --- how main maps each exception to an exit code and one stderr line --------
+
+# files for the error cases: name -> contents
+ERROR_FILES = {
+    "bad.json": "{",
+    "norows.json": '{"n": 1, "window": [0, 0]}',
+    "narrow.json": '{"n": 1, "window": [0, 1], "rows": [[0, 0], [1, 2]]}',
+}
+# argv ({} is the directory holding ERROR_FILES), exit code, first stderr line
+PINNED_ERRORS = [
+    (["indices", "S[1,,0] on P2"], 2,
+     "expression error: expected 'INT', found ',' (at column 5)"),
+    (["decompose", "{}/narrow.json"], 3,
+     "cell (i=0, d=-3) sits in display column -3, outside the window 0..1"),
+    (["check-sharpness", "1,2", "1,0", "--n", "2"], 2,
+     "parts are not weakly decreasing: (1, 2)"),
+    (["indices", "{}/bad.json"], 2,
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["indices", "{}/norows.json"], 2, "'rows'"),
+    (["indices", "{}"], 2, "[Errno 21] Is a directory: '{}'"),
+    (["wedge-kernel", "--eta1", "[[[1,2],true]]", "--eta2", "[]"], 2,
+     'a coefficient must be a JSON integer or a "p" or "p/q" string of ASCII digits, '
+     "got True"),
+]
+
+
+class TestErrorMapping:
+    """Each exception class reaches the shell as the same code and line as before.
+
+    Each call runs in a fresh interpreter, where the exception classes that
+    ``main`` maps have not been imported yet.
+    """
+
+    @pytest.fixture(scope="class")
+    def error_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("errors")
+        for name, text in ERROR_FILES.items():
+            (path / name).write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("argv, code, line", PINNED_ERRORS,
+                             ids=[f"{i}-{argv[0]}" for i, (argv, _, _) in
+                                  enumerate(PINNED_ERRORS)])
+    def test_an_error_gets_its_pinned_code_and_line(self, error_dir, argv, code, line):
+        argv = [a.replace("{}", error_dir) for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "river_banks", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.splitlines() == [line.replace("{}", error_dir)]
+
+    def test_undecidable_is_a_limited_answer(self, capsys, monkeypatch):
+        from river_banks.tables import UndecidableError
+
+        def undecidable(table):
+            raise UndecidableError("supernaturality of a windowed table needs the twist "
+                                   "polynomial")
+
+        monkeypatch.setattr(BottSumTable, "_profile", undecidable)
+        assert main(["indices", "S[1,0] on P2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("supernaturality of a windowed table needs the twist "
+                                "polynomial\n")
+
+    def test_an_unmapped_exception_still_escapes(self, monkeypatch):
+        def broken(table):
+            raise RuntimeError("not a documented failure")
+
+        monkeypatch.setattr(BottSumTable, "_profile", broken)
+        with pytest.raises(RuntimeError, match="not a documented failure"):
+            main(["indices", "S[1,0] on P2"])
 
 
 # --- the exit-code contract on arbitrary input ------------------------------
@@ -446,6 +557,8 @@ class TestExitCodeContract:
     @settings(deadline=None, max_examples=60)
     @given(cli_calls())
     @example(["indices", "(" * 1200 + "O(0)" + ")" * 1200 + " on P1"])
+    @example(["tensor", "S[20,15,10,5,0] on P5", "S[20,15,10,5,0] on P5"])
+    @example(["wedge-kernel", "--eta1", '[[[1,2],"1/' + "7" * 4000 + '"]]', "--eta2", "[]"])
     def test_main_returns_a_documented_code(self, argv):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2, 3)
@@ -499,12 +612,19 @@ class TestExitCodeContract:
         (["decompose", "S[1000000000,0] on P2"], f"limit of {MAX_CELLS}"),
         (["table", "O(0) on P1500", "--window", "0:3"], f"limit P{MAX_AMBIENT_DIM}"),
         (["decompose", "O(0) on P300"], f"limit P{MAX_AMBIENT_DIM}"),
+        (["tensor", "S[20,15,10,5,0] on P5", "S[20,15,10,5,0] on P5"],
+         f"dimension 60466176, past the limit of {MAX_TENSOR_DIM}"),
+        (["tensor", "S[1,0,0,0,0] (+) S[12,9,6,3,0]", "S[12,9,6,3,0]"],
+         f"dimension 1048581, past the limit of {MAX_TENSOR_DIM}"),
+        (["check-sharpness", "9,7,5,3,1,0,0,0", "8,6,4,2,0,0,0,0", "--n", "8"],
+         f"past the limit of {MAX_TENSOR_DIM}"),
     ])
     def test_hostile_sizes_are_refused_before_any_work(self, capsys, monkeypatch,
                                                        argv, limit):
         entries = []
         monkeypatch.setattr(CohomologyTable, "entry",
                             lambda t, i, d: entries.append((i, d)))
+        monkeypatch.setattr(bounds, "lr_expand", lambda *args: entries.append(args))
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and limit in captured.err
