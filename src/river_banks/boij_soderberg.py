@@ -21,6 +21,8 @@ from river_banks.tables import (
     InsufficientDataError,
     NEG_INFINITY,
     POS_INFINITY,
+    UndecidableError,
+    WindowExceededError,
     _cells,
     _grid_profile,
     homogeneous_table,
@@ -62,14 +64,24 @@ def decompose(t: CohomologyTable) -> Decomposition:
     the coregularity index at k = 0); every extracted coefficient is exact
     and the residual is checked entrywise on that window.  When the input has
     a twist polynomial the recomposed polynomial must match it exactly, which
-    certifies the tails beyond the window.
+    certifies the tails beyond the window.  P^0 is refused, and a window whose
+    cells do not certify a positive reg(0) raises ``UndecidableError``.
     """
     n = t.n
+    if n < 1:
+        raise ValueError("the decomposition needs ambient dimension at least 1")
     prof = regularity_profile(t)
-    reg0, coreg0 = (prof.reg[0], prof.coreg[0]) if n else (NEG_INFINITY, POS_INFINITY)
+    reg0, coreg0 = prof.reg[0], prof.coreg[0]
     if reg0 == NEG_INFINITY and coreg0 == POS_INFINITY:
         return Decomposition((), True, True)
     if reg0 > 0:
+        try:  # a nonzero cell of rows 1..n just left of reg(0)
+            certified = not prof.reg_window_limited[0] or any(
+                t.entry(j, reg0 - 1 - j) for j in range(1, n + 1))
+        except WindowExceededError:
+            certified = False
+        if not certified:
+            raise UndecidableError("no visible cell certifies a positive regularity index at k=0")
         raise NotZeroRegularError(f"regularity index at k=0 is {reg0} > 0")
 
     maxpart = max(-coreg0 - 1, 0)

@@ -21,14 +21,15 @@ its denominator gains the factor n!.  The test suite keeps the
 straightening as the oracle.  ``chi_polynomial`` is the same constant times
 the same linear factors, without the absolute value.
 
-Two memos.  ``_roots`` holds each label's roots, its Schur dimension and n!,
-so that ``schur_dim`` runs once per label.  ``_bott`` holds the answer per
-(label, twist) and stays because a grid (``tables._cells``) asks for each
-twist once per row, and a hit is several times cheaper than the closed
-form.  It has to hold the keys of one grid while its rows are read, not the
-history: about 1700 for a chain of 8 labels on P^7 over 200 columns, 1090
-for O(0) on P^100 over 990 columns.  A larger memo only keeps twists that
-do not come back.
+Two memos.  ``_roots`` holds each label's roots, its Schur dimension and
+n!, for the cells, the twist polynomial and the regularity profile
+(``tables._roots_profile``), so that ``schur_dim`` runs once per label.
+``_bott`` holds the answer per (label, twist) and stays because a grid
+(``tables._cells``) asks for each twist once per row, and a hit is several
+times cheaper than the closed form.  It has to hold the keys of one grid
+while its rows are read, not the history: about 1700 for a chain of 8
+labels on P^7 over 200 columns, 1090 for O(0) on P^100 over 990 columns.
+A larger memo only keeps twists that do not come back.
 
 ``bott_cohomology`` is called once per label and cell: a grid of a sum
 makes one call per term per cell, and the benchmark's tracer test pins that

@@ -16,26 +16,10 @@ tensored with the relative dualizing bundle, which is O(-2, ..., -2) times
 the pullback of O(n + 1), that is O(n - 1, ..., n - 1); so the dual is the
 pushforward of the multidegree (n - 1 - a_1, ..., n - 1 - a_n).
 
-The regularity profile is read off the sorted multidegree a_(0) <= ... <=
-a_(n-1) without reading any entry.  Twist d vanishes exactly at the zero
-twists d = -a_j - 1; any other twist is nonzero in the one row
-i(d) = #{j : a_j <= -2 - d}, at display column d + i(d).  A step from a
-twist to the next, both nonzero, raises that column by one, so:
-
-* over the nonzero twists d <= -2 - a_(k), those with a row above k, the
-  column is largest at that bound or just left of a zero twist, a twist
-  -2 - a_j either way; reg(k) is one more than the largest column over the
-  nonzero twists -2 - a_(j), j >= k;
-* over the nonzero twists d >= -a_(n-1-k), those with a row below n - k,
-  the column is smallest at that bound or just right of a zero twist, a
-  twist -a_j either way; coreg(k) is one less than the smallest column over
-  the nonzero twists -a_(j), j <= n - 1 - k.
-
-That is O(n) per index whatever the size of the a_j, and no index is
-window-limited.  coreg is computed on its own, not through the dual, so the
-duality identity stays a check.  A pushforward is one natural piece: its
-twist polynomial prod(d + a_j + 1) has the roots -a_j - 1, so it is
-supernatural exactly when the a_j are distinct.
+A pushforward is one natural piece: its twist polynomial prod(d + a_j + 1)
+has the roots -a_j - 1, so it is supernatural exactly when the a_j are
+distinct.  Its regularity profile comes off those roots by the rule every
+generator table shares (``tables._roots_profile``), without reading any entry.
 """
 
 from __future__ import annotations
@@ -43,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import prod
 
-from river_banks.tables import NEG_INFINITY, POS_INFINITY, CohomologyTable, RegularityProfile
+from river_banks.tables import CohomologyTable
 
 
 def product_line_cohomology(a, i: int) -> int:
@@ -86,22 +70,6 @@ class KunnethTable(CohomologyTable):
 
     def _pieces(self):
         return [(1, tuple(-aj - 1 for aj in reversed(self._sorted_a)))]
-
-    def _profile(self):
-        a, n = self._sorted_a, self.n
-        present = set(a)
-
-        def column(d):
-            return d + bisect_right(a, -2 - d)
-
-        # The columns of the twists -2 - a_(j) and -a_(j), with the zero
-        # twists among them out of the running.  The last entry of ``right``
-        # and the first of ``left`` are never zero twists.
-        right = [NEG_INFINITY if x + 1 in present else column(-2 - x) for x in a]
-        left = [POS_INFINITY if x - 1 in present else column(-x) for x in a]
-        return RegularityProfile(tuple(max(right[k:]) + 1 for k in range(n)),
-                                 tuple(min(left[:n - k]) - 1 for k in range(n)),
-                                 (False,) * n, (False,) * n)
 
     def __repr__(self):
         return f"<KunnethTable {','.join(str(x) for x in self.a)}>"

@@ -23,25 +23,20 @@ antidiagonal ``{(j, m - j)}`` that the regularity indices quantify over:
 * ``coreg(k)`` = greatest m such that rows j < n - k hold only zeros in
   display columns <= m.
 
-A table answers the whole profile, every k at once, through ``_profile()``.
-Sums of homogeneous tables read it off their labels, pushforwards off their
-multidegree, and direct sums combine those of their summands.  Only literal
-windows are swept: the cells of ``_scan_range()`` are read through ``entry``
-and each display column keeps its top and its bottom nonzero row, the two
-banks of the river.  Then reg(k) is one more than the last column whose top
-row is above k, and coreg(k) one less than the first column whose bottom
-row is below n - k.  An answer that touches the end of the window is
-reported with a ``window_limited`` flag instead of being silently
-extrapolated.
-
 Generator tables list their natural pieces through ``_pieces()``, as
 (constant, increasing roots): twist d of a piece vanishes at a root and
 otherwise has one group, of dimension constant * |prod(d - r)|, in row
 #{r > d}.  A label is one piece (``bott._roots``), a pushforward one with
 the roots -a_j - 1, and a direct sum has its summands' pieces, scaled by
-their positive multiplicities.  ``hilbert_polynomial``, ``is_natural`` and
-``is_supernatural`` are derived from the pieces once, for every backend.
-A literal window has none (``None``) and answers from its visible cells.
+their positive multiplicities.  The whole regularity profile, every k at
+once (``_profile()``, by ``_roots_profile``), ``hilbert_polynomial``,
+``is_natural`` and ``is_supernatural`` are derived from the pieces once,
+for every backend.  A literal window has none (``None``) and answers from
+its visible cells, sweeping them for its profile (``_grid_profile``): each
+display column keeps its top and bottom nonzero rows, the two banks of the
+river, and an answer that touches the end of the window carries a
+``window_limited`` flag instead of being silently extrapolated.  A direct
+sum combines its summands' profiles.
 """
 
 from __future__ import annotations
@@ -50,6 +45,7 @@ import re
 import reprlib
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from river_banks.bott import _roots, bott_cohomology
@@ -115,9 +111,12 @@ class CohomologyTable:
         return self._profile().coreg[k]
 
     def _profile(self):
-        """The regularity profile, from one sweep of the cells of ``_scan_range()``."""
-        lo, hi = self._scan_range()
-        return _grid_profile(_cells(self, lo, hi), lo, hi)
+        """The regularity profile: off the pieces' roots, or one sweep of a window."""
+        pieces = self._pieces()
+        if pieces is None:
+            lo, hi = self._scan_range()
+            return _grid_profile(_cells(self, lo, hi), lo, hi)
+        return _roots_profile(self.n, {roots for _, roots in pieces})
 
     def _pieces(self):
         """(constant, increasing roots) of each natural piece; None for a literal window."""
@@ -175,13 +174,8 @@ class BottSumTable(CohomologyTable):
         return _exact(total)
 
     def _profile(self):
-        n, labels = self.n, [lam for _, lam in self.terms]
-        return RegularityProfile(
-            tuple(max((-lam.part(k) for lam in labels), default=NEG_INFINITY)
-                  for k in range(n)),
-            tuple(min((-lam.part(n - 1 - k) - 1 for lam in labels), default=POS_INFINITY)
-                  for k in range(n)),
-            (False,) * n, (False,) * n)
+        # skips _pieces(), whose Fraction constants the profile never reads
+        return _roots_profile(self.n, {_roots(lam.parts)[0] for _, lam in self.terms})
 
     def dual(self):
         return BottSumTable(self.n, [(m, GenPartition(-p for p in reversed(lam.parts)))
@@ -351,6 +345,30 @@ def _grid_profile(grid, lo, hi):
         coreg.append((hi, True) if c is None else (c - 1, c == lo))
     return RegularityProfile(tuple(v for v, _ in reg), tuple(v for v, _ in coreg),
                              tuple(f for _, f in reg), tuple(f for _, f in coreg))
+
+
+def _roots_profile(n, seqs):
+    """The regularity profile of a sum of natural pieces with root sequences ``seqs``.
+
+    With v_j = r_j + n - j for a piece's increasing roots r_0 <= ... <= r_(n-1),
+    reg(k) is the largest v_j with j <= n - 1 - k and coreg(k) one less than the
+    smallest v_j with j >= k, over every piece; no pieces give -inf and inf.
+    Proof sketch: positive constants make a sum's nonzero cells its pieces'.
+    Twist d of a piece sits in row #{r > d}, above row k when d < r_(n-1-k),
+    and its column d + #{r > d} rises with d between roots, so it peaks at a
+    twist r_j - 1, j <= n - 1 - k, in column v_j - 1.  If r_j - 1 is itself
+    a root, or r_j repeats one, that earlier root's v is at least as large and
+    in the same prefix.  coreg is symmetric, at the twists r_j + 1, and is
+    computed on its own so that the duality identity stays a check.
+    """
+    # the extremes over the pieces and over j commute: take each j's first
+    top, bottom = [NEG_INFINITY] * n, [POS_INFINITY] * n
+    for j, roots_j in enumerate(zip(*seqs)):
+        top[j] = max(roots_j) + n - j
+        bottom[j] = min(roots_j) + n - j - 1
+    return RegularityProfile(tuple(accumulate(top, max))[::-1],
+                             tuple(accumulate(reversed(bottom), min))[::-1],
+                             (False,) * n, (False,) * n)
 
 
 class RegularityProfile(NamedTuple):

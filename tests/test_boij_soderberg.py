@@ -11,7 +11,14 @@ from river_banks.boij_soderberg import (
 )
 from river_banks.bounds import tensor_homogeneous
 from river_banks.partitions import GenPartition, leq
-from river_banks.tables import BottSumTable, homogeneous_table, structure_sheaf_table
+from river_banks.tables import (
+    BottSumTable,
+    LiteralTable,
+    UndecidableError,
+    homogeneous_table,
+    parse_ascii,
+    structure_sheaf_table,
+)
 
 
 def gp(*parts):
@@ -52,6 +59,21 @@ class TestDecompose:
         dec = decompose(homogeneous_table(gp(2, 1, 0)))
         assert dec.terms == ((1, gp(2, 1, 0)),)
         assert dec.residual_zero and dec.chain_certified
+
+    @pytest.mark.parametrize("t", [LiteralTable(0, 0, 0, [[3]]), BottSumTable(0, [])])
+    def test_p0_is_refused(self, t):
+        with pytest.raises(ValueError, match="ambient dimension at least 1"):
+            decompose(t)
+
+    def test_window_without_cells_above_row_0_is_undecidable(self):
+        # reg(0) reads 3, the window's first column, with nothing to certify it
+        with pytest.raises(UndecidableError, match="no visible cell certifies"):
+            decompose(parse_ascii("1: . .\n0: 1 1\n   3 4\n"))
+
+    def test_window_cell_certifies_positive_reg(self):
+        # the cell in row 1 of column 4 makes reg(0) at least 5
+        with pytest.raises(NotZeroRegularError, match="is 5 > 0"):
+            decompose(parse_ascii("1: . 1\n0: 1 1\n   3 4\n"))
 
     def test_two_term_chain(self):
         t = BottSumTable(2, [(1, gp(0, 0)), (1, gp(1, 0))])

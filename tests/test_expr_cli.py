@@ -273,6 +273,20 @@ class TestCliCommands:
     def test_decompose_rejects_positive_reg(self, capsys):
         assert main(["decompose", "O(-1) on P2"]) == 2
 
+    @pytest.mark.parametrize("text, code, line", [
+        ("0: 3\n   0\n", 2, "the decomposition needs ambient dimension at least 1"),
+        ("1: . .\n0: 1 1\n   3 4\n", 3,
+         "no visible cell certifies a positive regularity index at k=0"),
+        ("1: . 1\n0: 1 1\n   3 4\n", 2, "regularity index at k=0 is 5 > 0"),
+    ], ids=["p0", "uncertified-window", "certified-window"])
+    def test_decompose_edge_tables(self, tmp_path, capsys, text, code, line):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        assert main(["decompose", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
     def test_unobstructed(self, tmp_path, capsys):
         assert main(["unobstructed", "O(0) on P3"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -406,6 +420,11 @@ PINNED_ERRORS = [
      "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     (["indices", "{}/norows.json"], 2, "'rows'"),
     (["indices", "{}"], 2, "[Errno 21] Is a directory: '{}'"),
+    # CPython's limit on integer string conversion, hit while writing a
+    # 5843-digit entry (sys.int_info.default_max_str_digits)
+    *((["table", "O(1" + "0" * 60 + ") on P100", "--window", "0:0", "--format", fmt], 2,
+       "Exceeds the limit (4300 digits) for integer string conversion; "
+       "use sys.set_int_max_str_digits() to increase the limit") for fmt in ("ascii", "json")),
     (["wedge-kernel", "--eta1", "[[[1,2],true]]", "--eta2", "[]"], 2,
      'a coefficient must be a JSON integer or a "p" or "p/q" string of ASCII digits, '
      "got True"),

@@ -69,6 +69,36 @@ def literal_windows(draw, n=None):
 
 
 @st.composite
+def generator_tables(draw, n=None, depth=2):
+    """A Bott sum, a pushforward or a direct sum of them, maybe twisted and dualized.
+
+    Labels with parts in -3..3 often have equal parts, a multidegree gets
+    forced repeated entries, and a Bott sum may be empty, so root sequences
+    with repeated and adjacent roots are common.
+    """
+    n = n or draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("bott", "push", "sum")[:3 if depth else 2]))
+    if kind == "bott":
+        label = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+            lambda p: GenPartition(sorted(p, reverse=True)))
+        t = BottSumTable(n, draw(st.lists(st.tuples(st.integers(1, 3), label), max_size=4)))
+    elif kind == "push":
+        a = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                      max_size=2)):
+            a[dst] = a[src]
+        t = pushforward_table(a)
+    else:
+        t = SumTable(draw(st.lists(st.tuples(st.integers(1, 3), generator_tables(n, depth - 1)),
+                                   min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        t = t.twist(draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        t = t.dual()
+    return t
+
+
+@st.composite
 def bott_sums_and_windows(draw):
     """A BottSumTable with integer multiplicities and a display window lo..hi."""
     n = draw(st.integers(1, 4))
@@ -199,6 +229,24 @@ class TestRegCoreg:
                 assert t.reg(k) == max(-lam.part(k) for _, lam in t.terms)
                 assert t.reg(k) == scan_reg(t, k)
                 assert t.coreg(k) == scan_coreg(t, k)
+
+    @given(generator_tables())
+    # adjacent roots -5, -4 and a repeated part
+    @example(homogeneous_table(gp(2, 2, 0)))
+    # the root -3 three times over
+    @example(pushforward_table((0, 2, 2, 2)))
+    # the twist just left of the root 0 is itself a root
+    @example(pushforward_table((-1, 0, 3)))
+    def test_generator_profile_matches_the_scan_oracles(self, t):
+        prof = regularity_profile(t)
+
+        def scanned(v, vacuous):
+            return vacuous if v is None else v
+
+        assert prof.reg == tuple(scanned(scan_reg(t, k), NEG_INFINITY) for k in range(t.n))
+        assert prof.coreg == tuple(scanned(scan_coreg(t, k), POS_INFINITY)
+                                   for k in range(t.n))
+        assert not any(prof.reg_window_limited + prof.coreg_window_limited)
 
     def test_kunneth_f_indices(self):
         f = pushforward_table((4, 1, -1))
