@@ -18,11 +18,9 @@ from river_banks.partitions import GenPartition, leq
 from river_banks.tables import (
     BottSumTable,
     CohomologyTable,
-    InsufficientDataError,
     NEG_INFINITY,
     POS_INFINITY,
     UndecidableError,
-    WindowExceededError,
     _cells,
     _grid_profile,
     homogeneous_table,
@@ -75,13 +73,13 @@ def decompose(t: CohomologyTable) -> Decomposition:
     if reg0 == NEG_INFINITY and coreg0 == POS_INFINITY:
         return Decomposition((), True, True)
     if reg0 > 0:
-        try:  # a nonzero cell of rows 1..n just left of reg(0)
-            certified = not prof.reg_window_limited[0] or any(
-                t.entry(j, reg0 - 1 - j) for j in range(1, n + 1))
-        except WindowExceededError:
-            certified = False
-        if not certified:
-            raise UndecidableError("no visible cell certifies a positive regularity index at k=0")
+        if prof.reg_window_limited[0]:
+            # a nonzero cell of rows 1..n just left of reg(0), inside the window
+            lo, hi = t.window
+            if not (lo <= reg0 - 1 <= hi
+                    and any(t.entry(j, reg0 - 1 - j) for j in range(1, n + 1))):
+                raise UndecidableError(
+                    "no visible cell certifies a positive regularity index at k=0")
         raise NotZeroRegularError(f"regularity index at k=0 is {reg0} > 0")
 
     maxpart = max(-coreg0 - 1, 0)
@@ -115,12 +113,8 @@ def decompose(t: CohomologyTable) -> Decomposition:
         raise NotDecomposableWithinScope(
             f"residual nonzero after {MAX_TERMS} terms", _partial(terms))
 
-    try:
-        chi = t.hilbert_polynomial()
-    except InsufficientDataError:
-        chi = None
-    if chi is not None:
-        if BottSumTable(n, terms).hilbert_polynomial() != chi:
+    if t.window is None:
+        if BottSumTable(n, terms).hilbert_polynomial() != t.hilbert_polynomial():
             raise NotDecomposableWithinScope(
                 "twist polynomial of the recomposition differs from the input",
                 _partial(terms))

@@ -22,8 +22,10 @@ straightening as the oracle.  ``chi_polynomial`` is the same constant times
 the same linear factors, without the absolute value.
 
 Two memos.  ``_roots`` holds each label's roots, its Schur dimension and
-n!, for the cells, the twist polynomial and the regularity profile
-(``tables._roots_profile``), so that ``schur_dim`` runs once per label.
+n!, so that ``schur_dim`` runs once per label.  The cells read it, and so
+does a table's natural piece (``tables.BottSumTable._pieces``): the
+constant schur_dim / n! stays two integers, and the regularity profile,
+naturality and the twist polynomial all come off the roots.
 ``_bott`` holds the answer per (label, twist) and stays because a grid
 (``tables._cells``) asks for each twist once per row, and a hit is several
 times cheaper than the closed form.  It has to hold the keys of one grid

@@ -143,8 +143,6 @@ def _cmd_decompose(args):
     t = _load_table(args.table)
     try:
         dec = rb.decompose(t)
-    except rb.NotZeroRegularError as exc:
-        return _fail(str(exc), USAGE)
     except rb.NotDecomposableWithinScope as exc:
         print(f"not decomposable within scope: {exc.reason}", file=sys.stderr)
         _emit(exc.partial.to_json())

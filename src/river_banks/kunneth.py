@@ -16,10 +16,11 @@ tensored with the relative dualizing bundle, which is O(-2, ..., -2) times
 the pullback of O(n + 1), that is O(n - 1, ..., n - 1); so the dual is the
 pushforward of the multidegree (n - 1 - a_1, ..., n - 1 - a_n).
 
-A pushforward is one natural piece: its twist polynomial prod(d + a_j + 1)
-has the roots -a_j - 1, so it is supernatural exactly when the a_j are
-distinct.  Its regularity profile comes off those roots by the rule every
-generator table shares (``tables._roots_profile``), without reading any entry.
+A pushforward is one natural piece, of constant 1: its twist polynomial
+prod(d + a_j + 1) has the roots -a_j - 1, so it is supernatural exactly
+when the a_j are distinct.  Its regularity profile, naturality and twist
+polynomial come off those roots as for every generator table
+(``tables._roots_profile``), without reading any entry.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class KunnethTable(CohomologyTable):
         return KunnethTable(aj + s for aj in self.a)
 
     def _pieces(self):
-        return [(1, tuple(-aj - 1 for aj in reversed(self._sorted_a)))]
+        return [(1, 1, tuple(-aj - 1 for aj in reversed(self._sorted_a)))]
 
     def __repr__(self):
         return f"<KunnethTable {','.join(str(x) for x in self.a)}>"

@@ -23,20 +23,25 @@ antidiagonal ``{(j, m - j)}`` that the regularity indices quantify over:
 * ``coreg(k)`` = greatest m such that rows j < n - k hold only zeros in
   display columns <= m.
 
-Generator tables list their natural pieces through ``_pieces()``, as
-(constant, increasing roots): twist d of a piece vanishes at a root and
-otherwise has one group, of dimension constant * |prod(d - r)|, in row
-#{r > d}.  A label is one piece (``bott._roots``), a pushforward one with
-the roots -a_j - 1, and a direct sum has its summands' pieces, scaled by
-their positive multiplicities.  The whole regularity profile, every k at
-once (``_profile()``, by ``_roots_profile``), ``hilbert_polynomial``,
+Every derived query asks a table one of two questions.  A generator table
+lists its natural pieces through ``_pieces()``, as (p, q, increasing
+roots) with the exact constant p/q kept in integers: twist d of a piece
+vanishes at a root and otherwise has one group, of dimension
+p/q * |prod(d - r)|, in row #{r > d}.  A label is one piece
+(``bott._roots``), a pushforward one with constant 1 and the roots
+-a_j - 1, and a direct sum has its summands' pieces, scaled by their
+positive multiplicities.  The whole regularity profile, every k at once
+(``_profile()``, by ``_roots_profile``), ``hilbert_polynomial``,
 ``is_natural`` and ``is_supernatural`` are derived from the pieces once,
-for every backend.  A literal window has none (``None``) and answers from
-its visible cells, sweeping them for its profile (``_grid_profile``): each
-display column keeps its top and bottom nonzero rows, the two banks of the
-river, and an answer that touches the end of the window carries a
-``window_limited`` flag instead of being silently extrapolated.  A direct
-sum combines its summands' profiles.
+for every backend.  A windowed table (a literal window, or a direct sum
+with one) gives instead its ``window``: the display columns (lo, hi) where
+every cell is defined, for a sum the intersection of its windowed
+summands' windows (empty, lo > hi, when they are disjoint); a generator
+table's ``window`` is None.  A literal window sweeps its cells for its profile
+(``_grid_profile``): each display column keeps its top and bottom nonzero
+rows, the two banks of the river, and an answer that touches the end of
+the window carries a ``window_limited`` flag instead of being silently
+extrapolated.  A direct sum combines its summands' profiles.
 """
 
 from __future__ import annotations
@@ -83,6 +88,9 @@ class CohomologyTable:
     """Base class; tables are immutable values and safe to share."""
 
     n: int
+    #: display columns (lo, hi) of the cells a windowed table defines; None
+    #: for a generator table, which defines every cell
+    window = None
 
     def entry(self, i: int, d: int):
         if i < 0 or i > self.n:
@@ -111,15 +119,14 @@ class CohomologyTable:
         return self._profile().coreg[k]
 
     def _profile(self):
-        """The regularity profile: off the pieces' roots, or one sweep of a window."""
-        pieces = self._pieces()
-        if pieces is None:
-            lo, hi = self._scan_range()
-            return _grid_profile(_cells(self, lo, hi), lo, hi)
-        return _roots_profile(self.n, {roots for _, roots in pieces})
+        """The regularity profile: off the pieces' roots, or one sweep of the window."""
+        if self.window is None:
+            return _roots_profile(self.n, {roots for _, _, roots in self._pieces()})
+        lo, hi = self.window
+        return _grid_profile(_cells(self, lo, hi), lo, hi)
 
     def _pieces(self):
-        """(constant, increasing roots) of each natural piece; None for a literal window."""
+        """(p, q, increasing roots) of each natural piece of a generator table, constant p/q."""
         raise NotImplementedError
 
     # --- structural operations ----------------------------------------
@@ -130,16 +137,12 @@ class CohomologyTable:
         return SumTable(((1, self), (1, other)))
 
     def hilbert_polynomial(self) -> RatPoly:
-        """The twist polynomial, the sum of constant * prod(d - r) over the pieces."""
-        pieces = self._pieces()
-        if pieces is None:
+        """The twist polynomial, the sum of p/q * prod(d - r) over the pieces."""
+        if self.window is not None:
             raise InsufficientDataError(
                 "a finite window does not determine the twist polynomial")
-        return sum((_from_roots(roots, c) for c, roots in pieces), RatPoly())
-
-    def _scan_range(self):
-        """Display columns (lo, hi) of the cells a windowed table shows."""
-        raise NotImplementedError
+        return sum((_from_roots(roots, Fraction(p, q)) for p, q, roots in self._pieces()),
+                   RatPoly())
 
 
 class BottSumTable(CohomologyTable):
@@ -173,10 +176,6 @@ class BottSumTable(CohomologyTable):
                 total += mult * hit.dim
         return _exact(total)
 
-    def _profile(self):
-        # skips _pieces(), whose Fraction constants the profile never reads
-        return _roots_profile(self.n, {_roots(lam.parts)[0] for _, lam in self.terms})
-
     def dual(self):
         return BottSumTable(self.n, [(m, GenPartition(-p for p in reversed(lam.parts)))
                                      for m, lam in self.terms])
@@ -185,8 +184,11 @@ class BottSumTable(CohomologyTable):
         return BottSumTable(self.n, [(m, lam.shift(s)) for m, lam in self.terms])
 
     def _pieces(self):
-        roots = [(m, _roots(lam.parts)) for m, lam in self.terms]
-        return [(m * Fraction(num, den), neg) for m, (neg, num, den) in roots]
+        pieces = []
+        for m, lam in self.terms:
+            neg, num, den = _roots(lam.parts)
+            pieces.append((m.numerator * num, m.denominator * den, neg))
+        return pieces
 
     def __repr__(self):
         inner = " + ".join(f"{m}*S[{lam}]" for m, lam in self.terms) or "0"
@@ -217,6 +219,10 @@ class SumTable(CohomologyTable):
             raise ValueError(f"non-positive multiplicity in {[m for m, _ in terms]}")
         self.n = n
         self.terms = terms
+        # the columns where every cell of the sum is defined
+        windows = [t.window for _, t in terms if t.window is not None]
+        if windows:
+            self.window = (max(lo for lo, _ in windows), min(hi for _, hi in windows))
 
     def _entry(self, i, d):
         return _exact(sum(m * t.entry(i, d) for m, t in self.terms))
@@ -238,15 +244,8 @@ class SumTable(CohomologyTable):
         return SumTable((m, t.twist(s)) for m, t in self.terms)
 
     def _pieces(self):
-        inner = [(m, t._pieces()) for m, t in self.terms]
-        if any(pieces is None for _, pieces in inner):
-            return None
-        return [(m * c, roots) for m, pieces in inner for c, roots in pieces]
-
-    def _scan_range(self):
-        # outside its windowed summands' columns every cell of the sum raises
-        ranges = [t._scan_range() for _, t in self.terms if t._pieces() is None]
-        return (min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
+        return [(m.numerator * p, m.denominator * q, roots)
+                for m, t in self.terms for p, q, roots in t._pieces()]
 
 
 class LiteralTable(CohomologyTable):
@@ -271,11 +270,8 @@ class LiteralTable(CohomologyTable):
         self.n = n
         self.lo = lo
         self.hi = hi
+        self.window = (lo, hi)
         self.rows_by_i = rows
-
-    @property
-    def window(self):
-        return (self.lo, self.hi)
 
     def _entry(self, i, d):
         c = i + d
@@ -289,12 +285,6 @@ class LiteralTable(CohomologyTable):
 
     def twist(self, s):
         return LiteralTable(self.n, self.lo - s, self.hi - s, self.rows_by_i)
-
-    def _pieces(self):
-        return None
-
-    def _scan_range(self):
-        return (self.lo, self.hi)
 
 
 #: Refusals for hostile sizes, checked before any work: expressions on a
@@ -409,22 +399,16 @@ def is_natural(t: CohomologyTable) -> bool:
     A generator table compares the rows #{r > d} of its pieces' distinct
     root sequences at each root u and at u + 1: rows change only at roots,
     so these twists cover every case, whatever the size of the labels.  A
-    literal window consults its visible cells, the only ones it has.
+    windowed table consults the cells of its window, the only ones it has.
     """
-    pieces = t._pieces()
-    if pieces is None:
-        lo, hi = t._scan_range()
+    if t.window is not None:
+        lo, hi = t.window
         for d in range(lo - t.n, hi + 1):
-            seen = 0
-            for i in range(t.n + 1):
-                try:
-                    seen += t.entry(i, d) != 0
-                except WindowExceededError:
-                    pass
-            if seen > 1:
+            rows = range(max(0, lo - d), min(t.n, hi - d) + 1)
+            if sum(1 for i in rows if t.entry(i, d)) > 1:
                 return False
         return True
-    seqs = {roots for _, roots in pieces}
+    seqs = {roots for _, _, roots in t._pieces()}
     for d in {u + s for roots in seqs for u in roots for s in (0, 1)}:
         if len({len(r) - bisect_right(r, d) for r in seqs if d not in r}) > 1:
             return False
@@ -437,12 +421,11 @@ def is_supernatural(t: CohomologyTable, chi: RatPoly | None = None) -> bool:
     A generator table ignores ``chi``: it is supernatural exactly when all
     its pieces share one sequence of n distinct roots, since with positive
     constants a natural table's polynomial vanishes at an integer only
-    where every piece does.  A literal window searches the integer roots of
+    where every piece does.  A windowed table searches the integer roots of
     a supplied ``chi``, and raises ``UndecidableError`` without one.
     """
-    pieces = t._pieces()
-    if pieces is not None:
-        seqs = {roots for _, roots in pieces}
+    if t.window is None:
+        seqs = {roots for _, _, roots in t._pieces()}
         return len(seqs) == 1 and len(set(seqs.pop())) == t.n
     if chi is None:
         raise UndecidableError(

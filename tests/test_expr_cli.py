@@ -414,6 +414,7 @@ PINNED_ERRORS = [
      "expression error: expected 'INT', found ',' (at column 5)"),
     (["decompose", "{}/narrow.json"], 3,
      "cell (i=0, d=-3) sits in display column -3, outside the window 0..1"),
+    (["decompose", "O(-1) on P2"], 2, "regularity index at k=0 is 1 > 0"),
     (["check-sharpness", "1,2", "1,0", "--n", "2"], 2,
      "parts are not weakly decreasing: (1, 2)"),
     (["indices", "{}/bad.json"], 2,
@@ -502,12 +503,17 @@ def mutated(draw, texts):
 
 @st.composite
 def cli_calls(draw):
-    """Argument vectors for the subcommands that read expressions, on small sizes, and golden."""
+    """Argument vectors for every subcommand but wedge-kernel, on small sizes."""
     n = draw(st.integers(1, 3))
     expr = draw(mutated(bundle_exprs(n)) | st.text(NOISE, max_size=12))
     other, third = draw(bundle_exprs(n)), draw(bundle_exprs(n))
     lo = draw(st.integers(-6, 6))
     window = ["--window", f"{lo}:{lo + draw(st.integers(0, 9))}"]
+    # one label is mutated, so the smaller factor of the product stays small
+    label = st.lists(st.integers(-3, 4), min_size=n, max_size=n).map(
+        lambda p: ",".join(map(str, sorted(p, reverse=True))))
+    sharpness = ["check-sharpness", draw(mutated(label)), draw(label),
+                 "--n", draw(mutated(st.just(str(n))))]
     return draw(st.sampled_from([
         ["table", expr, *window],
         ["table", expr, *window, "--format", "json"],
@@ -517,6 +523,7 @@ def cli_calls(draw):
         ["check-bounds", expr, other, third],
         ["decompose", expr],
         ["unobstructed", expr],
+        sharpness,
         ["golden", "verify"],
     ]))
 
@@ -578,6 +585,7 @@ class TestExitCodeContract:
     @example(["indices", "(" * 1200 + "O(0)" + ")" * 1200 + " on P1"])
     @example(["tensor", "S[20,15,10,5,0] on P5", "S[20,15,10,5,0] on P5"])
     @example(["wedge-kernel", "--eta1", '[[[1,2],"1/' + "7" * 4000 + '"]]', "--eta2", "[]"])
+    @example(["check-sharpness", "9,7,5,3,1,0,0,0", "8,6,4,2,0,0,0,0", "--n", "8"])
     def test_main_returns_a_documented_code(self, argv):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2, 3)

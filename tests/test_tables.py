@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from river_banks import golden
-from river_banks.boij_soderberg import Decomposition, recompose
+from river_banks.boij_soderberg import Decomposition, NotZeroRegularError, decompose, recompose
 from river_banks.bott import bott_cohomology
 from river_banks.expr import table_from_expr
 from river_banks.kunneth import pushforward_table
@@ -17,6 +17,7 @@ from river_banks.tables import (
     POS_INFINITY,
     BottSumTable,
     CohomologyTable,
+    InsufficientDataError,
     LiteralTable,
     RegularityProfile,
     SumTable,
@@ -51,6 +52,7 @@ from corpus import (
     scan_reg,
     scan_twists,
     scan_vanishing_twists,
+    visible_entries,
 )
 
 
@@ -90,6 +92,25 @@ def generator_tables(draw, n=None, depth=2):
         t = pushforward_table(a)
     else:
         t = SumTable(draw(st.lists(st.tuples(st.integers(1, 3), generator_tables(n, depth - 1)),
+                                   min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        t = t.twist(draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        t = t.dual()
+    return t
+
+
+@st.composite
+def mixed_tables(draw, n=None, depth=2):
+    """A literal window, a generator table or a direct sum of them, maybe twisted and dualized."""
+    n = n or draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("literal", "generator", "sum")[:3 if depth else 2]))
+    if kind == "literal":
+        t = draw(literal_windows(n))
+    elif kind == "generator":
+        t = draw(generator_tables(n, depth=1))
+    else:
+        t = SumTable(draw(st.lists(st.tuples(st.integers(1, 3), mixed_tables(n, depth - 1)),
                                    min_size=1, max_size=3)))
     if draw(st.booleans()):
         t = t.twist(draw(st.integers(-3, 3)))
@@ -543,7 +564,7 @@ class TestNaturalSupernatural:
 
     def test_pieces_that_differ_can_be_natural(self):
         t = table_from_expr("push(-1,-1) (+) O(-2) on P2")
-        assert len({roots for _, roots in t._pieces()}) == 2
+        assert len({roots for _, _, roots in t._pieces()}) == 2
         assert is_natural(t) and scan_natural(t)
         assert not is_supernatural(t)
 
@@ -568,11 +589,63 @@ class TestNaturalSupernatural:
         # window's h^1 sits at twist 0 (column 1), then at twist -1 (column 0)
         o = structure_sheaf_table(1)
         clash = o + LiteralTable(1, 0, 1, [[0, 0], [0, 1]])
-        assert clash._pieces() is None
+        assert clash.window == (0, 1)
         assert not is_natural(clash)
         assert is_natural(o + LiteralTable(1, 0, 0, [[0], [1]]))
         with pytest.raises(UndecidableError):
             is_supernatural(clash)
+
+    @settings(deadline=None, max_examples=300)
+    @given(mixed_tables())
+    # disjoint windows: no cell of the sum is defined
+    @example(LiteralTable(1, 0, 0, [[1], [0]]) + LiteralTable(1, 3, 3, [[0], [1]]))
+    # a generator summand and a nested sum, whose window is 0..1, the columns
+    # the windows -2..1 and 0..2 share
+    @example(structure_sheaf_table(2).twist(-4)
+             + SumTable(((2, LiteralTable(2, -2, 1, [[1, 0, 0, 0], [0, 0, 0, 0],
+                                                     [0, 0, 1, 0]])),
+                         (1, LiteralTable(2, 0, 2, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])))))
+    def test_windowed_tables_match_the_visible_cells(self, t):
+        lo, hi = certified_range(t)
+        columns = {}
+        for d in range(lo - t.n - 2, hi + 3):
+            for i, v in enumerate(visible_entries(t, d)):
+                columns.setdefault(i + d, set()).add(v is not None)
+        assert all(len(seen) == 1 for seen in columns.values())
+        visible = {c for c, seen in columns.items() if True in seen}
+        if t.window is None:
+            assert visible == set(columns)
+        else:
+            assert visible == set(range(t.window[0], t.window[1] + 1))
+            with pytest.raises(InsufficientDataError):
+                t.hilbert_polynomial()
+            with pytest.raises(UndecidableError):
+                is_supernatural(t)
+        assert is_natural(t) == scan_natural(t)
+        prof = regularity_profile(t)
+        reg0 = prof.reg[0]
+        if reg0 > 0:
+            try:  # a nonzero cell of rows 1..n just left of reg(0)
+                certified = not prof.reg_window_limited[0] or any(
+                    t.entry(j, reg0 - 1 - j) for j in range(1, t.n + 1))
+            except WindowExceededError:
+                certified = False
+            with pytest.raises(NotZeroRegularError if certified else UndecidableError):
+                decompose(t)
+
+    @pytest.mark.parametrize("text", [
+        "S[3,1,0] (+) 2*S[2,2,-1] (+) S[5,0,0] on P3",
+        "push(4,1,-1)",
+        "push(2,2,0) (+) 3*S[1,0,0] (+) 2*(push(-3,1,5) (+) O(2)) on P3",
+    ])
+    def test_pieces_build_no_fraction(self, monkeypatch, text):
+        def refuse(*args):
+            raise AssertionError("built a Fraction")
+
+        t = table_from_expr(text)
+        want = regularity_profile(t), is_natural(t), is_supernatural(t)
+        monkeypatch.setattr("river_banks.tables.Fraction", refuse)
+        assert (regularity_profile(t), is_natural(t), is_supernatural(t)) == want
 
     def test_literal_needs_chi(self):
         with pytest.raises(UndecidableError):
