@@ -94,7 +94,8 @@ def tensor_homogeneous(f: BottSumTable, g: BottSumTable) -> BottSumTable:
     refused before any expansion.
     """
     if not isinstance(f, BottSumTable) or not isinstance(g, BottSumTable):
-        raise TypeError("tensor products are computed for homogeneous sums only")
+        raise TypeError("tensor products are computed for homogeneous sums only; compute the "
+                        "product table elsewhere and hand it to check-bounds as a file")
     if f.n != g.n:
         raise ValueError(f"ambient dimension mismatch: {f.n} vs {g.n}")
     dims = {lam: schur_dim(lam, f.n) for _, lam in (*f.terms, *g.terms)}

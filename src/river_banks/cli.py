@@ -21,6 +21,7 @@ import re
 import sys
 
 import river_banks as rb
+from river_banks.ratpoly import _int
 
 OK, VIOLATION, USAGE, LIMITED = 0, 1, 2, 3
 DEFAULT_SEED = 1729
@@ -39,7 +40,7 @@ def _seed(args):
     if args.seed is not None:
         return args.seed
     env = os.environ.get("RIVER_BANKS_SEED")
-    return int(env) if env else DEFAULT_SEED
+    return _int(env) if env else DEFAULT_SEED
 
 
 def _json(text, what):
@@ -64,16 +65,20 @@ def _load_table(ref):
 def _window(text):
     lo, _, hi = text.partition(":")
     try:
-        return int(lo), int(hi)
+        return _int(lo), _int(hi)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"window must be lo:hi, got {text!r}")
+        raise argparse.ArgumentTypeError(f"window must be lo:hi, got {text!r}") from None
+
+
+def _integer(text):
+    try:
+        return _int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
@@ -100,12 +105,6 @@ def _cmd_indices(args):
 def _cmd_tensor(args):
     tf = rb.table_from_expr(args.f)
     tg = rb.table_from_expr(args.g)
-    if not isinstance(tf, rb.BottSumTable) or not isinstance(tg, rb.BottSumTable):
-        return _fail(
-            "tensor products are computed for homogeneous sums only; compute the "
-            "product table elsewhere and hand it to check-bounds as a file",
-            USAGE,
-        )
     product = rb.tensor_homogeneous(tf, tg)
     if args.window is not None:
         lo, hi = args.window
@@ -207,12 +206,13 @@ def _cmd_wedge_kernel(args):
         return OK if dim >= 1 else VIOLATION
     import random
 
-    rng = random.Random(_seed(args))
+    seed = _seed(args)
+    rng = random.Random(seed)
     dims = [rb.kernel_dim(rb.TwoForm.random(rng), rb.TwoForm.random(rng))
             for _ in range(args.trials)]
     _emit({
         "trials": args.trials,
-        "seed": _seed(args),
+        "seed": seed,
         "min_kernel_dim": min(dims),
         "kernel_dims": dims,
     })
@@ -272,7 +272,7 @@ def build_parser():
     p = sub.add_parser("check-sharpness", help="equality report for a pair of labels")
     p.add_argument("lam", metavar="lambda", help="e.g. 1,0")
     p.add_argument("mu", help="e.g. 1,0")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.set_defaults(func=_cmd_check_sharpness)
 
     p = sub.add_parser("decompose", help="greedy chain decomposition")
@@ -285,7 +285,7 @@ def build_parser():
 
     p = sub.add_parser("wedge-kernel", help="kernel dimensions of wedge pairs")
     p.add_argument("--trials", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_integer, default=None)
     p.add_argument("--eta1", help='JSON pairs, e.g. [[[1,2],"1"],[[3,4],"1/2"]]')
     p.add_argument("--eta2")
     p.set_defaults(func=_cmd_wedge_kernel)

@@ -10,8 +10,9 @@
             | 'twist' '(' sum ',' INT ')'
             | '(' sum ')'
 
-INT is an optional sign and ASCII digits; other decimal digits, such as
-'٣', are refused rather than read.  Whitespace is insignificant.  The
+INT is an optional sign and ASCII digits (``ratpoly._INT``, the rule for
+every integer read from text); other decimal digits, such as '٣', are
+refused rather than read.  Whitespace is insignificant.  The
 ambient clause pins the projective dimension; without it the dimension is
 inferred from S[...] lengths and push(...) arities and must be determined
 by at least one of them.
@@ -30,6 +31,7 @@ import re
 
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
+from river_banks.ratpoly import _INT
 from river_banks.tables import (
     MAX_AMBIENT_DIM,
     BottSumTable,
@@ -51,7 +53,7 @@ class ExprError(ValueError):
         super().__init__(message if pos is None else f"{message} (at column {pos + 1})")
 
 
-_TOKEN = re.compile(r"(?P<SUM>\(\s*\+\s*\))|(?P<INT>[+-]?[0-9]+)|(?P<NAME>[^\W\d_]+)"
+_TOKEN = re.compile(rf"(?P<SUM>\(\s*\+\s*\))|(?P<INT>{_INT.pattern})|(?P<NAME>[^\W\d_]+)"
                     r"|(?P<PUNCT>[()\[\],*])|(?P<BAD>\S)")
 
 

@@ -26,6 +26,8 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
+from river_banks.ratpoly import _int
+
 
 class GenPartition:
     """Weakly decreasing integer vector, largest part first."""
@@ -43,7 +45,7 @@ class GenPartition:
     @classmethod
     def parse(cls, text: str) -> "GenPartition":
         """Inverse of str(): comma-separated integers, largest first."""
-        return cls(int(tok) for tok in text.split(","))
+        return cls(_int(tok) for tok in text.split(","))
 
     @property
     def n(self) -> int:

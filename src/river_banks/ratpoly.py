@@ -1,9 +1,23 @@
-"""Dense univariate polynomials with exact rational coefficients."""
+"""Dense univariate polynomials with exact rational coefficients, and the integer rule."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt, lcm
+
+#: Every integer read from text, the grammar's INT included (every subcommand
+#: loads this module): '1_0' and '٣', which int() reads, are refused.
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text):
+    """The integer ``text`` spells by the rule ``_INT``, surrounding whitespace ignored."""
+    digits = text.strip()
+    if _INT.fullmatch(digits) is None:
+        raise ValueError("expected an integer (an optional sign and ASCII digits), "
+                         f"got {text!r}")
+    return int(digits)
 
 
 def _exact(v):

@@ -46,7 +46,6 @@ extrapolated.  A direct sum combines its summands' profiles.
 
 from __future__ import annotations
 
-import re
 import reprlib
 from bisect import bisect_right
 from fractions import Fraction
@@ -55,14 +54,13 @@ from typing import NamedTuple
 
 from river_banks.bott import _roots, bott_cohomology
 from river_banks.partitions import GenPartition
-from river_banks.ratpoly import RatPoly, _exact, _from_roots
+from river_banks.ratpoly import RatPoly, _exact, _from_roots, _int
 
 #: Explicit index values for vacuous regularity conditions (never sentinels).
 NEG_INFINITY = float("-inf")
 POS_INFINITY = float("inf")
 
 INT64_MAX = 2**63 - 1
-_DIGITS = re.compile("[0-9]+")
 
 
 class WindowExceededError(LookupError):
@@ -252,20 +250,21 @@ class LiteralTable(CohomologyTable):
     """Finite window of values; queries outside the window are hard errors.
 
     ``rows_by_i[i]`` holds row i left to right over display columns
-    ``lo..hi``; entries are nonnegative integers.
+    ``lo..hi``; entries are nonnegative integers, given as ints or as
+    strings of ASCII digits.
     """
 
     def __init__(self, n, lo, hi, rows_by_i):
         if hi < lo:
             raise ValueError(f"empty window {lo}..{hi}")
-        rows = tuple(tuple(int(v) for v in row) for row in rows_by_i)
+        rows = tuple(tuple(map(int, row)) for row in rows_by_i)
         width = hi - lo + 1
         if len(rows) != n + 1:
             raise ValueError(f"expected {n + 1} rows, got {len(rows)}")
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
-            if any(v < 0 for v in row):
+            if min(row, default=0) < 0:
                 raise ValueError(f"negative entry in row {i}")
         self.n = n
         self.lo = lo
@@ -469,57 +468,37 @@ def render_ascii(t: CohomologyTable, lo: int, hi: int) -> str:
 def parse_ascii(text: str) -> LiteralTable:
     """Inverse of render_ascii up to whitespace width.
 
-    The last token of the index line may carry a single trailing period
-    (tables copied from print sometimes end in one).
+    Each row starts with its label ``i:``, and each cell is ``.`` or ASCII
+    digits, the cell rule of the JSON format; the index numbers are read by
+    the grammar's INT rule.  The last token of the index line may carry a
+    single trailing period (tables copied from print sometimes end in one).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValueError("table text needs at least one row and an index line")
     *row_lines, index_line = lines
     idx_tokens = index_line.split()
-    if idx_tokens and idx_tokens[-1].endswith("."):
+    if idx_tokens[-1].endswith("."):
         idx_tokens[-1] = idx_tokens[-1][:-1]
     try:
-        cols = [int(tok) for tok in idx_tokens]
+        cols = [_int(tok) for tok in idx_tokens]
     except ValueError:
         raise ValueError(f"malformed index line: {index_line!r}") from None
-    if not cols:
-        raise ValueError("missing index line")
     if any(b != a + 1 for a, b in zip(cols, cols[1:])):
         raise ValueError(f"index line is not consecutive: {cols}")
-    lo, hi = cols[0], cols[-1]
 
     n = len(row_lines) - 1
     rows_by_i = [None] * (n + 1)
-    for expected, line in zip(range(n, -1, -1), row_lines):
-        tokens = line.split()
-        if not tokens or not tokens[0].endswith(":"):
-            raise ValueError(f"row line lacks a label: {line!r}")
-        try:
-            label = int(tokens[0][:-1])
-        except ValueError:
-            raise ValueError(f"bad row label in {line!r}") from None
-        if label != expected:
-            raise ValueError(f"row label {label} out of order; expected {expected}")
-        body = tokens[1:]
-        if len(body) != len(cols):
-            raise ValueError(
-                f"row {label} has {len(body)} cells, expected {len(cols)}"
-            )
-        vals = []
-        for tok in body:
-            if tok == ".":
-                vals.append(0)
-                continue
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ValueError(f"bad cell {tok!r} in row {label}") from None
-            if v < 0:
-                raise ValueError(f"negative entry {v} in row {label}")
-            vals.append(v)
-        rows_by_i[label] = vals
-    return LiteralTable(n, lo, hi, rows_by_i)
+    for i, line in zip(range(n, -1, -1), row_lines):
+        label, *cells = line.split()
+        if label != f"{i}:":
+            raise ValueError(f"row {i} must start with the label '{i}:': {line!r}")
+        # one isascii and one isdigit a row: a non-ASCII digit passes isdigit
+        digits = "".join([c for c in cells if c != "."])
+        if digits and not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"a cell is '.' or ASCII digits, in row {i}: {line!r}")
+        rows_by_i[i] = [0 if c == "." else c for c in cells]
+    return LiteralTable(n, cols[0], cols[-1], rows_by_i)
 
 
 def ascii_normalize(text: str) -> str:
@@ -559,11 +538,12 @@ def literal_from_json(obj: dict) -> LiteralTable:
 
     ``n`` (at least 0) and the window bounds must be JSON integers, and each
     cell a JSON integer or a string of ASCII digits, the form big entries
-    are written in; booleans, floats and other strings are refused rather
-    than rounded.
+    are written in and the cell rule of the ASCII format; booleans, floats
+    and other strings are refused rather than rounded.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"a table is a JSON object, got {reprlib.repr(obj)}")
+    if not (isinstance(obj, dict) and obj.keys() >= {"n", "window", "rows"}):
+        raise ValueError('a table is a JSON object with the keys "n", "window" and "rows", '
+                         f"got {reprlib.repr(obj)}")
     n, window, rows = obj["n"], obj["window"], obj["rows"]
     if not (type(n) is int and n >= 0 and isinstance(window, list) and len(window) == 2
             and all(type(v) is int for v in window)):
@@ -575,9 +555,7 @@ def literal_from_json(obj: dict) -> LiteralTable:
 
 
 def _json_cell(v):
-    if type(v) is int:
+    if type(v) is int or isinstance(v, str) and v.isascii() and v.isdigit():
         return v
-    if isinstance(v, str) and _DIGITS.fullmatch(v):
-        return int(v)
     raise ValueError("a cell must be a JSON integer or a string of ASCII digits, "
                      f"got {reprlib.repr(v)}")

@@ -7,12 +7,13 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from river_banks import bounds, golden
-from river_banks.cli import MAX_COEFF_DIGITS, main
+from river_banks.cli import MAX_COEFF_DIGITS, build_parser, main
 from river_banks.exterior import TwoForm
 from river_banks.expr import MAX_DEPTH, ExprError, table_from_expr
 from river_banks.kunneth import KunnethTable
@@ -24,6 +25,7 @@ from river_banks.tables import (
     BottSumTable,
     CohomologyTable,
     ascii_normalize,
+    parse_ascii,
 )
 
 from corpus import bundle_exprs
@@ -408,6 +410,12 @@ ERROR_FILES = {
     "norows.json": '{"n": 1, "window": [0, 0]}',
     "narrow.json": '{"n": 1, "window": [0, 1], "rows": [[0, 0], [1, 2]]}',
 }
+# the interpreter's own wording of its limit on integer string conversion,
+# which differs between CPython versions
+try:
+    str(10 ** 5000)
+except ValueError as exc:
+    DIGIT_LIMIT = str(exc)
 # argv ({} is the directory holding ERROR_FILES), exit code, first stderr line
 PINNED_ERRORS = [
     (["indices", "S[1,,0] on P2"], 2,
@@ -419,13 +427,14 @@ PINNED_ERRORS = [
      "parts are not weakly decreasing: (1, 2)"),
     (["indices", "{}/bad.json"], 2,
      "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    (["indices", "{}/norows.json"], 2, "'rows'"),
+    (["indices", "{}/norows.json"], 2,
+     'a table is a JSON object with the keys "n", "window" and "rows", '
+     "got {'n': 1, 'window': [0, 0]}"),
     (["indices", "{}"], 2, "[Errno 21] Is a directory: '{}'"),
     # CPython's limit on integer string conversion, hit while writing a
     # 5843-digit entry (sys.int_info.default_max_str_digits)
     *((["table", "O(1" + "0" * 60 + ") on P100", "--window", "0:0", "--format", fmt], 2,
-       "Exceeds the limit (4300 digits) for integer string conversion; "
-       "use sys.set_int_max_str_digits() to increase the limit") for fmt in ("ascii", "json")),
+       DIGIT_LIMIT) for fmt in ("ascii", "json")),
     (["wedge-kernel", "--eta1", "[[[1,2],true]]", "--eta2", "[]"], 2,
      'a coefficient must be a JSON integer or a "p" or "p/q" string of ASCII digits, '
      "got True"),
@@ -657,3 +666,108 @@ class TestExitCodeContract:
         assert captured.out == "" and limit in captured.err
         assert len(captured.err.splitlines()) == 1
         assert entries == []
+
+
+# --- one rule for every integer read from text ------------------------------
+
+# NOISE without the brackets and the comma, so that 'O(<text>) on P1' parses,
+# if at all, as one twist and a label as one part; forms int() reads and the
+# grammar refuses; and signed, zero-padded and whitespace-padded digits (not
+# padded with a line separator such as '\x1c', which would split an ASCII row)
+int_texts = st.one_of(
+    st.text(NOISE.translate({ord(c): None for c in "(),"}), min_size=1, max_size=6),
+    st.sampled_from(["1_0", "٣", "+2", "-0", "007", "²"]),
+    st.tuples(st.sampled_from(["", " ", "\t", "\u3000"]), st.sampled_from(["", "+", "-", "0"]),
+              st.integers(0, 99).map(str), st.sampled_from(["", " ", "\u2003"])).map("".join),
+)
+
+
+def _parsed(argv):
+    return build_parser().parse_args(argv)
+
+
+def _env_seed(text):
+    with mock.patch.dict(os.environ, {"RIVER_BANKS_SEED": text}), \
+            redirect_stdout(io.StringIO()) as out:
+        code = main(["wedge-kernel", "--trials", "1"])
+    assert code in (0, 2)
+    return json.loads(out.getvalue())["seed"] if code == 0 else None
+
+
+# reader -> the value it reads from a text
+INT_READERS = {
+    "label part": lambda s: GenPartition.parse(s).parts[0],
+    "ASCII cell": lambda s: parse_ascii(f"0: {s}\n   0\n").entry(0, 0),
+    "index number": lambda s: parse_ascii(f"0: 1\n{s}\n").lo,
+    "--window": lambda s: _parsed(["table", "O(0) on P1", "--window", f"{s}:{s}"]).window[0],
+    "--n": lambda s: _parsed(["check-sharpness", "0", "0", "--n", s]).n,
+    "--trials": lambda s: _parsed(["wedge-kernel", "--trials", s]).trials,
+    "--seed": lambda s: _parsed(["wedge-kernel", "--seed", s]).seed,
+    "RIVER_BANKS_SEED": _env_seed,
+}
+
+
+def assert_one_usage_error(captured, bad):
+    """Empty stdout, and one error line, naming ``bad``, after any usage lines."""
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if not ln.startswith(("usage:", " "))]
+    assert len(errors) == 1 and bad in errors[0]
+
+
+class TestIntegerRule:
+    @settings(deadline=None, max_examples=150)
+    @given(int_texts)
+    @example("1_0")
+    @example("٣")
+    @example("+2")
+    def test_every_reader_reads_what_the_grammar_reads(self, text):
+        try:
+            want = table_from_expr(f"O({text}) on P1").terms[0][1].parts[0]
+        except ExprError:
+            want = None
+        for name, read in INT_READERS.items():
+            expected = want
+            if name == "ASCII cell" and want is not None and text.strip()[0] in "+-":
+                expected = None  # a cell is unsigned
+            if name == "--trials" and want is not None and want < 1:
+                expected = None
+            try:
+                with redirect_stderr(io.StringIO()):
+                    got = read(text)
+            except (ValueError, SystemExit):
+                got = None
+            assert got == expected, name
+
+    # each exited 0 or 3 when these readers took whatever int() reads
+    @pytest.mark.parametrize("argv, env, bad", [
+        (["check-sharpness", "1_0,0", "1,0", "--n", "2"], {}, "1_0"),
+        (["check-sharpness", "1,0", "1,0", "--n", "٢"], {}, "٢"),
+        (["table", "O(0) on P1", "--window", "1_0:11"], {}, "1_0:11"),
+        (["wedge-kernel", "--trials", "1_0"], {}, "1_0"),
+        (["wedge-kernel", "--trials", "1"], {"RIVER_BANKS_SEED": "٧"}, "٧"),
+    ], ids=["label", "n", "window", "trials", "env-seed"])
+    def test_an_integer_the_grammar_refuses_is_a_usage_error(self, capsys, monkeypatch,
+                                                             argv, env, bad):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert main(argv) == 2
+        assert_one_usage_error(capsys.readouterr(), bad)
+
+    @pytest.mark.parametrize("text, bad", [
+        ("1: ٣ 1\n0: 1 1\n   0 1\n", "٣"),
+        ("1: 1_0 1\n0: 1 1\n   0 1\n", "1_0"),
+        ("1: +2 1\n0: 1 1\n   0 1\n", "+2"),
+        ("1: 1 1\n0: 1 1\n   ٠ 1\n", "٠"),
+        ("01: 1 1\n0: 1 1\n   0 1\n", "01:"),
+    ], ids=["cell-arabic-indic", "cell-underscore", "cell-plus", "index-arabic-indic",
+            "row-label"])
+    def test_an_ascii_table_the_rule_refuses_is_a_usage_error(self, capsys, tmp_path,
+                                                              text, bad):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        assert main(["indices", str(path)]) == 2
+        assert_one_usage_error(capsys.readouterr(), bad)
+
+    def test_padded_label_parts_still_read(self):
+        with redirect_stdout(io.StringIO()):
+            assert main(["check-sharpness", "2, 1, 0", "1,1,0", "--n", "3"]) == 0
