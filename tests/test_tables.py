@@ -11,7 +11,6 @@ from river_banks.bott import bott_cohomology
 from river_banks.expr import table_from_expr
 from river_banks.kunneth import pushforward_table
 from river_banks.partitions import GenPartition
-from river_banks.ratpoly import RatPoly
 from river_banks.tables import (
     NEG_INFINITY,
     POS_INFINITY,
@@ -531,19 +530,17 @@ class TestNaturalSupernatural:
         def refuse(*args):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(RatPoly, "integer_roots", refuse)
         monkeypatch.setattr(CohomologyTable, "entry", refuse)
         assert is_supernatural(homogeneous_table(gp(100000, 5, 0)))
         assert is_supernatural(BottSumTable(3, [(2, gp(10**9, 0, -10**9)),
                                                 (Fraction(1, 3), gp(10**9, 0, -10**9))]))
 
     @given(bott_sums_and_windows())
-    def test_matches_the_scan_and_the_integer_roots_of_chi(self, table_and_window):
+    def test_bott_sums_match_the_entry_scan(self, table_and_window):
         t = table_and_window[0]
-        chi = t.hilbert_polynomial()
         natural = scan_natural(t)
         assert is_natural(t) == natural
-        assert is_supernatural(t) == (natural and len(chi.integer_roots()) == t.n)
+        assert is_supernatural(t) == (natural and len(scan_vanishing_twists(t)) == t.n)
 
     @settings(deadline=None, max_examples=200)
     @given(st.integers(1, 3).flatmap(bundle_exprs))
@@ -560,7 +557,6 @@ class TestNaturalSupernatural:
         assert is_natural(t) == natural
         supernatural = natural and len(scan_vanishing_twists(t)) == t.n
         assert is_supernatural(t) == supernatural
-        assert supernatural == (natural and len(chi.integer_roots()) == t.n)
 
     def test_pieces_that_differ_can_be_natural(self):
         t = table_from_expr("push(-1,-1) (+) O(-2) on P2")
@@ -577,7 +573,6 @@ class TestNaturalSupernatural:
             raise AssertionError("searched")
 
         t = table_from_expr(text)
-        monkeypatch.setattr(RatPoly, "integer_roots", refuse)
         monkeypatch.setattr(CohomologyTable, "entry", refuse)
         assert is_natural(t) == natural
         assert not is_supernatural(t)
@@ -647,27 +642,22 @@ class TestNaturalSupernatural:
         monkeypatch.setattr("river_banks.tables.Fraction", refuse)
         assert (regularity_profile(t), is_natural(t), is_supernatural(t)) == want
 
-    def test_literal_needs_chi(self):
-        with pytest.raises(UndecidableError):
-            is_supernatural(golden.load("phantom"))
-        # with a polynomial supplied the window check can run
-        assert not is_supernatural(golden.load("hm"), chi=RatPoly([1]))
+    @pytest.mark.parametrize("wrap", [
+        lambda t: t,
+        lambda t: t.dual(),
+        lambda t: t.twist(3),
+        lambda t: t + t,
+        lambda t: structure_sheaf_table(t.n) + t,
+    ], ids=["window", "dual", "twist", "sum", "generator-sum"])
+    @pytest.mark.parametrize("name", ["phantom", "hm"])
+    def test_a_window_leaves_supernaturality_undecidable(self, monkeypatch, name, wrap):
+        def refuse(*args):
+            raise AssertionError("entry read")
 
-    def test_wrapped_and_summed_literals_use_the_supplied_chi(self):
-        phantom = golden.load("phantom")
-        # the window's alternating sums are d (d - 1) (d + 2) (d + 4) / 6
-        chi = RatPoly([0, 1]) * RatPoly([-1, 1]) * RatPoly([2, 1]) * RatPoly([4, 1])
-        chi = chi * Fraction(1, 6)
-        # chi(-d - 5) for the dual and chi(d + 3) for the twist, as linear factors
-        dual_chi = RatPoly([5, 1]) * RatPoly([6, 1]) * RatPoly([3, 1]) * RatPoly([1, 1])
-        twist_chi = RatPoly([3, 1]) * RatPoly([2, 1]) * RatPoly([5, 1]) * RatPoly([7, 1])
-        for t, chi_t in ((phantom.dual(), dual_chi * Fraction(1, 6)),
-                         (phantom.twist(3), twist_chi * Fraction(1, 6)),
-                         (phantom + phantom, chi * 2)):
-            with pytest.raises(UndecidableError):
-                is_supernatural(t)
-            assert is_supernatural(t, chi=chi_t)
-            assert not is_supernatural(t, chi=RatPoly([1]))
+        t = wrap(golden.load(name))
+        monkeypatch.setattr(CohomologyTable, "entry", refuse)
+        with pytest.raises(UndecidableError):
+            is_supernatural(t)
 
 
 class TestHilbertPolynomial:
