@@ -33,11 +33,12 @@ while its rows are read, not the history: about 1700 for a chain of 8
 labels on P^7 over 200 columns, 1090 for O(0) on P^100 over 990 columns.
 A larger memo only keeps twists that do not come back.
 
-``bott_cohomology`` is called once per label and cell: a grid of a sum
-makes one call per term per cell, and the benchmark's tracer test pins that
-shape (28 calls for a one-label render of 7 columns on P^3).  Reading a
-row of a sum at once waits for that test to change; until then a cheaper
-cell comes from a cheaper call.
+``bott_cohomology`` is called once per label and cell: a row of a
+homogeneous sum (``tables.BottSumTable``, which keeps the per-cell row of
+``tables.CohomologyTable._row``) makes one call per term per cell, and the
+benchmark's tracer test pins that shape (28 calls for a one-label render of
+7 columns on P^3).  Reading such a row at once waits for that test to
+change; until then a cheaper cell comes from a cheaper call.
 """
 
 from __future__ import annotations

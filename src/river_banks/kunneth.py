@@ -6,9 +6,13 @@ m-dimensional projective space pushes the line bundle of multidegree
 cohomology of the multidegree (a_1 + d, ..., a_m + d) upstairs; that
 cohomology factors over the line factors, so every entry is a short product
 formula, nonzero in at most one row per twist.  The table keeps a sorted
-copy of its multidegree, so a cell costs one bisect for the row that can be
-nonzero and, on that row alone, one product (``KunnethTable._entry``);
-``product_line_cohomology`` states the same formula for one multidegree.
+copy of its multidegree, so a row is one interval of twists, between two
+consecutive sorted entries, with one product per twist in it and zeros
+elsewhere (``KunnethTable._row``, which grids read).  A cell read alone
+costs one bisect for the row that can be nonzero and, on that row alone,
+one product (``KunnethTable._entry``, which sums and ``beilinson_terms``
+read); ``product_line_cohomology`` states the same formula for one
+multidegree.
 
 Pushforwards are closed under twists and duals.  Twisting by s adds s to
 every a_j.  The dual of the pushforward of O(a) is the pushforward of O(-a)
@@ -62,6 +66,23 @@ class KunnethTable(CohomologyTable):
         if i != bisect_right(self._sorted_a, -2 - d):
             return 0
         return prod(abs(aj + d + 1) for aj in self.a)
+
+    def _row(self, i, lo, hi):
+        # twist d sits in row #{j : a_j <= -2 - d}, so row i holds the twists
+        # -1 - s[i] <= d <= -2 - s[i - 1] of the sorted multidegree s, open at
+        # the ends for i = 0 and i = n.  On them exactly i of the factors
+        # a_j + d + 1 are negative, so (-1)^i times their product is the
+        # product of the |a_j + d + 1|; a zero twist d = -a_j - 1 has a zero
+        # factor.
+        s, n = self._sorted_a, self.n
+        first = lo - i if i == n else max(lo - i, -1 - s[i])
+        last = hi - i if i == 0 else min(hi - i, -2 - s[i - 1])
+        row = [0] * (hi - lo + 1)
+        if first <= last:
+            sign = (-1) ** i
+            row[first + i - lo:last + i - lo + 1] = [
+                sign * prod(map((d + 1).__add__, s)) for d in range(first, last + 1)]
+        return row
 
     def dual(self):
         return KunnethTable(self.n - 1 - aj for aj in self.a)

@@ -23,6 +23,16 @@ antidiagonal ``{(j, m - j)}`` that the regularity indices quantify over:
 * ``coreg(k)`` = greatest m such that rows j < n - k hold only zeros in
   display columns <= m.
 
+A grid (a render, a profile sweep, a decomposition window) is read by
+``_cells`` a row at a time, through ``_row(i, lo, hi)``: row i over display
+columns lo..hi.  A pushforward's row is one interval of twists and a
+literal window's a slice of its stored row; their ``entry`` keeps its
+per-cell rule, as cheap as before for the callers that read one cell (a
+direct sum's row, ``beilinson_terms``).  A homogeneous sum and a direct sum
+keep the base class's row, read cell by cell through ``entry``.
+The two writers share one pass over the rows (``_printed_rows``), which
+refuses a fractional entry, since neither file format can hold one.
+
 Every derived query asks a table one of two questions.  A generator table
 lists its natural pieces through ``_pieces()``, as (p, q, increasing
 roots) with the exact constant p/q kept in integers: twist d of a piece
@@ -100,6 +110,19 @@ class CohomologyTable:
 
     def _entry(self, i, d):
         raise NotImplementedError
+
+    def _row(self, i: int, lo: int, hi: int) -> list:
+        """Row i (0 <= i <= n) over display columns lo..hi, read cell by cell.
+
+        ``BottSumTable`` keeps this per-cell read because the benchmark's
+        tracer test pins one ``entry`` and one ``bott_cohomology`` call per
+        cell of a one-label render; ROADMAP item 2 replaces it by polynomial
+        rows once that pin changes (item 1).  ``SumTable`` keeps it too: read
+        cell by cell, a row past the sum's window raises the
+        ``WindowExceededError`` of its first column out of range, from the
+        first summand, in term order, that refuses it.
+        """
+        return [self.entry(i, c - i) for c in range(lo, hi + 1)]
 
     # --- regularity / coregularity ------------------------------------
 
@@ -281,6 +304,13 @@ class LiteralTable(CohomologyTable):
             raise WindowExceededError(i, d, self.lo, self.hi)
         return self.rows_by_i[i][c - self.lo]
 
+    def _row(self, i, lo, hi):
+        if not self.lo <= lo <= hi <= self.hi:
+            # the first column outside the window, left to right
+            c = self.hi + 1 if self.lo <= lo <= self.hi else lo
+            raise WindowExceededError(i, c - i, self.lo, self.hi)
+        return list(self.rows_by_i[i][lo - self.lo:hi - self.lo + 1])
+
     def dual(self):
         rows = [row[::-1] for row in reversed(self.rows_by_i)]
         return LiteralTable(self.n, -self.hi - 1, -self.lo - 1, rows)
@@ -310,7 +340,21 @@ def _cells(t: CohomologyTable, lo: int, hi: int):
     if size > MAX_CELLS:
         raise ValueError(f"display columns {lo}..{hi} of P{t.n} hold {size} cells, "
                          f"past the limit of {MAX_CELLS}")
-    return [[t.entry(i, c - i) for c in range(lo, hi + 1)] for i in range(t.n + 1)]
+    return [t._row(i, lo, hi) for i in range(t.n + 1)]
+
+
+def _printed_rows(t: CohomologyTable, lo: int, hi: int):
+    """Rows n..0 of ``t`` over display columns lo..hi, top first, for the writers.
+
+    Both file formats hold integers only, so the first fractional entry from
+    the top (a sum with rational multiplicities has them) is refused.
+    """
+    rows = _cells(t, lo, hi)[::-1]
+    for i, row in zip(range(t.n, -1, -1), rows):
+        if Fraction in map(type, row):
+            c, v = next((c, v) for c, v in enumerate(row, lo) if type(v) is Fraction)
+            raise ValueError(f"non-integral entry {v} at (i={i}, col={c})")
+    return rows
 
 
 def _grid_profile(grid, lo, hi):
@@ -405,11 +449,12 @@ def is_natural(t: CohomologyTable) -> bool:
     """
     if t.window is not None:
         lo, hi = t.window
-        for d in range(lo - t.n, hi + 1):
-            rows = range(max(0, lo - d), min(t.n, hi - d) + 1)
-            if sum(1 for i in rows if t.entry(i, d)) > 1:
-                return False
-        return True
+        if hi < lo:
+            return True
+        # cell (i, c) holds twist c - i; two nonzero cells of one twist clash
+        twists = [c - i for i, row in enumerate(_cells(t, lo, hi))
+                  for c, v in enumerate(row, lo) if v]
+        return len(twists) == len(set(twists))
     seqs = {roots for _, _, roots in t._pieces()}
     for d in {u + s for roots in seqs for u in roots for s in (0, 1)}:
         if len({len(r) - bisect_right(r, d) for r in seqs if d not in r}) > 1:
@@ -450,19 +495,13 @@ def beilinson_terms(t: CohomologyTable, e: int):
 
 def render_ascii(t: CohomologyTable, lo: int, hi: int) -> str:
     """Rows n..0 with ``i:`` prefixes, dots for zeros, then the column index line."""
-    n = t.n
-    cols = range(lo, hi + 1)
-    cells = [[str(v) if v else "." for v in row] for row in _cells(t, lo, hi)]
-    widths = [max(len(str(c)), *(len(row[x]) for row in cells))
-              for x, c in enumerate(cols)]
-    label_w = len(f"{n}:")
-    lines = []
-    for i in range(n, -1, -1):
-        body = " ".join(v.rjust(w) for v, w in zip(cells[i], widths))
-        lines.append(f"{i}:".rjust(label_w) + " " + body)
-    index = " ".join(str(c).rjust(w) for c, w in zip(cols, widths))
-    lines.append(" " * label_w + " " + index)
-    return "\n".join(lines) + "\n"
+    index = list(map(str, range(lo, hi + 1)))
+    cells = [[str(v) if v else "." for v in row] for row in _printed_rows(t, lo, hi)]
+    widths = [max(map(len, col)) for col in zip(index, *cells)]
+    label_w = len(f"{t.n}:")
+    labels = [f"{i}:".rjust(label_w) for i in range(t.n, -1, -1)] + [" " * label_w]
+    return "".join(f"{label} {' '.join(map(str.rjust, row, widths))}\n"
+                   for label, row in zip(labels, cells + [index]))
 
 
 def parse_ascii(text: str) -> LiteralTable:
@@ -523,13 +562,8 @@ def table_to_json(t: CohomologyTable, lo: int, hi: int) -> dict:
     Entries that do not fit a signed 64-bit integer are emitted as decimal
     strings.
     """
-    cells = _cells(t, lo, hi)
-    rows = []
-    for i in range(t.n, -1, -1):
-        for c, v in enumerate(cells[i], lo):
-            if isinstance(v, Fraction):
-                raise ValueError(f"non-integral entry {v} at (i={i}, col={c})")
-        rows.append([v if abs(v) <= INT64_MAX else str(v) for v in cells[i]])
+    rows = [[v if abs(v) <= INT64_MAX else str(v) for v in row]
+            for row in _printed_rows(t, lo, hi)]
     return {"n": t.n, "window": [lo, hi], "rows": rows}
 
 

@@ -10,7 +10,10 @@ Littlewood-Richardson tableaux, independent of the Brauer-Klimyk
 straightening; the straightening oracle reads a Bott twist off the
 dot-action straightening, independent of the root-sequence closed form;
 the wedge oracle builds the paired wedge matrix from products signed by
-sorting their indices, independent of the precomputed wedge table.
+sorting their indices, independent of the precomputed wedge table; the
+cell oracles read a row, an ASCII render or a JSON window one ``entry`` at
+a time and format it one cell at a time, independent of the row reads and
+the whole-row writers.
 """
 
 from __future__ import annotations
@@ -284,3 +287,65 @@ def wedge_matrix_by_sorting(eta1, eta2):
                 if sign:
                     rows[block * len(basis4) + basis4.index(quad)][col] += sign * Fraction(coeff)
     return rows
+
+
+def row_by_cells(t, i, lo, hi):
+    """Row i of ``t`` over display columns lo..hi, one ``entry`` per column."""
+    return [t.entry(i, c - i) for c in range(lo, hi + 1)]
+
+
+def outcome(read, *args):
+    """The (type, value) pairs of the row ``read(*args)`` returns, or the
+    ``WindowExceededError`` it raises as ("window", i, d, lo, hi)."""
+    try:
+        return [(type(v), v) for v in read(*args)]
+    except WindowExceededError as exc:
+        return ("window", exc.i, exc.d, exc.lo, exc.hi)
+
+
+@st.composite
+def table_rows(draw, tables):
+    """A table, one of its rows (often the extreme rows 0 and n) and a window lo..hi.
+
+    A windowed table's row lies inside its window or runs past an end of
+    it.  Other windows start left of, inside or right of the certified
+    range, or near a pushforward's zero twists -a_j - 1, where the river
+    crosses the rows, so they lie on either side of the river or straddle it.
+    """
+    t = draw(tables)
+    i = draw(st.one_of(st.sampled_from((0, t.n)), st.integers(0, t.n)))
+    if t.window is not None and t.window[0] <= t.window[1] and draw(st.booleans()):
+        lo = draw(st.integers(*t.window))
+        return t, i, lo, draw(st.integers(lo, t.window[1]))
+    lo_range, hi_range = certified_range(t)
+    anchors = {lo_range - 8, lo_range, (lo_range + hi_range) // 2, hi_range, hi_range + 1}
+    if isinstance(t, KunnethTable):
+        anchors |= {-aj - 1 for aj in t.a}
+    lo = draw(st.sampled_from(sorted(anchors))) + draw(st.integers(-t.n - 3, t.n + 3))
+    return t, i, lo, lo + draw(st.integers(0, 10))
+
+
+def render_ascii_by_cells(t, lo, hi):
+    """The ASCII render of ``t`` over lo..hi, read and formatted one cell at a time."""
+    n = t.n
+    cols = range(lo, hi + 1)
+    cells = [[str(v) if v else "." for v in row_by_cells(t, i, lo, hi)]
+             for i in range(n + 1)]
+    widths = [max(len(str(c)), *(len(row[x]) for row in cells))
+              for x, c in enumerate(cols)]
+    label_w = len(f"{n}:")
+    lines = []
+    for i in range(n, -1, -1):
+        body = " ".join(v.rjust(w) for v, w in zip(cells[i], widths))
+        lines.append(f"{i}:".rjust(label_w) + " " + body)
+    index = " ".join(str(c).rjust(w) for c, w in zip(cols, widths))
+    lines.append(" " * label_w + " " + index)
+    return "\n".join(lines) + "\n"
+
+
+def json_by_cells(t, lo, hi):
+    """The JSON window of ``t`` over lo..hi, read one cell at a time; entries past
+    a signed 64-bit integer as decimal strings."""
+    rows = [[v if v < 2**63 else str(v) for v in row_by_cells(t, i, lo, hi)]
+            for i in range(t.n, -1, -1)]
+    return {"n": t.n, "window": [lo, hi], "rows": rows}

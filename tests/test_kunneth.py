@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import example, given, strategies as st
 
@@ -15,12 +17,21 @@ from river_banks.tables import (
 from corpus import (
     certified_range,
     coreg_condition_holds,
+    outcome,
     random_kunneth,
     reg_condition_holds,
+    row_by_cells,
     scan_coreg,
     scan_reg,
     subset_sum_cohomology,
+    table_rows,
 )
+
+# the benchmark's own oracle, written from the mathematics without the package
+_spec = importlib.util.spec_from_file_location(
+    "bench_reference", Path(__file__).resolve().parent.parent / "bench" / "reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 @st.composite
@@ -34,9 +45,9 @@ def multidegrees(draw, max_size=8):
 
 
 @st.composite
-def pushforwards(draw):
-    """A pushforward of ``multidegrees()``, possibly twisted and dualized."""
-    t = KunnethTable(draw(multidegrees()))
+def pushforwards(draw, degrees=multidegrees()):
+    """A pushforward of a multidegree drawn from ``degrees``, possibly twisted and dualized."""
+    t = KunnethTable(draw(degrees))
     if draw(st.booleans()):
         t = t.twist(draw(st.integers(-3, 3)))
     if draw(st.booleans()):
@@ -110,6 +121,23 @@ class TestClosedFormEntry:
                 shifted = [aj + c - i for aj in t.a]
                 assert (t.entry(i, c - i) == subset_sum_cohomology(shifted, i)
                         == product_line_cohomology(shifted, i))
+
+
+class TestRows:
+    # entries of +-10^9 among small ones, or multidegrees() with repeated entries
+    @given(table_rows(pushforwards(st.one_of(
+        multidegrees(), st.lists(st.sampled_from((-10**9, -10**9, -2, -1, 0, 3, 10**9)),
+                                 min_size=1, max_size=5)))))
+    # repeated entries: rows 1 and 2 hold no twist
+    @example((KunnethTable((-2, -2, -2, 3)), 1, -6, 6))
+    @example((KunnethTable((-2, -2, -2, 3)).dual(), 2, -6, 6))
+    # the window lies wholly inside row 0's open interval, and row n's
+    @example((KunnethTable((10**9, 0, -10**9)).twist(7), 0, 10**9, 10**9 + 3))
+    @example((KunnethTable((10**9, 0, -10**9)).twist(7), 3, -10**9 - 12, -10**9 - 6))
+    def test_a_row_is_its_cells_and_the_reference(self, case):
+        t, i, lo, hi = case
+        expected = [(int, reference.pushforward_entry(t.a, i, c - i)) for c in range(lo, hi + 1)]
+        assert outcome(t._row, i, lo, hi) == outcome(row_by_cells, t, i, lo, hi) == expected
 
 
 class TestInvariants:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from river_banks import golden
 from river_banks.boij_soderberg import Decomposition, NotZeroRegularError, decompose, recompose
@@ -41,16 +41,21 @@ from corpus import (
     bundle_exprs,
     certified_range,
     coreg_condition_holds,
+    json_by_cells,
+    outcome,
     random_bott_sum,
     random_generator_table,
     random_kunneth,
     reg_condition_holds,
+    render_ascii_by_cells,
+    row_by_cells,
     scan_coreg,
     scan_euler,
     scan_natural,
     scan_reg,
     scan_twists,
     scan_vanishing_twists,
+    table_rows,
     visible_entries,
 )
 
@@ -176,6 +181,73 @@ def brute_profile(t):
     return RegularityProfile(tuple(reg), tuple(coreg),
                              tuple(m in (lo, hi + 1) for m in reg),
                              tuple(m in (lo - 1, hi) for m in coreg))
+
+
+@st.composite
+def mixed_sums(draw, n=None):
+    """A direct sum of 10*push(...), S[...] and literal summands in some order.
+
+    Each summand may be twisted, the sum may be dualized, and the literal
+    summand at times has the rational multiplicity 1/2.
+    """
+    n = n or draw(st.integers(1, 3))
+    a = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    label = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    terms = [(10, pushforward_table(a)),
+             (draw(st.integers(1, 3)), homogeneous_table(GenPartition(sorted(label)[::-1]))),
+             (draw(st.sampled_from((1, 2, Fraction(1, 2)))), draw(literal_windows(n)))]
+    terms = draw(st.permutations(terms))[:draw(st.integers(1, 3))]
+    t = SumTable((m, u.twist(draw(st.integers(-2, 2))) if draw(st.booleans()) else u)
+                 for m, u in terms)
+    return t.dual() if draw(st.booleans()) else t
+
+
+@st.composite
+def printed_windows(draw):
+    """A Bott, pushforward, literal or mixed table and a window it defines.
+
+    Labels up to 9 and multidegrees up to +-8 give multi-digit cells, windows
+    reach down to column -14 so that a negative column number is often wider
+    than the cells under it, and a literal window is mostly zeros, so whole
+    columns are empty.
+    """
+    kind = draw(st.sampled_from(("bott", "push", "literal", "sum")))
+    if kind == "bott":
+        n = draw(st.integers(1, 4))
+        label = st.lists(st.integers(-3, 9), min_size=n, max_size=n).map(
+            lambda p: GenPartition(sorted(p, reverse=True)))
+        t = BottSumTable(n, draw(st.lists(st.tuples(st.integers(1, 9), label), max_size=3)))
+    elif kind == "push":
+        t = pushforward_table(draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5)))
+    elif kind == "literal":
+        t = draw(literal_windows())
+    else:
+        t = draw(mixed_sums().filter(lambda u: all(type(m) is int for m, _ in u.terms)))
+    if t.window is None:
+        lo = draw(st.integers(-14, 6))
+        return t, lo, lo + draw(st.integers(0, 14))
+    lo, hi = t.window
+    assume(lo <= hi)
+    lo = draw(st.integers(lo, hi))
+    return t, lo, draw(st.integers(lo, hi))
+
+
+class TestRows:
+    """``_row`` is the cells of its row, or the error the first of them raises."""
+
+    @given(table_rows(st.one_of(literal_windows(), mixed_sums(), mixed_tables(),
+                                generator_tables())))
+    # a literal row asked for columns left of, right of and around its window
+    @example((LiteralTable(2, 0, 2, [[1, 2, 3]] * 3), 2, -3, -1))
+    @example((LiteralTable(2, 0, 2, [[1, 2, 3]] * 3), 0, 3, 5))
+    @example((LiteralTable(2, 0, 2, [[1, 2, 3]] * 3), 1, -1, 3))
+    @example((LiteralTable(2, 0, 2, [[1, 2, 3]] * 3), 2, 1, 4))
+    # disjoint windows: every column is outside the sum's empty window
+    @example((SumTable([(1, LiteralTable(1, 0, 1, [[1, 1]] * 2)),
+                        (1, LiteralTable(1, 3, 4, [[1, 1]] * 2))]), 0, 0, 4))
+    def test_a_row_is_its_cells(self, case):
+        t, i, lo, hi = case
+        assert outcome(t._row, i, lo, hi) == outcome(row_by_cells, t, i, lo, hi)
 
 
 class TestEntry:
@@ -469,6 +541,24 @@ class TestAsciiFormat:
             parse_ascii("1: 1 2\n")
         with pytest.raises(ValueError):
             parse_ascii("1: 1 2\n0: 1 1\nnot an index\n")
+
+    @given(printed_windows())
+    @example((BottSumTable(2, []), -14, -3))
+    @example((pushforward_table((10**9, 0, -10**9)), -1, 2))
+    @example((LiteralTable(1, -12, -10, [[0, 7, 0], [0, 123, 0]]), -12, -10))
+    # the largest entry JSON writes as an integer, and the least it writes as a string
+    @example((LiteralTable(1, 0, 1, [[2**63 - 1, 0], [2**63, 1]]), 0, 1))
+    def test_writers_match_the_cell_by_cell_oracles(self, case):
+        t, lo, hi = case
+        assert render_ascii(t, lo, hi) == render_ascii_by_cells(t, lo, hi)
+        assert json.dumps(table_to_json(t, lo, hi)) == json.dumps(json_by_cells(t, lo, hi))
+
+    def test_writers_refuse_a_fractional_entry_alike(self):
+        t = BottSumTable(2, [(Fraction(1, 2), gp(1, 0))])
+        assert t.entry(2, -4) == Fraction(3, 2)
+        for write in (render_ascii, table_to_json):
+            with pytest.raises(ValueError, match=r"^non-integral entry 3/2 at \(i=2, col=-2\)$"):
+                write(t, -3, 1)
 
     def test_parse_tolerates_trailing_period(self):
         t = parse_ascii("1: 1 .\n0: . 1\n   0 1.\n")
