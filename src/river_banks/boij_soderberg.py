@@ -7,11 +7,20 @@ label compatible with the residual's regularity profile, extracts the largest
 coefficient keeping the residual entrywise nonnegative on a certified window,
 and repeats.  Honest chain sums are recovered exactly; inputs outside that
 scope fail loudly instead of being approximated.
+
+The arithmetic is fraction-free, in the manner of Bareiss elimination: the
+residual is an integer grid R over one common denominator D.  A step takes
+the least ratio a / b of a residual cell to its pivot cell by
+cross-multiplying, records the coefficient a / (b * D), sets R to
+b * R - a * pivot and D to b * D, and divides out gcd(D, R), so that D stays
+the residual's least denominator and the integers do not grow.  Only the
+coefficients are ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from river_banks.partitions import GenPartition, leq
@@ -64,6 +73,10 @@ def decompose(t: CohomologyTable) -> Decomposition:
     a twist polynomial the recomposed polynomial must match it exactly, which
     certifies the tails beyond the window.  P^0 is refused, and a window whose
     cells do not certify a positive reg(0) raises ``UndecidableError``.
+
+    The residual is an integer grid over one denominator, the lcm of the
+    input cells' denominators, and each step divides out the gcd of the
+    denominator and the cells (module docstring).
     """
     n = t.n
     if n < 1:
@@ -84,7 +97,11 @@ def decompose(t: CohomologyTable) -> Decomposition:
 
     maxpart = max(-coreg0 - 1, 0)
     lo, hi = -maxpart - n - 2, maxpart + n + 2
-    grid = [[Fraction(v) for v in row] for row in _cells(t, lo, hi)]
+    # the residual is grid / den: integer cells over one common denominator
+    grid, den = _cells(t, lo, hi), 1
+    if any(type(v) is Fraction for row in grid for v in row):
+        den = lcm(*(v.denominator for row in grid for v in row))
+        grid = [[v.numerator * (den // v.denominator) for v in row] for row in grid]
 
     terms = []
     prev = None
@@ -96,18 +113,27 @@ def decompose(t: CohomologyTable) -> Decomposition:
             raise NotDecomposableWithinScope(
                 f"chain order violated: {prev} vs {lam}", _partial(terms))
         pivot = _cells(homogeneous_table(lam), lo, hi)
-        ratios = [grid[i][x] / pv
-                  for i, prow in enumerate(pivot)
-                  for x, pv in enumerate(prow) if pv]
-        coeff = min(ratios)
-        if coeff <= 0:
+        # the least ratio a / b of a residual cell to its pivot cell (b > 0)
+        a = b = None
+        for row, prow in zip(grid, pivot):
+            for v, pv in zip(row, prow):
+                if pv and (b is None or v * b < a * pv):
+                    a, b = v, pv
+        if a <= 0:
             raise NotDecomposableWithinScope(
                 f"greedy coefficient for {lam} is zero", _partial(terms))
-        for i in range(n + 1):
-            for x, pv in enumerate(pivot[i]):
-                if pv:
-                    grid[i][x] -= coeff * pv
-        terms.append((coeff, lam))
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        # grid / den - a / (b * den) * pivot = (b * grid - a * pivot) / (b * den)
+        grid = [[b * v - a * pv for v, pv in zip(row, prow)]
+                for row, prow in zip(grid, pivot)]
+        terms.append((Fraction(a, b * den), lam))
+        den *= b
+        if den > 1:
+            g = gcd(den, *(v for row in grid for v in row))
+            if g > 1:
+                den //= g
+                grid = [[v // g for v in row] for row in grid]
         prev = lam
     else:
         raise NotDecomposableWithinScope(

@@ -7,7 +7,8 @@ nonzero, and this module computes the kernel dimension exactly.
 
 The arithmetic stays in integers wherever the input allows.  A ``TwoForm``
 keeps each integral coefficient as an ``int`` and only a genuinely rational
-one as a ``Fraction``.  Of the 100 products of a basis 2-form with a basis
+one as a ``Fraction``, by the exact-number rule ``ratpoly._coeff``, which
+refuses a float or a bool.  Of the 100 products of a basis 2-form with a basis
 2-form, the 30 with four distinct indices are nonzero; ``_WEDGE`` lists them
 once, at import, as (column, coefficient index, 4-form row, sign), so that
 ``wedge_matrix`` is one multiply-add per table row and block.  ``rank``
@@ -17,11 +18,10 @@ scales each row by the lcm of its denominators and runs fraction-free
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from river_banks.ratpoly import _exact
+from river_banks.ratpoly import _coeff
 
 DIM = 5
 BASIS2 = tuple(combinations(range(1, DIM + 1), 2))
@@ -41,11 +41,6 @@ def _wedge_table():
 
 
 _WEDGE = _wedge_table()
-
-
-def _coeff(c):
-    """An exact coefficient: an int when integral, a Fraction otherwise."""
-    return c if type(c) is int else _exact(Fraction(c))
 
 
 class TwoForm:
@@ -82,7 +77,7 @@ class TwoForm:
         for (i, j), c in pairs:
             if not (1 <= i < j <= DIM):
                 raise ValueError(f"bad monomial index ({i}, {j})")
-            vals[BASIS2.index((i, j))] += Fraction(c)
+            vals[BASIS2.index((i, j))] += _coeff(c)
         return cls(vals)
 
     def to_pairs(self):
@@ -97,7 +92,7 @@ class TwoForm:
         return TwoForm(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __rmul__(self, scalar):
-        return TwoForm(Fraction(scalar) * c for c in self.coeffs)
+        return TwoForm(_coeff(scalar) * c for c in self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, TwoForm) and self.coeffs == other.coeffs

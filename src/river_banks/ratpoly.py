@@ -1,4 +1,5 @@
-"""Dense univariate polynomials with exact rational coefficients, and the integer rule."""
+"""Dense univariate polynomials with exact rational coefficients, the integer rule
+read from text and the exact-number rule for coefficients and multiplicities."""
 
 from __future__ import annotations
 
@@ -25,6 +26,18 @@ def _exact(v):
     if type(v) is Fraction and v.denominator == 1:
         return int(v)
     return v
+
+
+def _coeff(c):
+    """An exact number: an int passes through, anything else becomes an ``_exact`` Fraction.
+
+    A float or a bool is refused rather than read at its binary value.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, (float, bool)):
+        raise TypeError(f"expected an exact number, got {c!r}")
+    return _exact(Fraction(c))
 
 
 class RatPoly:
@@ -68,10 +81,16 @@ class RatPoly:
         return "RatPoly(" + " + ".join(terms) + ")"
 
 
-def _from_roots(roots, lead=1) -> RatPoly:
-    """``lead * prod(x - r for r in roots)``, multiplied out in integers first."""
+def _expand(roots) -> list:
+    """The integer coefficients of ``prod(x - r for r in roots)``, constant term first."""
     coeffs = [1]
     for r in roots:
         coeffs = [below - r * c for below, c in zip([0, *coeffs], [*coeffs, 0])]
-    return RatPoly(c * lead for c in coeffs)
+    return coeffs
+
+
+def _from_roots(roots, lead=1) -> RatPoly:
+    """``lead * prod(x - r for r in roots)``, the integer expansion ``_expand`` scaled
+    by ``lead`` (``CohomologyTable.hilbert_polynomial`` sums the expansions in integers)."""
+    return RatPoly(c * lead for c in _expand(roots))
 

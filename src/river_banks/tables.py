@@ -43,8 +43,11 @@ p/q * |prod(d - r)|, in row #{r > d}.  A label is one piece
 positive multiplicities.  The whole regularity profile, every k at once
 (``_profile()``, by ``_roots_profile``), ``hilbert_polynomial``,
 ``is_natural`` and ``is_supernatural`` are derived from the pieces once,
-for every backend.  A windowed table (a literal window, or a direct sum
-with one) gives instead its ``window``: the display columns (lo, hi) where
+for every backend.  The twist polynomial is summed in integers over one
+denominator, the lcm of the pieces' q, from each piece's integer expansion
+of prod(x - r) (``ratpoly._expand``, which ``bott.chi_polynomial`` reads
+through ``_from_roots``).  A windowed table (a literal window, or a direct
+sum with one) gives instead its ``window``: the display columns (lo, hi) where
 every cell is defined, for a sum the intersection of its windowed
 summands' windows (empty, lo > hi, when they are disjoint); a generator
 table's ``window`` is None.  A literal window sweeps its cells for its profile
@@ -63,11 +66,12 @@ import reprlib
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import NamedTuple
 
 from river_banks.bott import _roots, bott_cohomology
 from river_banks.partitions import GenPartition
-from river_banks.ratpoly import RatPoly, _exact, _from_roots, _int
+from river_banks.ratpoly import RatPoly, _coeff, _exact, _expand, _int
 
 #: Explicit index values for vacuous regularity conditions (never sentinels).
 NEG_INFINITY = float("-inf")
@@ -161,12 +165,22 @@ class CohomologyTable:
         return SumTable(((1, self), (1, other)))
 
     def hilbert_polynomial(self) -> RatPoly:
-        """The twist polynomial, the sum of p/q * prod(d - r) over the pieces."""
+        """The twist polynomial, the sum of p/q * prod(d - r) over the pieces.
+
+        With Q the lcm of the q, the integer sum of p * (Q / q) * prod(d - r)
+        is divided by Q once, at the end.
+        """
         if self.window is not None:
             raise InsufficientDataError(
                 "a finite window does not determine the twist polynomial")
-        return sum((_from_roots(roots, Fraction(p, q)) for p, q, roots in self._pieces()),
-                   RatPoly())
+        pieces = self._pieces()
+        den = lcm(*(q for _, q, _ in pieces))
+        total = [0] * (self.n + 1)
+        for p, q, roots in pieces:
+            scale = p * (den // q)
+            for k, c in enumerate(_expand(roots)):
+                total[k] += c * scale
+        return RatPoly(Fraction(c, den) for c in total)
 
 
 class BottSumTable(CohomologyTable):
@@ -183,7 +197,7 @@ class BottSumTable(CohomologyTable):
                 lam = GenPartition(lam)
             if lam.n != n:
                 raise ValueError(f"label {lam} has length {lam.n}, expected {n}")
-            mult = _exact(Fraction(mult))
+            mult = _coeff(mult)
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult} for {lam}")
             if mult:

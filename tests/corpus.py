@@ -13,7 +13,10 @@ the wedge oracle builds the paired wedge matrix from products signed by
 sorting their indices, independent of the precomputed wedge table; the
 cell oracles read a row, an ASCII render or a JSON window one ``entry`` at
 a time and format it one cell at a time, independent of the row reads and
-the whole-row writers.
+the whole-row writers; the fraction oracle runs the greedy decomposition
+on a ``Fraction`` residual, independent of the integer residual over one
+denominator, and the piece oracle sums a twist polynomial one ``RatPoly``
+per piece, independent of the integer sum over one denominator.
 """
 
 from __future__ import annotations
@@ -24,10 +27,30 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from river_banks.boij_soderberg import (
+    MAX_TERMS,
+    Decomposition,
+    NotDecomposableWithinScope,
+    NotZeroRegularError,
+    _partial,
+    _pivot_label,
+)
 from river_banks.bott import BottCohomology
 from river_banks.kunneth import KunnethTable
-from river_banks.partitions import GenPartition, schur_dim, straighten
-from river_banks.tables import BottSumTable, LiteralTable, SumTable, WindowExceededError
+from river_banks.partitions import GenPartition, leq, schur_dim, straighten
+from river_banks.ratpoly import RatPoly, _from_roots
+from river_banks.tables import (
+    NEG_INFINITY,
+    POS_INFINITY,
+    BottSumTable,
+    LiteralTable,
+    SumTable,
+    UndecidableError,
+    WindowExceededError,
+    _cells,
+    homogeneous_table,
+    regularity_profile,
+)
 
 
 def random_partition(rng, n, lo=0, hi=4):
@@ -349,3 +372,91 @@ def json_by_cells(t, lo, hi):
     rows = [[v if v < 2**63 else str(v) for v in row_by_cells(t, i, lo, hi)]
             for i in range(t.n, -1, -1)]
     return {"n": t.n, "window": [lo, hi], "rows": rows}
+
+
+def hilbert_by_pieces(t):
+    """The twist polynomial of a generator table, summed one ``RatPoly`` per piece."""
+    return sum((_from_roots(roots, Fraction(p, q)) for p, q, roots in t._pieces()),
+               RatPoly())
+
+
+def decompose_by_fractions(t):
+    """The greedy chain decomposition with a ``Fraction`` residual, cell by cell.
+
+    The loop as it stood before the residual became an integer grid over one
+    denominator: each cell is a ``Fraction``, each ratio a division and each
+    step a ``Fraction`` product per pivot cell.
+    """
+    n = t.n
+    if n < 1:
+        raise ValueError("the decomposition needs ambient dimension at least 1")
+    prof = regularity_profile(t)
+    reg0, coreg0 = prof.reg[0], prof.coreg[0]
+    if reg0 == NEG_INFINITY and coreg0 == POS_INFINITY:
+        return Decomposition((), True, True)
+    if reg0 > 0:
+        if prof.reg_window_limited[0]:
+            # a nonzero cell of rows 1..n just left of reg(0), inside the window
+            lo, hi = t.window
+            if not (lo <= reg0 - 1 <= hi
+                    and any(t.entry(j, reg0 - 1 - j) for j in range(1, n + 1))):
+                raise UndecidableError(
+                    "no visible cell certifies a positive regularity index at k=0")
+        raise NotZeroRegularError(f"regularity index at k=0 is {reg0} > 0")
+
+    maxpart = max(-coreg0 - 1, 0)
+    lo, hi = -maxpart - n - 2, maxpart + n + 2
+    grid = [[Fraction(v) for v in row] for row in _cells(t, lo, hi)]
+
+    terms = []
+    prev = None
+    for _ in range(MAX_TERMS):
+        if not any(any(row) for row in grid):
+            break
+        lam = _pivot_label(grid, lo, hi, terms)
+        if prev is not None and not leq(prev, lam):
+            raise NotDecomposableWithinScope(
+                f"chain order violated: {prev} vs {lam}", _partial(terms))
+        pivot = _cells(homogeneous_table(lam), lo, hi)
+        ratios = [grid[i][x] / pv
+                  for i, prow in enumerate(pivot)
+                  for x, pv in enumerate(prow) if pv]
+        coeff = min(ratios)
+        if coeff <= 0:
+            raise NotDecomposableWithinScope(
+                f"greedy coefficient for {lam} is zero", _partial(terms))
+        for i in range(n + 1):
+            for x, pv in enumerate(pivot[i]):
+                if pv:
+                    grid[i][x] -= coeff * pv
+        terms.append((coeff, lam))
+        prev = lam
+    else:
+        raise NotDecomposableWithinScope(
+            f"residual nonzero after {MAX_TERMS} terms", _partial(terms))
+
+    if t.window is None:
+        if BottSumTable(n, terms).hilbert_polynomial() != t.hilbert_polynomial():
+            raise NotDecomposableWithinScope(
+                "twist polynomial of the recomposition differs from the input",
+                _partial(terms))
+    return Decomposition(tuple(terms), True, True)
+
+
+def decomposition_outcome(run, t):
+    """What ``run(t)`` gives, comparable across implementations.
+
+    A decomposition as its terms, with each coefficient's type, and its
+    flags; a ``NotDecomposableWithinScope`` as its reason and partial
+    decomposition, the same way; any other error as its type and message.
+    """
+    def terms(dec):
+        return ([(type(c), c, lam) for c, lam in dec.terms],
+                dec.residual_zero, dec.chain_certified)
+
+    try:
+        return ("ok", terms(run(t)))
+    except NotDecomposableWithinScope as exc:
+        return ("partial", exc.reason, terms(exc.partial))
+    except (ValueError, LookupError, UndecidableError) as exc:
+        return (type(exc), str(exc))

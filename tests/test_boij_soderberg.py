@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from river_banks.boij_soderberg import (
     NotZeroRegularError,
@@ -15,10 +15,13 @@ from river_banks.tables import (
     BottSumTable,
     LiteralTable,
     UndecidableError,
+    _cells,
     homogeneous_table,
     parse_ascii,
     structure_sheaf_table,
 )
+
+from corpus import decompose_by_fractions, decomposition_outcome
 
 
 def gp(*parts):
@@ -52,6 +55,51 @@ def planted_chains(draw):
         bump[0] = 1
         chain.append([p + b for p, b in zip(chain[-1], bump)])
     return BottSumTable(n, [(draw(st.integers(1, 5)), lam) for lam in chain])
+
+
+#: multiplicities for planted sums: integers and the rationals 1/2, 2/3, 5/7
+MULTIPLICITIES = (1, 2, 3, 5, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7))
+
+
+@st.composite
+def decomposition_inputs(draw):
+    """A table on P^1..P^5 for the greedy: a planted chain, a non-chain sum or a window.
+
+    Planted chains and non-chain sums carry rational multiplicities; a
+    non-chain sum has labels in any order, some with a negative part, so it
+    may stop being zero-regular or need a finer chain.  A literal window is
+    cut from an integral chain over columns that cover the decomposition's
+    window (wide) or leave it (narrow); a perturbed window changes a few
+    nonzero cells of a wide window, so that the greedy often fails part way.
+    """
+    n = draw(st.integers(1, 5))
+    mult = st.sampled_from(MULTIPLICITIES)
+    kind = draw(st.sampled_from(("chain", "non-chain", "narrow", "wide", "perturbed")))
+    if kind == "non-chain":
+        label = st.lists(st.integers(-1, 3), min_size=n, max_size=n).map(
+            lambda p: sorted(p, reverse=True))
+        return BottSumTable(n, draw(st.lists(st.tuples(mult, label), min_size=1, max_size=3)))
+    lam = sorted(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), reverse=True)
+    chain = [lam]
+    for _ in range(draw(st.integers(0, 3))):
+        bump = sorted(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), reverse=True)
+        bump[0] = 1
+        chain.append([p + b for p, b in zip(chain[-1], bump)])
+    if kind == "chain":
+        return BottSumTable(n, [(draw(mult), lam) for lam in chain])
+    t = BottSumTable(n, [(draw(st.integers(1, 5)), lam) for lam in chain])
+    # the decomposition's window reaches this far on either side
+    reach = chain[-1][0] + n + 2
+    if kind == "narrow":
+        lo, hi = draw(st.integers(-reach, 0)), draw(st.integers(0, reach))
+    else:
+        lo, hi = draw(st.integers(-reach - 3, -reach)), draw(st.integers(reach, reach + 3))
+    rows = _cells(t, lo, hi)
+    if kind == "perturbed":
+        support = [(i, x) for i, row in enumerate(rows) for x, v in enumerate(row) if v]
+        for i, x in draw(st.lists(st.sampled_from(support), min_size=1, max_size=3)):
+            rows[i][x] = max(rows[i][x] + draw(st.sampled_from((-2, -1, 1, 2))), 0)
+    return LiteralTable(n, lo, hi, rows)
 
 
 class TestDecompose:
@@ -162,6 +210,19 @@ class TestRoundTrip:
     @given(planted_chains())
     def test_recompose_gives_back_the_planted_terms(self, t):
         assert recompose(decompose(t), t.n).terms == t.terms
+
+    @given(decomposition_inputs())
+    @settings(deadline=None, max_examples=300)
+    # a non-chain sum the greedy resolves through a finer chain
+    @example(BottSumTable(2, [(Fraction(1, 2), (2, 0)), (Fraction(2, 3), (1, 1))]))
+    # a window with no cell to certify its positive reg(0)
+    @example(parse_ascii("1: . .\n0: 1 1\n   3 4\n"))
+    # a window that leaves the decomposition's window on the right
+    @example(LiteralTable(2, -6, 3, _cells(BottSumTable(2, [(2, (0, 0)), (3, (1, 0))]),
+                                           -6, 3)))
+    def test_the_integer_residual_matches_the_fraction_oracle(self, t):
+        assert decomposition_outcome(decompose, t) == decomposition_outcome(
+            decompose_by_fractions, t)
 
     def test_recompose_empty(self):
         t = recompose(decompose(BottSumTable(3, [])), 3)

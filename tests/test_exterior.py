@@ -45,6 +45,23 @@ class TestTwoForm:
         eta = TwoForm.monomial(1, 2) + TwoForm.monomial(3, 4)
         assert (2 * eta).to_pairs() == [((1, 2), "2"), ((3, 4), "2")]
 
+    def test_coefficients_follow_the_exact_number_rule(self):
+        big = 10**30
+        eta = TwoForm([big, Fraction(6, 3), Fraction(1, 2), "3/4", "-2", 0, 0, 0, 0, 0])
+        assert eta.coeffs[:5] == (big, 2, Fraction(1, 2), Fraction(3, 4), -2)
+        assert eta.coeffs[0] is big
+        assert [type(c) for c in eta.coeffs[:5]] == [int, int, Fraction, Fraction, int]
+        assert type((2 * eta).coeffs[1]) is int
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+    def test_a_float_or_bool_coefficient_is_refused(self, bad):
+        with pytest.raises(TypeError, match="exact number"):
+            TwoForm([bad] + [0] * 9)
+        with pytest.raises(TypeError, match="exact number"):
+            TwoForm.from_pairs([((1, 2), bad)])
+        with pytest.raises(TypeError, match="exact number"):
+            bad * TwoForm.monomial(1, 2)
+
 
 class TestWedgeMatrix:
     def test_zero_pair(self):

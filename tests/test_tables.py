@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from river_banks import golden
 from river_banks.boij_soderberg import Decomposition, NotZeroRegularError, decompose, recompose
-from river_banks.bott import bott_cohomology
+from river_banks.bott import bott_cohomology, chi_polynomial
 from river_banks.expr import table_from_expr
 from river_banks.kunneth import pushforward_table
 from river_banks.partitions import GenPartition
@@ -41,6 +41,7 @@ from corpus import (
     bundle_exprs,
     certified_range,
     coreg_condition_holds,
+    hilbert_by_pieces,
     json_by_cells,
     outcome,
     random_bott_sum,
@@ -184,6 +185,32 @@ def brute_profile(t):
 
 
 @st.composite
+def polynomial_tables(draw):
+    """A generator table on P^1..P^5, maybe a direct sum, twisted and dualized.
+
+    Bott sums and direct sums carry rational multiplicities, and a
+    pushforward's degrees reach +-10^9.
+    """
+    n = draw(st.integers(1, 5))
+    mult = st.sampled_from((1, 2, 7, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)))
+    label = st.lists(st.integers(-3, 5), min_size=n, max_size=n).map(
+        lambda p: GenPartition(sorted(p, reverse=True)))
+    degree = st.one_of(st.integers(-5, 5),
+                       st.sampled_from((-10**9, -10**9 + 1, 10**9 - 1, 10**9)))
+    base = st.one_of(
+        st.lists(st.tuples(mult, label), max_size=4).map(lambda ts: BottSumTable(n, ts)),
+        st.lists(degree, min_size=n, max_size=n).map(pushforward_table),
+        generator_tables(n, depth=1))
+    t = draw(st.one_of(base, st.lists(st.tuples(mult, base), min_size=1, max_size=3)
+                       .map(SumTable)))
+    if draw(st.booleans()):
+        t = t.twist(draw(st.sampled_from((-10**9, -3, 1, 4, 10**9))))
+    if draw(st.booleans()):
+        t = t.dual()
+    return t
+
+
+@st.composite
 def mixed_sums(draw, n=None):
     """A direct sum of 10*push(...), S[...] and literal summands in some order.
 
@@ -291,6 +318,18 @@ class TestExact:
     def test_a_proper_fraction_stays_a_fraction(self):
         v = _exact(Fraction(1, 2))
         assert v == Fraction(1, 2) and type(v) is Fraction
+
+    def test_a_multiplicity_follows_the_exact_number_rule(self):
+        big = 10**30
+        t = BottSumTable(1, [(big, gp(0)), (Fraction(6, 3), gp(1)), ("1/2", gp(2)),
+                             (Fraction(2, 3), gp(3))])
+        assert [m for m, _ in t.terms] == [big, 2, Fraction(1, 2), Fraction(2, 3)]
+        assert [type(m) for m, _ in t.terms] == [int, int, Fraction, Fraction]
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+    def test_a_float_or_bool_multiplicity_is_refused(self, bad):
+        with pytest.raises(TypeError, match="exact number"):
+            BottSumTable(1, [(bad, gp(0))])
 
     def test_rational_recomposition_keeps_its_cells(self):
         # the integral cells come back as ints, the others as Fractions
@@ -782,6 +821,20 @@ class TestHilbertPolynomial:
                 assert t.twist(2).hilbert_polynomial()(d) == chi(d + 2)
                 alt = sum((-1) ** i * t.entry(i, d) for i in range(n + 1))
                 assert chi(d) == alt
+
+    @given(polynomial_tables())
+    # the empty sum, whose polynomial is zero
+    @example(BottSumTable(3, []))
+    @example(SumTable([(Fraction(1, 2), pushforward_table([10**9, -10**9])),
+                       (Fraction(2, 3), homogeneous_table(gp(2, -1)))]))
+    def test_the_integer_sum_matches_the_per_piece_oracle(self, t):
+        assert t.hilbert_polynomial() == hilbert_by_pieces(t)
+
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.integers(-4, 6), min_size=n, max_size=n)))
+    def test_chi_polynomial_is_the_homogeneous_twist_polynomial(self, parts):
+        lam = GenPartition(sorted(parts, reverse=True))
+        assert chi_polynomial(lam.n, lam) == homogeneous_table(lam).hilbert_polynomial()
 
     def test_literal_raises(self):
         from river_banks.tables import InsufficientDataError
