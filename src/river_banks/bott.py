@@ -34,8 +34,8 @@ labels on P^7 over 200 columns, 1090 for O(0) on P^100 over 990 columns.
 A larger memo only keeps twists that do not come back.
 
 ``bott_cohomology`` is called once per label and cell: a row of a
-homogeneous sum (``tables.BottSumTable``, which keeps the per-cell row of
-``tables.CohomologyTable._row``) makes one call per term per cell, and the
+homogeneous sum (``tables.BottSumTable._row``, the one backend that reads
+its rows cell by cell) makes one call per term per cell, and the
 benchmark's tracer test pins that shape (28 calls for a one-label render of
 7 columns on P^3).  Reading such a row at once waits for that test to
 change; until then a cheaper cell comes from a cheaper call.

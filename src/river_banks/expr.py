@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 
-from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
 from river_banks.ratpoly import _INT
 from river_banks.tables import (
@@ -178,6 +177,9 @@ class _Parser:
             self.take(")")
             return None, lambda n: structure_sheaf_table(n, t)
         if v == "push":
+            # imported here: an expression without push(...) never loads kunneth
+            from river_banks.kunneth import KunnethTable
+
             a = self.int_list(")")
             return len(a), lambda n: KunnethTable(a)
         dim, build = self.sum()

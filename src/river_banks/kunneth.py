@@ -8,11 +8,9 @@ cohomology factors over the line factors, so every entry is a short product
 formula, nonzero in at most one row per twist.  The table keeps a sorted
 copy of its multidegree, so a row is one interval of twists, between two
 consecutive sorted entries, with one product per twist in it and zeros
-elsewhere (``KunnethTable._row``, which grids read).  A cell read alone
-costs one bisect for the row that can be nonzero and, on that row alone,
-one product (``KunnethTable._entry``, which sums and ``beilinson_terms``
-read); ``product_line_cohomology`` states the same formula for one
-multidegree.
+elsewhere (``KunnethTable._row``, the table's one value rule: a cell is a
+one-column row); ``product_line_cohomology`` states the same formula for
+one multidegree.
 
 Pushforwards are closed under twists and duals.  Twisting by s adds s to
 every a_j.  The dual of the pushforward of O(a) is the pushforward of O(-a)
@@ -29,7 +27,6 @@ polynomial come off those roots as for every generator table
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import prod
 
 from river_banks.tables import CohomologyTable
@@ -59,13 +56,6 @@ class KunnethTable(CohomologyTable):
         self.a = a
         self.n = len(a)
         self._sorted_a = tuple(sorted(a))
-
-    def _entry(self, i, d):
-        # twist d can only be nonzero in row #{j : a_j + d <= -2}; a zero
-        # twist d = -a_j - 1 has a zero factor in the product
-        if i != bisect_right(self._sorted_a, -2 - d):
-            return 0
-        return prod(abs(aj + d + 1) for aj in self.a)
 
     def _row(self, i, lo, hi):
         # twist d sits in row #{j : a_j <= -2 - d}, so row i holds the twists

@@ -4,7 +4,7 @@ A table knows its ambient projective dimension n and answers ``entry(i, d)``
 -- the dimension of the i-th cohomology group of the d-th twist -- exactly.
 There are three backends: sums of homogeneous-bundle tables, pushforward
 tables (``kunneth.KunnethTable``) and literal windows, plus ``SumTable`` for
-direct sums of mixed backends.  Each backend is closed under Serre duality
+direct sums of the first two.  Each backend is closed under Serre duality
 (``entry(i, d)`` of the dual is ``entry(n - i, -d - n - 1)``) and under
 twists (``entry(i, d)`` of ``twist(s)`` is ``entry(i, d + s)``): ``dual()``
 and ``twist(s)`` return a table of the same class, so no wrapper tables
@@ -25,13 +25,14 @@ antidiagonal ``{(j, m - j)}`` that the regularity indices quantify over:
 
 A grid (a render, a profile sweep, a decomposition window) is read by
 ``_cells`` a row at a time, through ``_row(i, lo, hi)``: row i over display
-columns lo..hi.  A pushforward's row is one interval of twists and a
-literal window's a slice of its stored row; their ``entry`` keeps its
-per-cell rule, as cheap as before for the callers that read one cell (a
-direct sum's row, ``beilinson_terms``).  A homogeneous sum and a direct sum
-keep the base class's row, read cell by cell through ``entry``.
-The two writers share one pass over the rows (``_printed_rows``), which
-refuses a fractional entry, since neither file format can hold one.
+columns lo..hi.  Each backend states its values once: a pushforward's
+row is one interval of twists, a literal window's a slice of its stored
+row and a direct sum's the weighted sum of its summands' rows, and a cell
+read alone (``entry``, as in ``beilinson_terms``) is a one-column row.
+Only a homogeneous sum reads its row cell by cell, through ``entry``
+(``BottSumTable._row`` says why).  The two writers share one pass over
+the rows (``_printed_rows``), which refuses a fractional entry, since
+neither file format can hold one.
 
 Every derived query asks a table one of two questions.  A generator table
 lists its natural pieces through ``_pieces()``, as (p, q, increasing
@@ -46,18 +47,16 @@ positive multiplicities.  The whole regularity profile, every k at once
 for every backend.  The twist polynomial is summed in integers over one
 denominator, the lcm of the pieces' q, from each piece's integer expansion
 of prod(x - r) (``ratpoly._expand``, which ``bott.chi_polynomial`` reads
-through ``_from_roots``).  A windowed table (a literal window, or a direct
-sum with one) gives instead its ``window``: the display columns (lo, hi) where
-every cell is defined, for a sum the intersection of its windowed
-summands' windows (empty, lo > hi, when they are disjoint); a generator
-table's ``window`` is None.  A literal window sweeps its cells for its profile
+through ``_from_roots``).  A windowed table, which is a literal window
+(a direct sum holds generator tables only), gives instead its ``window``:
+the display columns (lo, hi) it defines; a generator table's ``window`` is
+None.  A literal window sweeps its cells for its profile
 (``_grid_profile``): each display column keeps its top and bottom nonzero
 rows, the two banks of the river, and an answer that touches the end of
 the window carries a ``window_limited`` flag instead of being silently
-extrapolated.  A direct sum combines its summands' profiles.  A window
-sweeps its cells for ``is_natural`` too, but determines neither the twist
-polynomial (``InsufficientDataError``) nor supernaturality
-(``UndecidableError``).
+extrapolated.  A window sweeps its cells for ``is_natural`` too, but
+determines neither the twist polynomial (``InsufficientDataError``) nor
+supernaturality (``UndecidableError``).
 """
 
 from __future__ import annotations
@@ -113,20 +112,11 @@ class CohomologyTable:
         return self._entry(i, d)
 
     def _entry(self, i, d):
-        raise NotImplementedError
+        return self._row(i, i + d, i + d)[0]
 
     def _row(self, i: int, lo: int, hi: int) -> list:
-        """Row i (0 <= i <= n) over display columns lo..hi, read cell by cell.
-
-        ``BottSumTable`` keeps this per-cell read because the benchmark's
-        tracer test pins one ``entry`` and one ``bott_cohomology`` call per
-        cell of a one-label render; ROADMAP item 2 replaces it by polynomial
-        rows once that pin changes (item 1).  ``SumTable`` keeps it too: read
-        cell by cell, a row past the sum's window raises the
-        ``WindowExceededError`` of its first column out of range, from the
-        first summand, in term order, that refuses it.
-        """
-        return [self.entry(i, c - i) for c in range(lo, hi + 1)]
+        """Row i (0 <= i <= n) over display columns lo..hi, the backend's value rule."""
+        raise NotImplementedError
 
     # --- regularity / coregularity ------------------------------------
 
@@ -214,6 +204,16 @@ class BottSumTable(CohomologyTable):
                 total += mult * hit.dim
         return _exact(total)
 
+    def _row(self, i, lo, hi):
+        """Row i over display columns lo..hi, read cell by cell through ``entry``.
+
+        The benchmark's tracer test pins one ``entry`` and one
+        ``bott_cohomology`` call per cell of a one-label render (28 each for
+        7 columns on P^3), so this row keeps that shape until the pin
+        changes; reading it off ``_pieces()`` at once waits for that.
+        """
+        return [self.entry(i, c - i) for c in range(lo, hi + 1)]
+
     def dual(self):
         return BottSumTable(self.n, [(m, GenPartition(-p for p in reversed(lam.parts)))
                                      for m, lam in self.terms])
@@ -244,10 +244,16 @@ def structure_sheaf_table(n: int, t: int = 0) -> BottSumTable:
 
 
 class SumTable(CohomologyTable):
-    """Entrywise direct sum of ``(multiplicity, table)`` terms on one ambient space."""
+    """Entrywise direct sum of ``(multiplicity, table)`` terms on one ambient space.
+
+    The summands are generator tables, defined at every twist; a literal
+    window is refused, since a sum's cells would be defined only where every
+    window is.  Multiplicities follow the exact-number rule of
+    ``BottSumTable`` and must be positive.
+    """
 
     def __init__(self, terms):
-        terms = tuple(terms)
+        terms = tuple((_coeff(m), t) for m, t in terms)
         if not terms:
             raise ValueError("empty sum; use an empty BottSumTable for the zero table")
         n = terms[0][1].n
@@ -255,25 +261,16 @@ class SumTable(CohomologyTable):
             raise ValueError("summands live on different projective spaces")
         if any(m <= 0 for m, _ in terms):
             raise ValueError(f"non-positive multiplicity in {[m for m, _ in terms]}")
+        window = next((t.window for _, t in terms if t.window is not None), None)
+        if window is not None:
+            raise ValueError("a direct sum holds generator tables only, "
+                             f"got a summand with the window {window[0]}..{window[1]}")
         self.n = n
         self.terms = terms
-        # the columns where every cell of the sum is defined
-        windows = [t.window for _, t in terms if t.window is not None]
-        if windows:
-            self.window = (max(lo for lo, _ in windows), min(hi for _, hi in windows))
 
-    def _entry(self, i, d):
-        return _exact(sum(m * t.entry(i, d) for m, t in self.terms))
-
-    def _profile(self):
-        profiles = [t._profile() for _, t in self.terms]
-
-        def combine(pick, field):
-            return tuple(map(pick, zip(*(getattr(p, field) for p in profiles))))
-
-        return RegularityProfile(combine(max, "reg"), combine(min, "coreg"),
-                                 combine(any, "reg_window_limited"),
-                                 combine(any, "coreg_window_limited"))
+    def _row(self, i, lo, hi):
+        rows = [(m, t._row(i, lo, hi)) for m, t in self.terms]
+        return [_exact(sum(m * row[x] for m, row in rows)) for x in range(hi - lo + 1)]
 
     def dual(self):
         return SumTable((m, t.dual()) for m, t in self.terms)
@@ -291,32 +288,36 @@ class LiteralTable(CohomologyTable):
 
     ``rows_by_i[i]`` holds row i left to right over display columns
     ``lo..hi``; entries are nonnegative integers, given as ints or as
-    strings of ASCII digits.
+    strings of ASCII digits (the cell rule of both file formats).  A bool,
+    a float, a Fraction or any other string is refused, not rounded.
     """
 
     def __init__(self, n, lo, hi, rows_by_i):
         if hi < lo:
             raise ValueError(f"empty window {lo}..{hi}")
-        rows = tuple(tuple(map(int, row)) for row in rows_by_i)
+        rows_by_i = tuple(rows_by_i)
         width = hi - lo + 1
-        if len(rows) != n + 1:
-            raise ValueError(f"expected {n + 1} rows, got {len(rows)}")
-        for i, row in enumerate(rows):
+        if len(rows_by_i) != n + 1:
+            raise ValueError(f"expected {n + 1} rows, got {len(rows_by_i)}")
+        rows = []
+        for i, row in enumerate(rows_by_i):
+            # the cell rule once a row, over the row's cells that are no int
+            text = [c for c in row if type(c) is not int]
+            if text and not _ascii_digits(text):
+                bad = next(c for c in text if not _ascii_digits([c]))
+                raise ValueError("a cell is an int or a string of ASCII digits, "
+                                 f"got {reprlib.repr(bad)} in row {i}")
+            row = tuple(map(int, row))
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
             if min(row, default=0) < 0:
                 raise ValueError(f"negative entry in row {i}")
+            rows.append(row)
         self.n = n
         self.lo = lo
         self.hi = hi
         self.window = (lo, hi)
-        self.rows_by_i = rows
-
-    def _entry(self, i, d):
-        c = i + d
-        if not self.lo <= c <= self.hi:
-            raise WindowExceededError(i, d, self.lo, self.hi)
-        return self.rows_by_i[i][c - self.lo]
+        self.rows_by_i = tuple(rows)
 
     def _row(self, i, lo, hi):
         if not self.lo <= lo <= hi <= self.hi:
@@ -331,6 +332,20 @@ class LiteralTable(CohomologyTable):
 
     def twist(self, s):
         return LiteralTable(self.n, self.lo - s, self.hi - s, self.rows_by_i)
+
+
+def _ascii_digits(cells):
+    """Whether every cell is a nonempty string of ASCII digits, tested in one join.
+
+    '٣' passes ``isdigit`` alone, so ``isascii`` goes with it; a bool, a
+    float or a Fraction fails the join, and an empty string, which would
+    vanish in it, is looked for on its own.
+    """
+    try:
+        digits = "".join(cells)
+    except TypeError:
+        return False
+    return "" not in cells and digits.isascii() and digits.isdigit()
 
 
 #: Refusals for hostile sizes, checked before any work: expressions on a
@@ -463,8 +478,6 @@ def is_natural(t: CohomologyTable) -> bool:
     """
     if t.window is not None:
         lo, hi = t.window
-        if hi < lo:
-            return True
         # cell (i, c) holds twist c - i; two nonzero cells of one twist clash
         twists = [c - i for i, row in enumerate(_cells(t, lo, hi))
                   for c, v in enumerate(row, lo) if v]
@@ -521,10 +534,11 @@ def render_ascii(t: CohomologyTable, lo: int, hi: int) -> str:
 def parse_ascii(text: str) -> LiteralTable:
     """Inverse of render_ascii up to whitespace width.
 
-    Each row starts with its label ``i:``, and each cell is ``.`` or ASCII
-    digits, the cell rule of the JSON format; the index numbers are read by
-    the grammar's INT rule.  The last token of the index line may carry a
-    single trailing period (tables copied from print sometimes end in one).
+    Each row starts with its label ``i:``, and each cell is ``.`` (a zero) or
+    ASCII digits, ``LiteralTable``'s cell rule, which refuses any other cell;
+    the index numbers are read by the grammar's INT rule.  The last token of
+    the index line may carry a single trailing period (tables copied from
+    print sometimes end in one).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
@@ -546,10 +560,6 @@ def parse_ascii(text: str) -> LiteralTable:
         label, *cells = line.split()
         if label != f"{i}:":
             raise ValueError(f"row {i} must start with the label '{i}:': {line!r}")
-        # one isascii and one isdigit a row: a non-ASCII digit passes isdigit
-        digits = "".join([c for c in cells if c != "."])
-        if digits and not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"a cell is '.' or ASCII digits, in row {i}: {line!r}")
         rows_by_i[i] = [0 if c == "." else c for c in cells]
     return LiteralTable(n, cols[0], cols[-1], rows_by_i)
 
@@ -586,8 +596,8 @@ def literal_from_json(obj: dict) -> LiteralTable:
 
     ``n`` (at least 0) and the window bounds must be JSON integers, and each
     cell a JSON integer or a string of ASCII digits, the form big entries
-    are written in and the cell rule of the ASCII format; booleans, floats
-    and other strings are refused rather than rounded.
+    are written in (``LiteralTable``'s cell rule, which refuses booleans,
+    floats and other strings rather than rounding them).
     """
     if not (isinstance(obj, dict) and obj.keys() >= {"n", "window", "rows"}):
         raise ValueError('a table is a JSON object with the keys "n", "window" and "rows", '
@@ -599,11 +609,4 @@ def literal_from_json(obj: dict) -> LiteralTable:
                          f"got {reprlib.repr(n)} and {reprlib.repr(window)}")
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError("rows must be a JSON list of lists")
-    return LiteralTable(n, *window, [[_json_cell(v) for v in row] for row in reversed(rows)])
-
-
-def _json_cell(v):
-    if type(v) is int or isinstance(v, str) and v.isascii() and v.isdigit():
-        return v
-    raise ValueError("a cell must be a JSON integer or a string of ASCII digits, "
-                     f"got {reprlib.repr(v)}")
+    return LiteralTable(n, *window, reversed(rows))

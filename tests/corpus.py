@@ -11,6 +11,9 @@ straightening; the straightening oracle reads a Bott twist off the
 dot-action straightening, independent of the root-sequence closed form;
 the wedge oracle builds the paired wedge matrix from products signed by
 sorting their indices, independent of the precomputed wedge table; the
+row oracle reads each cell off the subset-sum and straightening oracles,
+the stored rows of a literal window and the weighted sum of a direct sum's
+summands, never through a table's own rows, which ``entry`` reads too; the
 cell oracles read a row, an ASCII render or a JSON window one ``entry`` at
 a time and format it one cell at a time, independent of the row reads and
 the whole-row writers; the fraction oracle runs the greedy decomposition
@@ -310,6 +313,36 @@ def wedge_matrix_by_sorting(eta1, eta2):
                 if sign:
                     rows[block * len(basis4) + basis4.index(quad)][col] += sign * Fraction(coeff)
     return rows
+
+
+def cell_by_oracles(t, i, d):
+    """Cell (i, d) of ``t``, 0 <= i <= n, by the independent oracles.
+
+    A pushforward's cell is the subset sum of its twisted multidegree, a
+    homogeneous sum's the straightened Bott twists of its labels, a literal
+    window's its stored value (``WindowExceededError`` past the window) and
+    a direct sum's the multiplicity-weighted sum of its summands' cells; an
+    integral value is an int.
+    """
+    if isinstance(t, KunnethTable):
+        return subset_sum_cohomology([aj + d for aj in t.a], i)
+    if isinstance(t, LiteralTable):
+        lo, hi = t.window
+        if not lo <= i + d <= hi:
+            raise WindowExceededError(i, d, lo, hi)
+        return t.rows_by_i[i][i + d - lo]
+    if isinstance(t, BottSumTable):
+        hits = [(m, bott_by_straightening(t.n, lam.parts, d)) for m, lam in t.terms]
+        total = Fraction(sum(m * hit.dim for m, hit in hits
+                                if hit is not None and hit.degree == i))
+    else:
+        total = Fraction(sum(m * cell_by_oracles(u, i, d) for m, u in t.terms))
+    return total.numerator if total.denominator == 1 else total
+
+
+def row_by_oracles(t, i, lo, hi):
+    """Row i of ``t`` over display columns lo..hi, one ``cell_by_oracles`` per column."""
+    return [cell_by_oracles(t, i, c - i) for c in range(lo, hi + 1)]
 
 
 def row_by_cells(t, i, lo, hi):

@@ -47,17 +47,19 @@ EXPORTS = {
 }
 
 TABLES = {"tables", "bott", "partitions", "ratpoly"}
-EXPR = TABLES | {"expr", "kunneth"}
+EXPR = TABLES | {"expr"}
+# an expression loads kunneth only when it holds a push(...)
+PUSH = EXPR | {"kunneth"}
 
 # argv, exit code, and the river_banks.* modules besides the package and cli
 SUBCOMMANDS = [
-    (["table", "push(4,1,-1) on P3", "--window", "-4:3"], 0, EXPR),
+    (["table", "push(4,1,-1) on P3", "--window", "-4:3"], 0, PUSH),
     (["table", "S[2,1,0] on P3", "--window", "-8:2", "--format", "json"], 0, EXPR),
     (["indices", "S[1,0] on P2"], 0, EXPR),
     (["indices", str(GOLDEN / "push_4_1_m1.txt")], 0, TABLES),
     (["tensor", "S[1,0] on P2", "S[1,0] on P2"], 0, EXPR | {"bounds"}),
     (["check-bounds", "push(4,1,-1) on P3", "push(3,-1,-2) on P3",
-      str(GOLDEN / "tensor_f_g.txt")], 0, EXPR | {"bounds"}),
+      str(GOLDEN / "tensor_f_g.txt")], 0, PUSH | {"bounds"}),
     (["check-sharpness", "2,1,0", "1,1,0", "--n", "3"], 0, TABLES | {"bounds"}),
     (["decompose", "S[1,0] (+) O(0) on P2"], 0, EXPR | {"boij_soderberg"}),
     (["unobstructed", "O(0) on P3"], 0, EXPR | {"bounds"}),

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import reprlib
 from fractions import Fraction
 
 import pytest
@@ -50,6 +52,7 @@ from corpus import (
     reg_condition_holds,
     render_ascii_by_cells,
     row_by_cells,
+    row_by_oracles,
     scan_coreg,
     scan_euler,
     scan_natural,
@@ -106,17 +109,12 @@ def generator_tables(draw, n=None, depth=2):
 
 
 @st.composite
-def mixed_tables(draw, n=None, depth=2):
-    """A literal window, a generator table or a direct sum of them, maybe twisted and dualized."""
+def mixed_tables(draw, n=None):
+    """A literal window, maybe twisted and dualized, or a generator table."""
     n = n or draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(("literal", "generator", "sum")[:3 if depth else 2]))
-    if kind == "literal":
-        t = draw(literal_windows(n))
-    elif kind == "generator":
-        t = draw(generator_tables(n, depth=1))
-    else:
-        t = SumTable(draw(st.lists(st.tuples(st.integers(1, 3), mixed_tables(n, depth - 1)),
-                                   min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        return draw(generator_tables(n))
+    t = draw(literal_windows(n))
     if draw(st.booleans()):
         t = t.twist(draw(st.integers(-3, 3)))
     if draw(st.booleans()):
@@ -212,18 +210,18 @@ def polynomial_tables(draw):
 
 @st.composite
 def mixed_sums(draw, n=None):
-    """A direct sum of 10*push(...), S[...] and literal summands in some order.
+    """A direct sum of 10*push(...) and S[...] summands in some order.
 
-    Each summand may be twisted, the sum may be dualized, and the literal
-    summand at times has the rational multiplicity 1/2.
+    Each summand may be twisted, the sum may be dualized, and the label at
+    times has the rational multiplicity 1/2.
     """
     n = n or draw(st.integers(1, 3))
     a = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
     label = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     terms = [(10, pushforward_table(a)),
-             (draw(st.integers(1, 3)), homogeneous_table(GenPartition(sorted(label)[::-1]))),
-             (draw(st.sampled_from((1, 2, Fraction(1, 2)))), draw(literal_windows(n)))]
-    terms = draw(st.permutations(terms))[:draw(st.integers(1, 3))]
+             (draw(st.sampled_from((1, 2, 3, Fraction(1, 2)))),
+              homogeneous_table(GenPartition(sorted(label)[::-1])))]
+    terms = draw(st.permutations(terms))[:draw(st.integers(1, 2))]
     t = SumTable((m, u.twist(draw(st.integers(-2, 2))) if draw(st.booleans()) else u)
                  for m, u in terms)
     return t.dual() if draw(st.booleans()) else t
@@ -260,7 +258,8 @@ def printed_windows(draw):
 
 
 class TestRows:
-    """``_row`` is the cells of its row, or the error the first of them raises."""
+    """``_row`` is the oracles' row, or the error its first column raises, and
+    ``entry`` reads the same cells one column at a time."""
 
     @given(table_rows(st.one_of(literal_windows(), mixed_sums(), mixed_tables(),
                                 generator_tables())))
@@ -269,12 +268,16 @@ class TestRows:
     @example((LiteralTable(2, 0, 2, [[1, 2, 3]] * 3), 0, 3, 5))
     @example((LiteralTable(2, 0, 2, [[1, 2, 3]] * 3), 1, -1, 3))
     @example((LiteralTable(2, 0, 2, [[1, 2, 3]] * 3), 2, 1, 4))
-    # disjoint windows: every column is outside the sum's empty window
-    @example((SumTable([(1, LiteralTable(1, 0, 1, [[1, 1]] * 2)),
-                        (1, LiteralTable(1, 3, 4, [[1, 1]] * 2))]), 0, 0, 4))
-    def test_a_row_is_its_cells(self, case):
+    # halves that add up to integers column by column, and a half that does not
+    @example((SumTable([(Fraction(1, 2), pushforward_table((1, 0))),
+                        (Fraction(1, 2), pushforward_table((1, 0)))]), 0, -3, 3))
+    @example((SumTable([(Fraction(1, 2), pushforward_table((1, 0))),
+                        (1, structure_sheaf_table(2))]), 0, -3, 3))
+    def test_a_row_is_the_oracles_row_and_its_cells(self, case):
         t, i, lo, hi = case
-        assert outcome(t._row, i, lo, hi) == outcome(row_by_cells, t, i, lo, hi)
+        row = outcome(t._row, i, lo, hi)
+        assert row == outcome(row_by_oracles, t, i, lo, hi)
+        assert row == outcome(row_by_cells, t, i, lo, hi)
 
 
 class TestEntry:
@@ -303,6 +306,18 @@ class TestEntry:
         with pytest.raises(WindowExceededError):
             hm.entry(4, -10)
 
+    @given(literal_windows(), st.data())
+    def test_a_cell_past_the_window_names_itself_and_the_window(self, t, data):
+        lo, hi = t.window
+        i = data.draw(st.integers(0, t.n))
+        c = data.draw(st.one_of(st.integers(lo - 20, lo - 1), st.integers(hi + 1, hi + 20)))
+        with pytest.raises(WindowExceededError) as caught:
+            t.entry(i, c - i)
+        exc = caught.value
+        assert (exc.i, exc.d, exc.lo, exc.hi) == (i, c - i, lo, hi)
+        assert str(exc) == (f"cell (i={i}, d={c - i}) sits in display column {c}, "
+                            f"outside the window {lo}..{hi}")
+
 
 class TestExact:
     def test_an_int_passes_through_unchanged(self):
@@ -325,11 +340,19 @@ class TestExact:
                              (Fraction(2, 3), gp(3))])
         assert [m for m, _ in t.terms] == [big, 2, Fraction(1, 2), Fraction(2, 3)]
         assert [type(m) for m, _ in t.terms] == [int, int, Fraction, Fraction]
+        t = SumTable([(big, pushforward_table((1,))), (Fraction(6, 3), t), ("1/2", t)])
+        assert [m for m, _ in t.terms] == [big, 2, Fraction(1, 2)]
+        assert [type(m) for m, _ in t.terms] == [int, int, Fraction]
+        assert t.hilbert_polynomial() == hilbert_by_pieces(t)
 
+    @pytest.mark.parametrize("sum_of", [
+        lambda m: BottSumTable(1, [(m, gp(0))]),
+        lambda m: SumTable([(m, structure_sheaf_table(1))]),
+    ], ids=["bott-sum", "sum"])
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
-    def test_a_float_or_bool_multiplicity_is_refused(self, bad):
+    def test_a_float_or_bool_multiplicity_is_refused(self, bad, sum_of):
         with pytest.raises(TypeError, match="exact number"):
-            BottSumTable(1, [(bad, gp(0))])
+            sum_of(bad)
 
     def test_rational_recomposition_keeps_its_cells(self):
         # the integral cells come back as ints, the others as Fractions
@@ -425,17 +448,15 @@ class TestRegCoreg:
         assert regularity_profile(t) == brute_profile(t)
 
     @given(st.data())
-    def test_sum_of_literal_windows_combines_profiles(self, data):
-        # the two windows are drawn independently, so their columns usually differ
-        t1 = data.draw(literal_windows())
-        t2 = data.draw(literal_windows(n=t1.n))
-        p1, p2, ps = (regularity_profile(t) for t in (t1, t2, t1 + t2))
+    def test_a_generator_sum_combines_its_summands_profiles(self, data):
+        # positive multiplicities make a sum's nonzero cells its summands'
+        t1 = data.draw(generator_tables())
+        t2 = data.draw(generator_tables(n=t1.n))
+        m = data.draw(st.sampled_from((1, 3, Fraction(2, 5))))
+        p1, p2, ps = (regularity_profile(t) for t in (t1, t2, SumTable([(m, t1), (1, t2)])))
         assert ps.reg == tuple(map(max, p1.reg, p2.reg))
         assert ps.coreg == tuple(map(min, p1.coreg, p2.coreg))
-        assert ps.reg_window_limited == tuple(
-            a or b for a, b in zip(p1.reg_window_limited, p2.reg_window_limited))
-        assert ps.coreg_window_limited == tuple(
-            a or b for a, b in zip(p1.coreg_window_limited, p2.coreg_window_limited))
+        assert not any(ps.reg_window_limited + ps.coreg_window_limited)
 
     def test_scanned_profile_reads_each_cell_once(self, monkeypatch):
         # a literal window over the certified range of a pushforward, which
@@ -492,7 +513,6 @@ class TestDual:
     def test_literal_dual_and_twist_follow_the_formulas(self, t, s):
         lo, hi = t.window
         check_dual_twist_formulas(t, s, range(lo - t.n - 3, hi + 4))
-        check_dual_twist_formulas(t + t, s, range(lo - t.n - 3, hi + 4))
         assert is_natural(t.dual()) == is_natural(t) == is_natural(t.twist(s))
 
     def test_dual_of_literal_window_is_scanned_over_its_own_columns(self):
@@ -520,6 +540,37 @@ class TestTwistAdd:
         o = structure_sheaf_table(2)
         with pytest.raises(ValueError, match="non-positive multiplicity"):
             SumTable(((1, o), (mult, pushforward_table((1, 0)))))
+
+    @pytest.mark.parametrize("build", [
+        # disjoint windows, 0..0 and 3..3, that no cell of the sum would lie in
+        lambda: LiteralTable(1, 0, 0, [[1], [0]]) + LiteralTable(1, 3, 3, [[0], [1]]),
+        lambda: SumTable([(1, LiteralTable(1, 0, 1, [[1, 1]] * 2)),
+                          (1, LiteralTable(1, 3, 4, [[1, 1]] * 2))]),
+        # a generator table and a window, on either side
+        lambda: structure_sheaf_table(1) + LiteralTable(1, 0, 1, [[0, 0], [0, 1]]),
+        lambda: LiteralTable(1, 0, 0, [[0], [1]]) + structure_sheaf_table(1),
+        # a window nested in a sum, with the multiplicity 2
+        lambda: structure_sheaf_table(2).twist(-4) + SumTable(
+            ((2, LiteralTable(2, -2, 1, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])),)),
+        # the golden windows, added to themselves and to O(0)
+        lambda: golden.load("phantom") + golden.load("phantom"),
+        lambda: structure_sheaf_table(4) + golden.load("hm"),
+    ], ids=["disjoint", "disjoint-terms", "generator-window", "window-generator", "nested",
+            "phantom-phantom", "generator-hm"])
+    def test_a_sum_refuses_a_windowed_summand(self, build):
+        with pytest.raises(ValueError, match="^a direct sum holds generator tables only, "
+                                             r"got a summand with the window -?\d+\.\.-?\d+$"):
+            build()
+
+    @given(st.data())
+    def test_a_literal_summand_is_refused_anywhere_in_a_sum(self, data):
+        n = data.draw(st.integers(1, 3))
+        window = data.draw(literal_windows(n))
+        terms = data.draw(st.lists(st.tuples(st.sampled_from((1, 2, Fraction(1, 2))),
+                                             generator_tables(n)), max_size=3))
+        terms.insert(data.draw(st.integers(0, len(terms))), (1, window))
+        with pytest.raises(ValueError, match="generator tables only"):
+            SumTable(terms)
 
     def test_add_entries(self):
         s = structure_sheaf_table(2) + homogeneous_table(gp(1, 0))
@@ -628,6 +679,58 @@ class TestJsonFormat:
         assert back.entry(0, 0) == big
 
 
+def cell_passes(c):
+    """The cell rule, cell by cell: an int, or a string of ASCII digits."""
+    return type(c) is int or type(c) is str and c.isascii() and c.isdigit()
+
+
+class TestLiteralCellRule:
+    def test_ints_and_ascii_digit_strings_are_read(self):
+        t = LiteralTable(1, 0, 2, [[0, "12", 7], ["007", 0, str(2**70)]])
+        assert t.rows_by_i == ((0, 12, 7), (7, 0, 2**70))
+        assert {type(v) for row in t.rows_by_i for v in row} == {int}
+
+    @pytest.mark.parametrize("cell, shown", [
+        (1.5, "1.5"),
+        (Fraction(3, 2), "Fraction(3, 2)"),
+        # an integral value of the wrong type is refused too, not rounded
+        (Fraction(3), "Fraction(3, 1)"),
+        (3.0, "3.0"),
+        (True, "True"),
+        ("٣", "'٣'"),
+        ("-1", "'-1'"),
+        ("1_0", "'1_0'"),
+        # an empty string would vanish in the row's join
+        ("", "''"),
+        (None, "None"),
+    ])
+    def test_any_other_cell_is_refused_with_its_row(self, cell, shown):
+        message = f"a cell is an int or a string of ASCII digits, got {shown} in row 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LiteralTable(1, 0, 1, [[0, 1], ["2", cell]])
+
+    @given(st.lists(st.lists(st.sampled_from(
+        (0, 5, 10**20, "0", "42", "007", "", "٣", "-1", "1.5", 1.5, 3.0, True,
+         Fraction(3), Fraction(1, 2), None)), min_size=3, max_size=3), min_size=2, max_size=2))
+    def test_the_row_rule_is_the_cell_rule(self, rows):
+        bad = next(((i, c) for i, row in enumerate(rows) for c in row if not cell_passes(c)),
+                   None)
+        if bad is None:
+            assert LiteralTable(1, 0, 2, rows).rows_by_i == tuple(
+                tuple(map(int, row)) for row in rows)
+        else:
+            message = (f"a cell is an int or a string of ASCII digits, "
+                       f"got {reprlib.repr(bad[1])} in row {bad[0]}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                LiteralTable(1, 0, 2, rows)
+
+    def test_both_readers_name_the_row(self):
+        with pytest.raises(ValueError, match=r"got '٣' in row 1$"):
+            parse_ascii("1: ٣ 1\n0: 1 1\n   0 1\n")
+        with pytest.raises(ValueError, match=r"got 0\.5 in row 0$"):
+            literal_from_json({"n": 1, "window": [0, 1], "rows": [[1, 1], [0.5, 0]]})
+
+
 class TestNaturalSupernatural:
     def test_single_homogeneous_supernatural(self):
         rng = random.Random(27)
@@ -706,29 +809,8 @@ class TestNaturalSupernatural:
         assert is_natural(t) == natural
         assert not is_supernatural(t)
 
-    def test_windowed_sums_scan_their_visible_cells(self):
-        # no cell lies in both windows, 0..0 and 3..3, so none is visible
-        assert is_natural(LiteralTable(1, 0, 0, [[1], [0]]) + LiteralTable(1, 3, 3, [[0], [1]]))
-        # O(0) on P1 has one section at twist 0 and nothing at twist -1; the
-        # window's h^1 sits at twist 0 (column 1), then at twist -1 (column 0)
-        o = structure_sheaf_table(1)
-        clash = o + LiteralTable(1, 0, 1, [[0, 0], [0, 1]])
-        assert clash.window == (0, 1)
-        assert not is_natural(clash)
-        assert is_natural(o + LiteralTable(1, 0, 0, [[0], [1]]))
-        with pytest.raises(UndecidableError):
-            is_supernatural(clash)
-
     @settings(deadline=None, max_examples=300)
     @given(mixed_tables())
-    # disjoint windows: no cell of the sum is defined
-    @example(LiteralTable(1, 0, 0, [[1], [0]]) + LiteralTable(1, 3, 3, [[0], [1]]))
-    # a generator summand and a nested sum, whose window is 0..1, the columns
-    # the windows -2..1 and 0..2 share
-    @example(structure_sheaf_table(2).twist(-4)
-             + SumTable(((2, LiteralTable(2, -2, 1, [[1, 0, 0, 0], [0, 0, 0, 0],
-                                                     [0, 0, 1, 0]])),
-                         (1, LiteralTable(2, 0, 2, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])))))
     def test_windowed_tables_match_the_visible_cells(self, t):
         lo, hi = certified_range(t)
         columns = {}
@@ -775,9 +857,7 @@ class TestNaturalSupernatural:
         lambda t: t,
         lambda t: t.dual(),
         lambda t: t.twist(3),
-        lambda t: t + t,
-        lambda t: structure_sheaf_table(t.n) + t,
-    ], ids=["window", "dual", "twist", "sum", "generator-sum"])
+    ], ids=["window", "dual", "twist"])
     @pytest.mark.parametrize("name", ["phantom", "hm"])
     def test_a_window_leaves_supernaturality_undecidable(self, monkeypatch, name, wrap):
         def refuse(*args):
