@@ -18,7 +18,7 @@ _EXPORTS = {
     "bott": "BottCohomology bott_cohomology chi_polynomial",
     "boij_soderberg": "Decomposition NotDecomposableWithinScope NotZeroRegularError decompose "
                       "recompose",
-    "bounds": "BoundReport NoWitnessError UnobstructedReport check_sharpness "
+    "bounds": "BoundReport UnobstructedReport check_sharpness "
               "check_tensor_bounds lr_witness tensor_homogeneous unobstructed_criterion",
     "exterior": "TwoForm kernel_dim wedge_matrix",
     "expr": "ExprError table_from_expr",

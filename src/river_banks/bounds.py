@@ -12,6 +12,15 @@ product itself via the Littlewood-Richardson expansion, produces the
 representation-theoretic witness behind the sharpness statement, and
 evaluates the two-sided margin criterion that forces the obstruction space
 of a bundle to vanish.
+
+Sharpness for two labels needs no product.  Write g_p for the max over
+k + l = p of lam.part(k) + mu.part(l).  By Weyl's inequalities (Fulton,
+Bull. AMS 37, 2000) every term nu of the product has nu.part(p) >= g_p, and
+by the PRV theorem (Kumar, Invent. Math. 93, 1988) the dominant rearrangement
+of lam + w mu is a term for every permutation w.  ``lr_witness`` takes the w
+that attains g_p, so the product's reg(p), minus the least part(p) over its
+terms, is -g_p: ``check_sharpness`` reports the theorem, off the factors
+alone.  The test suite checks both theorems against the whole expansion.
 """
 
 from __future__ import annotations
@@ -29,15 +38,6 @@ from river_banks.tables import (
     homogeneous_table,
     regularity_profile,
 )
-
-
-class NoWitnessError(Exception):
-    """No expansion term satisfies the witness inequality.
-
-    A witness always exists, so reaching this signals an implementation bug
-    or corrupted inputs; it is surfaced for the test harness rather than
-    handled.
-    """
 
 
 class BoundEntry(NamedTuple):
@@ -123,14 +123,18 @@ def check_tensor_bounds(tf: CohomologyTable, tg: CohomologyTable,
     if not (tf.n == tg.n == tfg.n):
         raise ValueError("all three tables must share the ambient dimension")
     pf, pg, pfg = (regularity_profile(t) for t in (tf, tg, tfg))
-    return (_bound_report("reg", pf, pg, pfg, min, 0, operator.le),
-            _bound_report("coreg", pf, pg, pfg, max, 1, operator.ge))
+    return (_bound_report("reg", pf, pg, pfg.reg, pfg.reg_window_limited, min, 0, operator.le),
+            _bound_report("coreg", pf, pg, pfg.coreg, pfg.coreg_window_limited, max, 1,
+                          operator.ge))
 
 
-def _bound_report(side, pf, pg, pfg, pick, shift, holds):
-    """One side: bound(p) = shift + pick over k + l = p of f(k) + g(l), against fg(p)."""
-    f, g, fg = (getattr(prof, side) for prof in (pf, pg, pfg))
-    ff, gf, fgf = (getattr(prof, f"{side}_window_limited") for prof in (pf, pg, pfg))
+def _bound_report(side, pf, pg, fg, fgf, pick, shift, holds):
+    """One side: bound(p) = shift + pick over k + l = p of f(k) + g(l), against fg(p).
+
+    ``fgf`` holds the window flags of the product's indices ``fg``.
+    """
+    f, g = getattr(pf, side), getattr(pg, side)
+    ff, gf = (getattr(prof, f"{side}_window_limited") for prof in (pf, pg))
     entries = []
     for p, actual in enumerate(fg):
         bound = shift + pick(f[k] + g[p - k] for k in range(p + 1))
@@ -144,28 +148,32 @@ def check_sharpness(lam: GenPartition, mu: GenPartition) -> BoundReport:
     """Equality report for a pair of single homogeneous bundles.
 
     The reg side of ``check_tensor_bounds`` on the two bundles and their
-    product: the product's p-th regularity index must equal the min-formula
-    value -max over k + l = p of (lam_k + mu_l) for every p.
+    product, without the product: the bound comes from the factors'
+    profiles, and the product's p-th regularity index is -nu.part(p) of the
+    witness nu of ``lr_witness(lam, mu, p)``, a term (PRV) that no term
+    undercuts (Weyl's inequalities).  So every p meets the min-formula value
+    -max over k + l = p of (lam_k + mu_l), and the report is all equalities.
     """
-    tl, tm = homogeneous_table(lam), homogeneous_table(mu)
-    return check_tensor_bounds(tl, tm, tensor_homogeneous(tl, tm))[0]
+    witnesses = [lr_witness(lam, mu, p) for p in range(lam.n)]
+    pf, pg = (regularity_profile(homogeneous_table(x)) for x in (lam, mu))
+    return _bound_report("reg", pf, pg, [-nu.part(p) for p, nu in enumerate(witnesses)],
+                         (False,) * lam.n, min, 0, operator.le)
 
 
 def lr_witness(lam: GenPartition, mu: GenPartition, p: int) -> GenPartition:
-    """Expansion term nu with nu.part(p) <= max over k + l = p of lam_k + mu_l.
+    """The PRV term nu of the product with nu.part(p) = max over k + l = p of lam_k + mu_l.
 
-    Among qualifying terms the lexicographically smallest label is returned
-    for determinism; if none qualifies, NoWitnessError is raised.
+    nu is the decreasing sort of lam.part(k) + mu.part(p - k) for k <= p and
+    lam.part(k) + mu.part(k) for k > p, a term by the PRV theorem.
     """
     if lam.n != mu.n:
         raise ValueError(f"length mismatch: {lam.n} vs {mu.n}")
     if not 0 <= p < lam.n:
         raise ValueError(f"index {p} out of range 0..{lam.n - 1}")
-    g = max(lam.part(k) + mu.part(p - k) for k in range(p + 1))
-    candidates = [nu for nu in lr_expand(lam, mu) if nu.part(p) <= g]
-    if not candidates:
-        raise NoWitnessError(f"no witness for {lam} (x) {mu} at p={p}")
-    return min(candidates, key=lambda nu: nu.parts)
+    # the parts, smallest first: lam.part(k) is up[k]
+    up, mu_up = lam.parts[::-1], mu.parts[::-1]
+    return GenPartition(sorted([*map(operator.add, up[:p + 1], mu_up[p::-1]),
+                                *map(operator.add, up[p + 1:], mu_up[p + 1:])], reverse=True))
 
 
 class UnobstructedReport(NamedTuple):

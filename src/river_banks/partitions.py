@@ -128,10 +128,7 @@ def lr_expand(lam: GenPartition, mu: GenPartition) -> dict:
     more than n rows cancel.
 
     ``_lr_classical`` caches the expansion; its name predates Brauer-Klimyk
-    and stays because the benchmark's traced runs read its statistics.  A
-    tensor op expands one pair n + 2 times back to back (product table,
-    sharpness check, one witness per index), so 64 entries catch every
-    repeat; a larger cache only keeps pairs that do not come back.
+    and stays because the benchmark's traced runs read its statistics.
     """
     if lam.n != mu.n:
         raise ValueError(f"length mismatch: {lam.n} vs {mu.n}")
@@ -142,7 +139,12 @@ def lr_expand(lam: GenPartition, mu: GenPartition) -> dict:
 
 @lru_cache(maxsize=1 << 6)
 def _lr_classical(lam, mu):
-    """The nonzero ``(nu, multiplicity)`` pairs of the product, as tuples."""
+    """The nonzero ``(nu, multiplicity)`` pairs of the product, as tuples.
+
+    A tensor op expands its pair once: the sharpness report and the
+    witnesses are read off the PRV term instead.  The 64-entry memo stays
+    only because the benchmark's tracer reads its ``cache_info()``.
+    """
     memo = {}
 
     def weights(row):

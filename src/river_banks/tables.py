@@ -32,7 +32,9 @@ read alone (``entry``, as in ``beilinson_terms``) is a one-column row.
 Only a homogeneous sum reads its row cell by cell, through ``entry``
 (``BottSumTable._row`` says why).  The two writers share one pass over
 the rows (``_printed_rows``), which refuses a fractional entry, since
-neither file format can hold one.
+neither file format can hold one, and, before any cell, a generator grid
+whose entries the bound off its pieces puts past the interpreter's limit
+on writing an integer as text.
 
 Every derived query asks a table one of two questions.  A generator table
 lists its natural pieces through ``_pieces()``, as (p, q, increasing
@@ -62,10 +64,12 @@ supernaturality (``UndecidableError``).
 from __future__ import annotations
 
 import reprlib
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from river_banks.bott import _roots, bott_cohomology
@@ -376,8 +380,37 @@ def _printed_rows(t: CohomologyTable, lo: int, hi: int):
     """Rows n..0 of ``t`` over display columns lo..hi, top first, for the writers.
 
     Both file formats hold integers only, so the first fractional entry from
-    the top (a sum with rational multiplicities has them) is refused.
+    the top (a sum with rational multiplicities has them) is refused.  So is,
+    before any cell is computed, a generator grid whose entries may pass the
+    interpreter's limit on the digits of an integer written as text
+    (``sys.get_int_max_str_digits()``, 0 for none).  The grid's twists d run
+    over a = lo - n..hi, so a piece (p, q, roots) puts at most
+    |p| / q * prod max(hi - r, r - a) in a cell, and a cell sums at most
+    every piece; the bound is taken in bits, with the largest |p|, the least
+    q and each root's factor at its largest over the pieces.  The extreme
+    roots bound every factor at once, which clears most grids without a pass
+    over the root positions.
     """
+    limit = sys.get_int_max_str_digits()
+    pieces = t._pieces() if limit and t.window is None else ()
+    if pieces:
+        ps, qs, seqs = zip(*pieces)
+        # |p| / q < 2**(bits of |p| - bits of q + 1); 0.30103 > log10(2), so
+        # a value below 2**bits has at most bits * 30103 // 100000 + 1 digits
+        bits = len(ps).bit_length() + max(map(abs, ps)).bit_length() - min(qs).bit_length() + 1
+        a = lo - t.n
+        # the n >= 1 roots of a piece increase, so these are the extreme roots
+        far = max(hi - min(map(itemgetter(0), seqs)), max(map(itemgetter(-1), seqs)) - a)
+        if (bits + t.n * far.bit_length()) * 30103 // 100000 >= limit:
+            # each root position's least and greatest root over the pieces
+            lows, highs = ((seqs[0], seqs[0]) if len(seqs) == 1
+                           else (map(min, *seqs), map(max, *seqs)))
+            bits += sum(max(hi - low, high - a).bit_length() for low, high in zip(lows, highs))
+            digits = bits * 30103 // 100000 + 1
+            if digits > limit:
+                raise ValueError(f"an entry in display columns {lo}..{hi} of P{t.n} may have up "
+                                 f"to {digits} digits, past the limit of {limit} digits for "
+                                 "integer string conversion (sys.set_int_max_str_digits)")
     rows = _cells(t, lo, hi)[::-1]
     for i, row in zip(range(t.n, -1, -1), rows):
         if Fraction in map(type, row):

@@ -7,10 +7,12 @@ forms, root sequences and structural recursions under test; the subset-sum
 oracle computes a pushforward entry by the full Kunneth sum, independent of
 the one-row closed form; the strip oracle expands a tensor product by
 Littlewood-Richardson tableaux, independent of the Brauer-Klimyk
-straightening; the straightening oracle reads a Bott twist off the
-dot-action straightening, independent of the root-sequence closed form;
-the wedge oracle builds the paired wedge matrix from products signed by
-sorting their indices, independent of the precomputed wedge table; the
+straightening; the product oracle reads the sharpness report off the whole
+expanded product, independent of the PRV witnesses; the straightening
+oracle reads a Bott twist off the dot-action straightening, independent of
+the root-sequence closed form; the wedge oracle builds the paired wedge
+matrix from products signed by sorting their indices, independent of the
+precomputed wedge table; the
 row oracle reads each cell off the subset-sum and straightening oracles,
 the stored rows of a literal window and the weighted sum of a direct sum's
 summands, never through a table's own rows, which ``entry`` reads too; the
@@ -39,6 +41,7 @@ from river_banks.boij_soderberg import (
     _pivot_label,
 )
 from river_banks.bott import BottCohomology
+from river_banks.bounds import check_tensor_bounds, tensor_homogeneous
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition, leq, schur_dim, straighten
 from river_banks.ratpoly import RatPoly, _from_roots
@@ -243,6 +246,12 @@ def lr_strips(lam, mu):
     back = c1 + c2
     return {GenPartition(q - back for q in shape + (0,) * (n - len(shape))): mult
             for shape, mult in counts.items()}
+
+
+def sharpness_by_product(lam, mu):
+    """The reg side of ``check_tensor_bounds`` on two bundles and their expanded product."""
+    tl, tm = homogeneous_table(lam), homogeneous_table(mu)
+    return check_tensor_bounds(tl, tm, tensor_homogeneous(tl, tm))[0]
 
 
 def _strip_placements(shape, size, prev_rows, maxrows):

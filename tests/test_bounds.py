@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from river_banks import bounds, golden
 from river_banks.bounds import (
@@ -14,7 +15,7 @@ from river_banks.kunneth import pushforward_table
 from river_banks.partitions import GenPartition, lr_expand, schur_dim
 from river_banks.tables import BottSumTable, homogeneous_table, structure_sheaf_table
 
-from corpus import random_bott_sum, random_partition
+from corpus import random_bott_sum, random_partition, sharpness_by_product
 
 
 def gp(*parts):
@@ -174,6 +175,33 @@ class TestLRWitness:
     def test_shifted_operands(self):
         nu = lr_witness(gp(0, -1), gp(1, 0), 1)
         assert nu.part(1) <= max(0 + 0, -1 + 1)
+
+
+# pairs of labels of one length n <= 5, parts in -2..5
+label_pairs = st.integers(1, 5).flatmap(lambda n: st.tuples(*[
+    st.lists(st.integers(-2, 5), min_size=n, max_size=n).map(
+        lambda p: GenPartition(sorted(p, reverse=True)))] * 2))
+
+
+class TestPRVWitness:
+    """The PRV witnesses and the sharpness report, against the whole expansion."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(label_pairs)
+    def test_each_witness_is_a_term_attaining_the_least_part(self, pair):
+        lam, mu = pair
+        terms = lr_expand(lam, mu)
+        for p in range(lam.n):
+            g = max(lam.part(k) + mu.part(p - k) for k in range(p + 1))
+            nu = lr_witness(lam, mu, p)
+            assert nu in terms and nu.part(p) == g
+            # the Weyl side: no term has a smaller part(p)
+            assert min(t.part(p) for t in terms) == g
+
+    @settings(deadline=None, max_examples=100)
+    @given(label_pairs)
+    def test_check_sharpness_equals_the_report_off_the_product(self, pair):
+        assert check_sharpness(*pair) == sharpness_by_product(*pair)
 
 
 class TestUnobstructedCriterion:

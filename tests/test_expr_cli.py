@@ -411,12 +411,6 @@ ERROR_FILES = {
     "norows.json": '{"n": 1, "window": [0, 0]}',
     "narrow.json": '{"n": 1, "window": [0, 1], "rows": [[0, 0], [1, 2]]}',
 }
-# the interpreter's own wording of its limit on integer string conversion,
-# which differs between CPython versions
-try:
-    str(10 ** 5000)
-except ValueError as exc:
-    DIGIT_LIMIT = str(exc)
 # argv ({} is the directory holding ERROR_FILES), exit code, first stderr line
 PINNED_ERRORS = [
     (["indices", "S[1,,0] on P2"], 2,
@@ -432,10 +426,12 @@ PINNED_ERRORS = [
      'a table is a JSON object with the keys "n", "window" and "rows", '
      "got {'n': 1, 'window': [0, 0]}"),
     (["indices", "{}"], 2, "[Errno 21] Is a directory: '{}'"),
-    # CPython's limit on integer string conversion, hit while writing a
-    # 5843-digit entry (sys.int_info.default_max_str_digits)
+    # CPython's limit on integer string conversion, passed by the bound on a
+    # 5843-digit entry before it is computed
     *((["table", "O(1" + "0" * 60 + ") on P100", "--window", "0:0", "--format", fmt], 2,
-       DIGIT_LIMIT) for fmt in ("ascii", "json")),
+       "an entry in display columns 0..0 of P100 may have up to 5864 digits, past the "
+       f"limit of {sys.get_int_max_str_digits()} digits for integer string conversion "
+       "(sys.set_int_max_str_digits)") for fmt in ("ascii", "json")),
     (["wedge-kernel", "--eta1", "[[[1,2],true]]", "--eta2", "[]"], 2,
      'a coefficient must be a JSON integer or a "p" or "p/q" string of ASCII digits, '
      "got True"),
@@ -659,8 +655,15 @@ class TestExitCodeContract:
          f"dimension 60466176, past the limit of {MAX_TENSOR_DIM}"),
         (["tensor", "S[1,0,0,0,0] (+) S[12,9,6,3,0]", "S[12,9,6,3,0]"],
          f"dimension 1048581, past the limit of {MAX_TENSOR_DIM}"),
-        (["check-sharpness", "9,7,5,3,1,0,0,0", "8,6,4,2,0,0,0,0", "--n", "8"],
-         f"past the limit of {MAX_TENSOR_DIM}"),
+        # sharpness needs no product, so only the ambient limit refuses it
+        (["check-sharpness", ",".join("0" * 101), ",".join("0" * 101), "--n", "101"],
+         f"limit P{MAX_AMBIENT_DIM}"),
+        # bounded off the pieces before any cell; computing the entry took 86 s
+        (["table", "O(1" + "0" * 4000 + ") on P100", "--window", "0:0"],
+         f"past the limit of {sys.get_int_max_str_digits()} digits"),
+        # an entry of 4343 digits, bounded at 4359
+        (["table", "O(1" + "0" * 45 + ") on P100", "--window", "0:0"],
+         f"past the limit of {sys.get_int_max_str_digits()} digits"),
     ])
     def test_hostile_sizes_are_refused_before_any_work(self, capsys, monkeypatch,
                                                        argv, limit):
@@ -673,6 +676,33 @@ class TestExitCodeContract:
         assert captured.out == "" and limit in captured.err
         assert len(captured.err.splitlines()) == 1
         assert entries == []
+
+    # bounded at 3847, 4269 and 3001 digits, under the default limit of
+    # 4300; the extreme roots alone would bound the last at 4501
+    @pytest.mark.parametrize("expr, digits", [
+        ("O(1" + "0" * 40 + ") on P100", 3843),
+        ("O(1" + "0" * 44 + ") on P100", 4243),
+        ("S[1" + "0" * 1500 + ",0] on P2", 3000),
+    ], ids=["40-zeros", "44-zeros", "spread-roots"])
+    def test_an_entry_under_the_digit_limit_still_prints(self, capsys, expr, digits):
+        assert main(["table", expr, "--window", "0:0"]) == 0
+        row_0 = capsys.readouterr().out.splitlines()[-2].split()
+        assert row_0[0] == "0:" and len(row_0[1]) == digits
+
+    @pytest.mark.parametrize("argv", [
+        ["check-sharpness", "9,7,5,3,1,0", "8,6,4,2,0,0", "--n", "6"],
+        ["check-sharpness", "13,11,9,7,5,3,0", "10,8,6,4,2,0,0", "--n", "7"],
+        ["check-sharpness", "9,7,5,3,1,0,0,0", "8,6,4,2,0,0,0,0", "--n", "8"],
+    ], ids=["n6", "n7", "n8"])
+    def test_sharpness_past_the_tensor_limit_is_answered_without_the_product(
+            self, capsys, monkeypatch, argv):
+        def expand(*args):
+            raise AssertionError(f"expanded {args}")
+
+        monkeypatch.setattr(bounds, "lr_expand", expand)
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [e["p"] for e in report["entries"] if e["equality"]] == list(range(int(argv[-1])))
 
 
 # --- one rule for every integer read from text ------------------------------

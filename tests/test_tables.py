@@ -2,6 +2,7 @@ import json
 import random
 import re
 import reprlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -677,6 +678,32 @@ class TestJsonFormat:
         assert blob["rows"][0] == [0] and blob["rows"][1] == [str(big)]
         back = literal_from_json(blob)
         assert back.entry(0, 0) == big
+
+
+class TestDigitBound:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 4), st.lists(st.tuples(st.integers(1, 4), st.lists(
+        st.integers(-3, 3), min_size=4, max_size=4)), min_size=1, max_size=3),
+        st.integers(-3, 3), st.integers(0, 2))
+    def test_a_grid_past_the_limit_is_refused_before_it_is_written(self, n, terms, lo, width):
+        # parts near multiples of 10**(700 // n), with their own offsets, so
+        # the pieces differ and the entries pass the least limit CPython
+        # allows (640 digits); a sound bound refuses every limit below the
+        # longest entry
+        big = 10 ** (700 // n)
+        t = BottSumTable(n, [(m, GenPartition(sorted(
+            (abs(x) * big + x for x in parts[:n]), reverse=True))) for m, parts in terms])
+        hi = lo + width
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            longest = max(len(str(c)) for row in _cells(t, lo, hi) for c in row)
+            assume(longest > 640)
+            sys.set_int_max_str_digits(longest - 1)
+            with pytest.raises(ValueError, match=r"may have up to \d+ digits, past the limit"):
+                table_to_json(t, lo, hi)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 def cell_passes(c):
