@@ -23,22 +23,24 @@ the same linear factors, without the absolute value.
 
 Two memos.  ``_roots`` holds each label's roots, its Schur dimension and
 n!, so that ``schur_dim`` runs once per label.  The cells read it, and so
-does a table's natural piece (``tables.BottSumTable._pieces``): the
-constant schur_dim / n! stays two integers, and the regularity profile,
-naturality and the twist polynomial all come off the roots.
-``_bott`` holds the answer per (label, twist) and stays because a grid
-(``tables._cells``) asks for each twist once per row, and a hit is several
-times cheaper than the closed form.  It has to hold the keys of one grid
-while its rows are read, not the history: about 1700 for a chain of 8
-labels on P^7 over 200 columns, 1090 for O(0) on P^100 over 990 columns.
-A larger memo only keeps twists that do not come back.
+does a table's natural piece, built with the table
+(``tables.BottSumTable``'s ``_pieces``): the constant schur_dim / n! stays
+two integers, and the regularity profile, naturality and the twist
+polynomial all come off the roots.  ``_bott`` holds the answer per
+(label, twist) and stays because a grid (``tables._cells``) asks for each
+twist once per row, and a hit is several times cheaper than the closed
+form.  It has to hold the keys of one grid while its rows are read, not
+the history: about 1700 for a chain of 8 labels on P^7 over 200 columns,
+1090 for O(0) on P^100 over 990 columns.  A larger memo only keeps twists
+that do not come back.
 
-``bott_cohomology`` is called once per label and cell: a row of a
-homogeneous sum (``tables.BottSumTable._row``, the one backend that reads
-its rows cell by cell) makes one call per term per cell, and the
-benchmark's tracer test pins that shape (28 calls for a one-label render of
-7 columns on P^3).  Reading such a row at once waits for that test to
-change; until then a cheaper cell comes from a cheaper call.
+``bott_cohomology`` is called once per label and cell of a homogeneous
+sum: its row (``tables.BottSumTable._row``) is the one generator row still
+read cell by cell rather than off the pieces, because the benchmark's
+tracer test pins one call per term and cell (28 calls for a one-label
+render of 7 columns on P^3).  A direct sum that holds a pushforward reads
+its labels' rows off their pieces and calls it not at all.  Once the pin
+changes, ``_bott`` and that per-cell row go.
 """
 
 from __future__ import annotations

@@ -23,30 +23,33 @@ antidiagonal ``{(j, m - j)}`` that the regularity indices quantify over:
 * ``coreg(k)`` = greatest m such that rows j < n - k hold only zeros in
   display columns <= m.
 
+A generator table keeps its natural pieces, built once with the table, in
+``_pieces``: (p, q, increasing roots) with the exact constant p/q kept in
+integers.  Twist d of a piece vanishes at a root and otherwise has one
+group, of dimension p/q * |prod(d - r)|, in row #{r > d}.  A label is one
+piece (``bott._roots``), a pushforward one with constant 1 and the roots
+-a_j - 1, and a direct sum has its summands' pieces, scaled by their
+positive multiplicities.
+
 A grid (a render, a profile sweep, a decomposition window) is read by
 ``_cells`` a row at a time, through ``_row(i, lo, hi)``: row i over display
-columns lo..hi.  Each backend states its values once: a pushforward's
-row is one interval of twists, a literal window's a slice of its stored
-row and a direct sum's the weighted sum of its summands' rows, and a cell
-read alone (``entry``, as in ``beilinson_terms``) is a one-column row.
-Only a homogeneous sum reads its row cell by cell, through ``entry``
+columns lo..hi; a cell read alone (``entry``, as in ``beilinson_terms``)
+is a one-column row.  One rule reads a generator row off the pieces
+(``CohomologyTable._row``): each piece fills one interval of twists of the
+row, and the pieces are summed in integers.  A literal window's row is a
+slice of its stored row.  A homogeneous sum is the one exception, pinned
+by the benchmark: it reads its row cell by cell, through ``entry``
 (``BottSumTable._row`` says why).  The two writers share one pass over
 the rows (``_printed_rows``), which refuses a fractional entry, since
 neither file format can hold one, and, before any cell, a generator grid
 whose entries the bound off its pieces puts past the interpreter's limit
 on writing an integer as text.
 
-Every derived query asks a table one of two questions.  A generator table
-lists its natural pieces through ``_pieces()``, as (p, q, increasing
-roots) with the exact constant p/q kept in integers: twist d of a piece
-vanishes at a root and otherwise has one group, of dimension
-p/q * |prod(d - r)|, in row #{r > d}.  A label is one piece
-(``bott._roots``), a pushforward one with constant 1 and the roots
--a_j - 1, and a direct sum has its summands' pieces, scaled by their
-positive multiplicities.  The whole regularity profile, every k at once
-(``_profile()``, by ``_roots_profile``), ``hilbert_polynomial``,
-``is_natural`` and ``is_supernatural`` are derived from the pieces once,
-for every backend.  The twist polynomial is summed in integers over one
+Every derived query asks a table one of two questions: its pieces or its
+window.  The whole regularity profile, every k at once (``_profile()``, by
+``_roots_profile``), ``hilbert_polynomial``, ``is_natural`` and
+``is_supernatural`` are derived from the pieces, for every generator
+backend.  The twist polynomial is summed in integers over one
 denominator, the lcm of the pieces' q, from each piece's integer expansion
 of prod(x - r) (``ratpoly._expand``, which ``bott.chi_polynomial`` reads
 through ``_from_roots``).  A windowed table, which is a literal window
@@ -67,8 +70,9 @@ import reprlib
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -109,6 +113,9 @@ class CohomologyTable:
     #: display columns (lo, hi) of the cells a windowed table defines; None
     #: for a generator table, which defines every cell
     window = None
+    #: (p, q, increasing roots) of each natural piece of a generator table,
+    #: constant p/q, kept when the table is built; a window has none
+    _pieces = ()
 
     def entry(self, i: int, d: int):
         if i < 0 or i > self.n:
@@ -118,9 +125,31 @@ class CohomologyTable:
     def _entry(self, i, d):
         return self._row(i, i + d, i + d)[0]
 
+    @cached_property
+    def _den(self):
+        """The lcm of the pieces' q: one denominator for every row and the twist polynomial."""
+        return lcm(*[q for _, q, _ in self._pieces])
+
     def _row(self, i: int, lo: int, hi: int) -> list:
-        """Row i (0 <= i <= n) over display columns lo..hi, the backend's value rule."""
-        raise NotImplementedError
+        """Row i (0 <= i <= n) over display columns lo..hi, summed over the pieces.
+
+        Twist d of a piece (p, q, increasing roots r) sits in row #{r > d}, so
+        row i holds the twists r[n-1-i] <= d <= r[n-i] - 1, open at the ends
+        for i = 0 and i = n.  On them exactly i factors d - r are negative, so
+        the entry is (-1)^i * p/q * prod(d - r); the root r[n-1-i] gives 0 by
+        itself.  With D the lcm of the q, the pieces are summed in integers,
+        scaled by D / q, and a cell is divided by D only when D is not 1.
+        """
+        n, pieces, den = self.n, self._pieces, self._den
+        row = [0] * (hi - lo + 1)
+        sign = (-1) ** i
+        for p, q, r in pieces:
+            first = lo - i if i == n else max(lo - i, r[n - 1 - i])
+            last = hi - i if i == 0 else min(hi - i, r[n - i] - 1)
+            c = sign * p * (den // q)
+            for d in range(first, last + 1):
+                row[d + i - lo] += prod(map(d.__sub__, r), start=c)
+        return row if den == 1 else [_exact(Fraction(v, den)) for v in row]
 
     # --- regularity / coregularity ------------------------------------
 
@@ -143,13 +172,9 @@ class CohomologyTable:
     def _profile(self):
         """The regularity profile: off the pieces' roots, or one sweep of the window."""
         if self.window is None:
-            return _roots_profile(self.n, {roots for _, _, roots in self._pieces()})
+            return _roots_profile(self.n, {roots for _, _, roots in self._pieces})
         lo, hi = self.window
         return _grid_profile(_cells(self, lo, hi), lo, hi)
-
-    def _pieces(self):
-        """(p, q, increasing roots) of each natural piece of a generator table, constant p/q."""
-        raise NotImplementedError
 
     # --- structural operations ----------------------------------------
 
@@ -161,16 +186,15 @@ class CohomologyTable:
     def hilbert_polynomial(self) -> RatPoly:
         """The twist polynomial, the sum of p/q * prod(d - r) over the pieces.
 
-        With Q the lcm of the q, the integer sum of p * (Q / q) * prod(d - r)
+        With Q = ``_den``, the lcm of the q, the integer sum of p * (Q / q) * prod(d - r)
         is divided by Q once, at the end.
         """
         if self.window is not None:
             raise InsufficientDataError(
                 "a finite window does not determine the twist polynomial")
-        pieces = self._pieces()
-        den = lcm(*(q for _, q, _ in pieces))
+        den = self._den
         total = [0] * (self.n + 1)
-        for p, q, roots in pieces:
+        for p, q, roots in self._pieces:
             scale = p * (den // q)
             for k, c in enumerate(_expand(roots)):
                 total[k] += c * scale
@@ -199,6 +223,8 @@ class BottSumTable(CohomologyTable):
         self.n = n
         self.terms = tuple(sorted(((m, lam) for lam, m in merged.items()),
                                   key=lambda t: t[1].parts))
+        self._pieces = tuple((m.numerator * num, m.denominator * den, neg)
+                             for m, lam in self.terms for neg, num, den in [_roots(lam.parts)])
 
     def _entry(self, i, d):
         total = 0
@@ -211,10 +237,12 @@ class BottSumTable(CohomologyTable):
     def _row(self, i, lo, hi):
         """Row i over display columns lo..hi, read cell by cell through ``entry``.
 
-        The benchmark's tracer test pins one ``entry`` and one
-        ``bott_cohomology`` call per cell of a one-label render (28 each for
-        7 columns on P^3), so this row keeps that shape until the pin
-        changes; reading it off ``_pieces()`` at once waits for that.
+        The one exception to the row rule over the pieces: the benchmark's
+        tracer test pins one ``entry`` and one ``bott_cohomology`` call per
+        cell of a one-label render (28 each for 7 columns on P^3).  Once that
+        pin counts what does not depend on the path, this override, ``_entry``
+        and the ``bott._bott`` memo go, and a homogeneous sum reads its rows
+        off its pieces like every other generator table.
         """
         return [self.entry(i, c - i) for c in range(lo, hi + 1)]
 
@@ -224,13 +252,6 @@ class BottSumTable(CohomologyTable):
 
     def twist(self, s):
         return BottSumTable(self.n, [(m, lam.shift(s)) for m, lam in self.terms])
-
-    def _pieces(self):
-        pieces = []
-        for m, lam in self.terms:
-            neg, num, den = _roots(lam.parts)
-            pieces.append((m.numerator * num, m.denominator * den, neg))
-        return pieces
 
     def __repr__(self):
         inner = " + ".join(f"{m}*S[{lam}]" for m, lam in self.terms) or "0"
@@ -271,20 +292,14 @@ class SumTable(CohomologyTable):
                              f"got a summand with the window {window[0]}..{window[1]}")
         self.n = n
         self.terms = terms
-
-    def _row(self, i, lo, hi):
-        rows = [(m, t._row(i, lo, hi)) for m, t in self.terms]
-        return [_exact(sum(m * row[x] for m, row in rows)) for x in range(hi - lo + 1)]
+        self._pieces = tuple((m.numerator * p, m.denominator * q, roots)
+                             for m, t in terms for p, q, roots in t._pieces)
 
     def dual(self):
         return SumTable((m, t.dual()) for m, t in self.terms)
 
     def twist(self, s):
         return SumTable((m, t.twist(s)) for m, t in self.terms)
-
-    def _pieces(self):
-        return [(m.numerator * p, m.denominator * q, roots)
-                for m, t in self.terms for p, q, roots in t._pieces()]
 
 
 class LiteralTable(CohomologyTable):
@@ -392,7 +407,7 @@ def _printed_rows(t: CohomologyTable, lo: int, hi: int):
     over the root positions.
     """
     limit = sys.get_int_max_str_digits()
-    pieces = t._pieces() if limit and t.window is None else ()
+    pieces = t._pieces if limit else ()
     if pieces:
         ps, qs, seqs = zip(*pieces)
         # |p| / q < 2**(bits of |p| - bits of q + 1); 0.30103 > log10(2), so
@@ -515,7 +530,7 @@ def is_natural(t: CohomologyTable) -> bool:
         twists = [c - i for i, row in enumerate(_cells(t, lo, hi))
                   for c, v in enumerate(row, lo) if v]
         return len(twists) == len(set(twists))
-    seqs = {roots for _, _, roots in t._pieces()}
+    seqs = {roots for _, _, roots in t._pieces}
     for d in {u + s for roots in seqs for u in roots for s in (0, 1)}:
         if len({len(r) - bisect_right(r, d) for r in seqs if d not in r}) > 1:
             return False
@@ -533,7 +548,7 @@ def is_supernatural(t: CohomologyTable) -> bool:
     """
     if t.window is not None:
         raise UndecidableError("a finite window does not determine supernaturality")
-    seqs = {roots for _, _, roots in t._pieces()}
+    seqs = {roots for _, _, roots in t._pieces}
     return len(seqs) == 1 and len(set(seqs.pop())) == t.n
 
 

@@ -418,7 +418,7 @@ def json_by_cells(t, lo, hi):
 
 def hilbert_by_pieces(t):
     """The twist polynomial of a generator table, summed one ``RatPoly`` per piece."""
-    return sum((_from_roots(roots, Fraction(p, q)) for p, q, roots in t._pieces()),
+    return sum((_from_roots(roots, Fraction(p, q)) for p, q, roots in t._pieces),
                RatPoly())
 
 

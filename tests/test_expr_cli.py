@@ -59,20 +59,21 @@ class TestParseExpr:
             + 2 * table_from_expr("O(-1) on P3").entry(0, 1)
 
     def test_scaled_pushforward_is_evaluated_once_per_entry(self, monkeypatch):
-        # a cell is a one-column row, of the sum and then of its summand
+        # a cell is a one-column row of the sum, read off its own pieces:
+        # the summand's row is never asked for
         calls = []
-        inner = KunnethTable._row
+        inner = CohomologyTable._row
 
         def counted(table, i, lo, hi):
-            calls.append((i, lo, hi))
+            calls.append((table, i, lo, hi))
             return inner(table, i, lo, hi)
 
-        monkeypatch.setattr(KunnethTable, "_row", counted)
+        monkeypatch.setattr(CohomologyTable, "_row", counted)
         t = table_from_expr("10000*push(1,2,3) on P3")
         base = KunnethTable((1, 2, 3))
         cells = [(i, d) for i in range(4) for d in range(-8, 3)]
         got = [t.entry(i, d) for i, d in cells]
-        assert calls == [(i, i + d, i + d) for i, d in cells]
+        assert calls == [(t, i, i + d, i + d) for i, d in cells]
         assert got == [10000 * base.entry(i, d) for i, d in cells]
         assert any(got)
 

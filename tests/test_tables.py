@@ -819,7 +819,7 @@ class TestNaturalSupernatural:
 
     def test_pieces_that_differ_can_be_natural(self):
         t = table_from_expr("push(-1,-1) (+) O(-2) on P2")
-        assert len({roots for _, _, roots in t._pieces()}) == 2
+        assert len({roots for _, _, roots in t._pieces}) == 2
         assert is_natural(t) and scan_natural(t)
         assert not is_supernatural(t)
 
@@ -879,6 +879,22 @@ class TestNaturalSupernatural:
         want = regularity_profile(t), is_natural(t), is_supernatural(t)
         monkeypatch.setattr("river_banks.tables.Fraction", refuse)
         assert (regularity_profile(t), is_natural(t), is_supernatural(t)) == want
+
+    def test_pieces_are_built_once(self, monkeypatch):
+        # a label's piece comes off ``_roots`` when the table is built, and
+        # every query after that reads the pieces kept on the table
+        def refuse(*args):
+            raise AssertionError("pieces rebuilt")
+
+        t = SumTable([(2, pushforward_table((3, -1, -4))), (3, homogeneous_table(gp(2, 1, 0)))])
+
+        def queries():
+            return (regularity_profile(t), render_ascii(t, -8, 8), table_to_json(t, -8, 8),
+                    t.hilbert_polynomial(), is_natural(t), is_supernatural(t))
+
+        want = queries()
+        monkeypatch.setattr("river_banks.tables._roots", refuse)
+        assert queries() == want
 
     @pytest.mark.parametrize("wrap", [
         lambda t: t,
