@@ -13,20 +13,35 @@ entry, so ``part(0) == parts[-1]`` and ``part(n - 1) == parts[0]``.
 ``straighten`` is the dot-action straightening of a weight: add the
 staircase, sort, count inversions, subtract the staircase.  The tensor
 product expansion (``lr_expand``) is the Brauer-Klimyk signed sum of the
-straightenings of lam + w over the weights w of the other factor.  Bott's
-theorem is the straightening of one weight, but ``bott`` reads it in closed
-form off the label's roots, so in the package ``straighten`` serves only
-``lr_expand``; the test suite keeps it as the oracle for that closed form.
+straightenings of lam + w over the weights w of the other factor.  A weight
+with lam + w already weakly decreasing is its own straightening with sign +,
+so only the other weights go through ``straighten``.  Bott's theorem is the
+straightening of one weight too, but ``bott`` reads it in closed form off
+the label's roots, so in the package ``straighten`` serves only those
+non-dominant weights; the test suite keeps it as the oracle for that closed
+form.
+
+The weights come off Gelfand-Tsetlin patterns, one row at a time.  The
+weights of every row below the top are kept in ``_WEIGHTS`` across
+expansions, since the pairs a session expands share their lower rows.  The
+memo is bounded by the number of weights it holds: an expansion that ends
+with more than ``_MEMO_WEIGHTS`` of them clears it, so one large label
+costs its own memory during its own expansion only.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
+from operator import add, ge
 
 from river_banks.ratpoly import _int
+
+# the kept Gelfand-Tsetlin weights of ``_lr_classical``, and their bound
+# (module docstring), from a ladder of 2^12..2^15 on the tensor benchmark
+_MEMO_WEIGHTS = 1 << 13
+_WEIGHTS = {}
 
 
 class GenPartition:
@@ -105,15 +120,21 @@ def straighten(weight):
 
     Adds the staircase (k - 1, ..., 1, 0) and returns None when two entries
     collide; otherwise ``(inversions, nu)``, where nu is the strictly
-    decreasing sort minus the staircase.
+    decreasing sort minus the staircase.  The code subtracts (0, 1, ...,
+    k - 1) instead, which differs from the staircase by a constant and so
+    sorts and collides alike.
     """
-    k = len(weight)
-    beta = [w + k - 1 - i for i, w in enumerate(weight)]
-    if len(set(beta)) < k:
+    beta = [w - i for i, w in enumerate(weight)]
+    if len(set(beta)) < len(beta):
         return None
-    inv = sum(1 for i in range(k) for j in range(i + 1, k) if beta[i] < beta[j])
     srt = sorted(beta, reverse=True)
-    return inv, tuple(srt[i] - (k - 1 - i) for i in range(k))
+    # each entry, largest first, is inverted with the smaller ones still before it
+    inv, rest = 0, beta[:]
+    for b in srt:
+        i = rest.index(b)
+        inv += i
+        del rest[i]
+    return inv, tuple(b + i for i, b in enumerate(srt))
 
 
 def lr_expand(lam: GenPartition, mu: GenPartition) -> dict:
@@ -141,31 +162,49 @@ def lr_expand(lam: GenPartition, mu: GenPartition) -> dict:
 def _lr_classical(lam, mu):
     """The nonzero ``(nu, multiplicity)`` pairs of the product, as tuples.
 
+    The weights w of mu come off its Gelfand-Tsetlin patterns.  When
+    lam + w is weakly decreasing, that is when lam + w + rho is already
+    strictly decreasing, the term is lam + w with sign +: no sort and no
+    inversion count.  Every other weight goes through ``straighten``.  The
+    rows below mu are read from and added to the kept memo ``_WEIGHTS``,
+    which is cleared at the end if it then holds more than
+    ``_MEMO_WEIGHTS`` weights; mu's own row is used once and never kept.
+
     A tensor op expands its pair once: the sharpness report and the
-    witnesses are read off the PRV term instead.  The 64-entry memo stays
-    only because the benchmark's tracer reads its ``cache_info()``.
+    witnesses are read off the PRV term instead.  The 64-entry
+    ``lru_cache`` stays only because the benchmark's tracer reads its
+    ``cache_info()``.
     """
-    memo = {}
-
-    def weights(row):
-        """Weight multiplicities of the Gelfand-Tsetlin patterns with top ``row``.
-
-        The next row interlaces it, row[i] >= sub[i] >= row[i + 1], and a
-        pattern's weight lists the differences of successive row sums.
-        """
-        if len(row) == 1:
-            return {row: 1}
-        if row not in memo:
-            out = memo[row] = Counter()
-            for sub in product(*(range(b, a + 1) for a, b in zip(row, row[1:]))):
-                tail = (sum(row) - sum(sub),)
-                for w, m in weights(sub).items():
-                    out[w + tail] += m
-        return memo[row]
-
-    acc = Counter()
-    for w, m in weights(mu).items():
-        hit = straighten([a + b for a, b in zip(lam, w)])
-        if hit is not None:
-            acc[hit[1]] += -m if hit[0] % 2 else m
+    acc = {}
+    for w, m in _pattern_weights(mu).items():
+        nu = tuple(map(add, lam, w))
+        if all(map(ge, nu, nu[1:])):
+            acc[nu] = acc.get(nu, 0) + m
+        else:
+            hit = straighten(nu)
+            if hit is not None:
+                acc[hit[1]] = acc.get(hit[1], 0) + (-m if hit[0] % 2 else m)
+    if sum(map(len, _WEIGHTS.values())) > _MEMO_WEIGHTS:
+        _WEIGHTS.clear()
     return tuple((nu, c) for nu, c in acc.items() if c)
+
+
+def _pattern_weights(row):
+    """Weight multiplicities of the Gelfand-Tsetlin patterns with top ``row``.
+
+    The next row interlaces it, row[i] >= sub[i] >= row[i + 1], and a
+    pattern's weight lists the differences of successive row sums.  The
+    rows below ``row`` are looked up in, or added to, ``_WEIGHTS``.
+    """
+    if len(row) == 1:
+        return {row: 1}
+    out, total = {}, sum(row)
+    for sub in product(*(range(b, a + 1) for a, b in zip(row, row[1:]))):
+        tail = (total - sum(sub),)
+        below = _WEIGHTS.get(sub)
+        if below is None:
+            below = _WEIGHTS[sub] = _pattern_weights(sub)
+        for w, m in below.items():
+            key = w + tail
+            out[key] = out.get(key, 0) + m
+    return out

@@ -1,10 +1,19 @@
 import random
-from itertools import permutations, product
+from itertools import count, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from river_banks.partitions import GenPartition, leq, lr_expand, schur_dim, straighten
+from river_banks import partitions
+from river_banks.partitions import (
+    _MEMO_WEIGHTS,
+    GenPartition,
+    _lr_classical,
+    leq,
+    lr_expand,
+    schur_dim,
+    straighten,
+)
 
 from corpus import lr_strips, random_partition
 
@@ -132,6 +141,31 @@ class TestStraighten:
         assert straighten(weight) == straighten_by_search(weight)
 
 
+# the tensor workload's bands of dim(lam) * dim(mu) per n, parts in 0..8
+DIM_BANDS = {2: (8, 12), 3: (250, 500), 4: (25_000, 50_000), 5: (5_000_000, 10_000_000)}
+
+
+def band_pairs(rng, n, size):
+    """``size`` pairs of length-n labels whose dimensions multiply into the n band."""
+    lo, hi = DIM_BANDS[n]
+    out = []
+    while len(out) < size:
+        lam, mu = random_partition(rng, n, 0, 8), random_partition(rng, n, 0, 8)
+        if lo <= schur_dim(lam, n) * schur_dim(mu, n) <= hi:
+            out.append((lam, mu))
+    return out
+
+
+def memo_weights():
+    return sum(map(len, partitions._WEIGHTS.values()))
+
+
+def cold_expand(lam, mu):
+    partitions._WEIGHTS.clear()
+    _lr_classical.cache_clear()
+    return lr_expand(lam, mu)
+
+
 def pieri_row_oracle(lam, m):
     """Shapes from adding a horizontal strip of m boxes to lam (single-row mu)."""
     n = lam.n
@@ -223,3 +257,34 @@ class TestLRExpand:
         # two-row labels whose product would need four rows over rank 2
         got = lr_expand(gp(1, 1), gp(1, 1))
         assert got == {gp(2, 2): 1}
+
+    def test_against_strip_oracle_in_the_n5_band(self):
+        for lam, mu in band_pairs(random.Random(77), 5, 8):
+            assert cold_expand(lam, mu) == lr_strips(lam, mu)
+
+    def test_kept_weights_change_no_expansion(self):
+        rng = random.Random(78)
+        pairs = [p for n in (2, 3, 4, 5) for p in band_pairs(rng, n, 6)]
+        cold = [cold_expand(lam, mu) for lam, mu in pairs]
+        order = list(range(len(pairs)))
+        rng.shuffle(order)
+        partitions._WEIGHTS.clear()
+        warm = {}
+        for i in order:
+            _lr_classical.cache_clear()
+            warm[i] = lr_expand(*pairs[i])
+        assert [warm[i] for i in range(len(pairs))] == cold
+
+    def test_kept_weights_are_bounded(self):
+        # the sub-rows (a, b) of (2k, k, 0), k <= a <= 2k and 0 <= b <= k,
+        # hold a - b + 1 weights each
+        k = next(k for k in count(1) if sum(
+            a - b + 1 for a in range(k, 2 * k + 1) for b in range(k + 1)) > _MEMO_WEIGHTS)
+        small = gp(2, 1, 0)
+        cold_expand(small, small)
+        assert 0 < memo_weights() <= _MEMO_WEIGHTS
+        big = gp(2 * k, k, 0)
+        got = lr_expand(big, big)
+        assert memo_weights() <= _MEMO_WEIGHTS
+        assert sum(c * schur_dim(nu, 3) for nu, c in got.items()) == schur_dim(big, 3) ** 2
+        assert cold_expand(big, big) == got
