@@ -7,11 +7,14 @@ the tensor product obey
     coreg(p) of F (x) G  >=  1 + max over k + l = p of coreg(k) F + coreg(l) G
 
 with equality for sums of homogeneous bundles.  This module evaluates both
-families of inequalities on explicit tables, computes the homogeneous tensor
-product itself via the Littlewood-Richardson expansion, produces the
-representation-theoretic witness behind the sharpness statement, and
+families of inequalities on explicit tables, each side by its one rule in
+``_SIDES`` (the pick, the shift and the relation the product must bear),
+computes the homogeneous tensor product itself via the Littlewood-Richardson
+expansion (``BottSumTable`` merges the terms that reach one label), produces
+the representation-theoretic witness behind the sharpness statement, and
 evaluates the two-sided margin criterion that forces the obstruction space
-of a bundle to vanish.
+of a bundle to vanish.  Each report writes its JSON by the one record rule,
+``tables._record_json``.
 
 Sharpness for two labels needs no product.  Write g_p for the max over
 k + l = p of lam.part(k) + mu.part(l).  By Weyl's inequalities (Fulton,
@@ -26,7 +29,6 @@ alone.  The test suite checks both theorems against the whole expansion.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from typing import NamedTuple
 
 from river_banks.partitions import GenPartition, lr_expand, schur_dim
@@ -34,7 +36,7 @@ from river_banks.tables import (
     MAX_TENSOR_DIM,
     BottSumTable,
     CohomologyTable,
-    _json_index,
+    _record_json,
     homogeneous_table,
     regularity_profile,
 )
@@ -48,15 +50,7 @@ class BoundEntry(NamedTuple):
     equality: bool
     window_limited: bool
 
-    def to_json(self):
-        return {
-            "p": self.p,
-            "bound": _json_index(self.bound),
-            "actual": _json_index(self.actual),
-            "satisfied": self.satisfied,
-            "equality": self.equality,
-            "window_limited": self.window_limited,
-        }
+    to_json = _record_json
 
 
 class BoundReport(NamedTuple):
@@ -81,16 +75,16 @@ class BoundReport(NamedTuple):
     def window_limited(self) -> bool:
         return any(e.window_limited for e in self.entries)
 
-    def to_json(self):
-        return {"side": self.side, "entries": [e.to_json() for e in self.entries]}
+    to_json = _record_json
 
 
 def tensor_homogeneous(f: BottSumTable, g: BottSumTable) -> BottSumTable:
     """Tensor product of two sums of homogeneous bundles, as a table.
 
     Bilinear in the summands; each pairwise product expands through the
-    Littlewood-Richardson rule.  A product whose smaller factors, summed over
-    the pairs of labels, have dimension past ``tables.MAX_TENSOR_DIM`` is
+    Littlewood-Richardson rule, and ``BottSumTable`` merges the terms of
+    every pair that reach one label.  A product whose smaller factors, summed
+    over the pairs of labels, have dimension past ``tables.MAX_TENSOR_DIM`` is
     refused before any expansion.
     """
     if not isinstance(f, BottSumTable) or not isinstance(g, BottSumTable):
@@ -103,12 +97,13 @@ def tensor_homogeneous(f: BottSumTable, g: BottSumTable) -> BottSumTable:
     if size > MAX_TENSOR_DIM:
         raise ValueError(f"the smaller factors of the tensor product have dimension {size}, "
                          f"past the limit of {MAX_TENSOR_DIM}")
-    acc = Counter()
-    for mf, lam in f.terms:
-        for mg, mu in g.terms:
-            for nu, c in lr_expand(lam, mu).items():
-                acc[nu] += mf * mg * c
-    return BottSumTable(f.n, [(m, nu) for nu, m in acc.items()])
+    return BottSumTable(f.n, [(mf * mg * c, nu) for mf, lam in f.terms for mg, mu in g.terms
+                              for nu, c in lr_expand(lam, mu).items()])
+
+
+#: Each side's rule: bound(p) = shift + pick over k + l = p of f(k) + g(l),
+#: and the relation the product's index must bear to it.
+_SIDES = {"reg": (min, 0, operator.le), "coreg": (max, 1, operator.ge)}
 
 
 def check_tensor_bounds(tf: CohomologyTable, tg: CohomologyTable,
@@ -123,16 +118,16 @@ def check_tensor_bounds(tf: CohomologyTable, tg: CohomologyTable,
     if not (tf.n == tg.n == tfg.n):
         raise ValueError("all three tables must share the ambient dimension")
     pf, pg, pfg = (regularity_profile(t) for t in (tf, tg, tfg))
-    return (_bound_report("reg", pf, pg, pfg.reg, pfg.reg_window_limited, min, 0, operator.le),
-            _bound_report("coreg", pf, pg, pfg.coreg, pfg.coreg_window_limited, max, 1,
-                          operator.ge))
+    return tuple(_bound_report(side, pf, pg, getattr(pfg, side),
+                               getattr(pfg, f"{side}_window_limited")) for side in _SIDES)
 
 
-def _bound_report(side, pf, pg, fg, fgf, pick, shift, holds):
-    """One side: bound(p) = shift + pick over k + l = p of f(k) + g(l), against fg(p).
+def _bound_report(side, pf, pg, fg, fgf):
+    """One side's rule (``_SIDES``) on the factors' profiles, against the product's fg(p).
 
     ``fgf`` holds the window flags of the product's indices ``fg``.
     """
+    pick, shift, holds = _SIDES[side]
     f, g = getattr(pf, side), getattr(pg, side)
     ff, gf = (getattr(prof, f"{side}_window_limited") for prof in (pf, pg))
     entries = []
@@ -157,7 +152,7 @@ def check_sharpness(lam: GenPartition, mu: GenPartition) -> BoundReport:
     witnesses = [lr_witness(lam, mu, p) for p in range(lam.n)]
     pf, pg = (regularity_profile(homogeneous_table(x)) for x in (lam, mu))
     return _bound_report("reg", pf, pg, [-nu.part(p) for p, nu in enumerate(witnesses)],
-                         (False,) * lam.n, min, 0, operator.le)
+                         (False,) * lam.n)
 
 
 def lr_witness(lam: GenPartition, mu: GenPartition, p: int) -> GenPartition:
@@ -182,13 +177,7 @@ class UnobstructedReport(NamedTuple):
     margins: tuple
     window_limited: bool
 
-    def to_json(self):
-        return {
-            "holds": self.holds,
-            "branch": self.branch,
-            "margins": [_json_index(m) for m in self.margins],
-            "window_limited": self.window_limited,
-        }
+    to_json = _record_json
 
 
 def unobstructed_criterion(t: CohomologyTable) -> UnobstructedReport:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from math import prod
 
+from river_banks.ratpoly import _ints
 from river_banks.tables import CohomologyTable
 
 
@@ -44,10 +45,10 @@ def product_line_cohomology(a, i: int) -> int:
 
 
 class KunnethTable(CohomologyTable):
-    """Pushforward table for a multidegree ``a`` on P^len(a)."""
+    """Pushforward table for a multidegree ``a`` of ints (``ratpoly._ints``) on P^len(a)."""
 
     def __init__(self, a):
-        a = tuple(int(x) for x in a)
+        a = _ints(a)
         if not a:
             raise ValueError("multidegree needs at least one factor")
         self.a = a

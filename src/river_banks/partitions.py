@@ -36,7 +36,7 @@ from itertools import product
 from math import factorial, prod
 from operator import add, ge
 
-from river_banks.ratpoly import _int
+from river_banks.ratpoly import _int, _ints
 
 # the kept Gelfand-Tsetlin weights of ``_lr_classical``, and their bound
 # (module docstring), from a ladder of 2^12..2^15 on the tensor benchmark
@@ -45,12 +45,12 @@ _WEIGHTS = {}
 
 
 class GenPartition:
-    """Weakly decreasing integer vector, largest part first."""
+    """Weakly decreasing vector of ints (``ratpoly._ints``), largest part first."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+        parts = _ints(parts)
         if not parts:
             raise ValueError("a generalized partition needs at least one part")
         if any(a < b for a, b in zip(parts, parts[1:])):
@@ -98,13 +98,13 @@ def leq(lam: GenPartition, mu: GenPartition) -> bool:
 def schur_dim(nu, size: int) -> int:
     """Dimension of the Schur module labelled ``nu`` over a ``size``-dimensional space.
 
-    ``nu`` is a weakly decreasing integer vector of length ``size`` whose
-    first entry is the largest; the value is the product over i < j of
-    (nu_i - nu_j + j - i) / (j - i), always a positive integer.  It is computed
-    in integers: the numerators' product divided exactly by the product of the
-    (j - i), which is the superfactorial 0! 1! ... (size - 1)!.
+    ``nu`` is a weakly decreasing vector of ints (``ratpoly._ints``) of length
+    ``size`` whose first entry is the largest; the value is the product over
+    i < j of (nu_i - nu_j + j - i) / (j - i), always a positive integer.  It is
+    computed in integers: the numerators' product divided exactly by the
+    product of the (j - i), which is the superfactorial 0! 1! ... (size - 1)!.
     """
-    nu = tuple(nu.parts) if isinstance(nu, GenPartition) else tuple(int(p) for p in nu)
+    nu = nu.parts if isinstance(nu, GenPartition) else _ints(nu)
     if len(nu) != size:
         raise ValueError(f"label has length {len(nu)}, expected {size}")
     if any(a < b for a, b in zip(nu, nu[1:])):

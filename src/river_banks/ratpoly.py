@@ -1,5 +1,6 @@
 """Dense univariate polynomials with exact rational coefficients, the integer rule
-read from text and the exact-number rule for coefficients and multiplicities."""
+read from text and the exact-number rules for coefficients, multiplicities, label
+parts and multidegrees."""
 
 from __future__ import annotations
 
@@ -38,6 +39,14 @@ def _coeff(c):
     if isinstance(c, (float, bool)):
         raise TypeError(f"expected an exact number, got {c!r}")
     return _exact(Fraction(c))
+
+
+def _ints(values):
+    """A label's parts or a multidegree as ints; any other value is refused, not truncated."""
+    values = tuple(values)
+    if all(type(v) is int for v in values):
+        return values
+    raise TypeError(f"expected integers, got {next(v for v in values if type(v) is not int)!r}")
 
 
 class RatPoly:

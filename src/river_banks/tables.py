@@ -73,7 +73,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm, prod
-from operator import itemgetter
 from typing import NamedTuple
 
 from river_banks.bott import _roots, bott_cohomology
@@ -402,9 +401,7 @@ def _printed_rows(t: CohomologyTable, lo: int, hi: int):
     over a = lo - n..hi, so a piece (p, q, roots) puts at most
     |p| / q * prod max(hi - r, r - a) in a cell, and a cell sums at most
     every piece; the bound is taken in bits, with the largest |p|, the least
-    q and each root's factor at its largest over the pieces.  The extreme
-    roots bound every factor at once, which clears most grids without a pass
-    over the root positions.
+    q and each root position's factor at its largest over the pieces.
     """
     limit = sys.get_int_max_str_digits()
     pieces = t._pieces if limit else ()
@@ -414,18 +411,13 @@ def _printed_rows(t: CohomologyTable, lo: int, hi: int):
         # a value below 2**bits has at most bits * 30103 // 100000 + 1 digits
         bits = len(ps).bit_length() + max(map(abs, ps)).bit_length() - min(qs).bit_length() + 1
         a = lo - t.n
-        # the n >= 1 roots of a piece increase, so these are the extreme roots
-        far = max(hi - min(map(itemgetter(0), seqs)), max(map(itemgetter(-1), seqs)) - a)
-        if (bits + t.n * far.bit_length()) * 30103 // 100000 >= limit:
-            # each root position's least and greatest root over the pieces
-            lows, highs = ((seqs[0], seqs[0]) if len(seqs) == 1
-                           else (map(min, *seqs), map(max, *seqs)))
-            bits += sum(max(hi - low, high - a).bit_length() for low, high in zip(lows, highs))
-            digits = bits * 30103 // 100000 + 1
-            if digits > limit:
-                raise ValueError(f"an entry in display columns {lo}..{hi} of P{t.n} may have up "
-                                 f"to {digits} digits, past the limit of {limit} digits for "
-                                 "integer string conversion (sys.set_int_max_str_digits)")
+        # zip(*seqs) gives each root position its roots, one per piece
+        bits += sum(max(hi - min(r), max(r) - a).bit_length() for r in zip(*seqs))
+        digits = bits * 30103 // 100000 + 1
+        if digits > limit:
+            raise ValueError(f"an entry in display columns {lo}..{hi} of P{t.n} may have up "
+                             f"to {digits} digits, past the limit of {limit} digits for "
+                             "integer string conversion (sys.set_int_max_str_digits)")
     rows = _cells(t, lo, hi)[::-1]
     for i, row in zip(range(t.n, -1, -1), rows):
         if Fraction in map(type, row):
@@ -484,6 +476,24 @@ def _roots_profile(n, seqs):
                              (False,) * n, (False,) * n)
 
 
+def _record_json(v):
+    """The JSON of a record (a ``NamedTuple``): the ``to_json`` of the index layer's records.
+
+    A record is its fields in order, by name; a tuple is a list, a record
+    within a record follows this rule, an infinite index is "-inf" or "inf",
+    and an int, a bool or a string is as it is.
+    """
+    if hasattr(v, "_fields"):
+        return dict(zip(v._fields, map(_record_json, v)))
+    if isinstance(v, tuple):
+        return list(map(_record_json, v))
+    if v == NEG_INFINITY:
+        return "-inf"
+    if v == POS_INFINITY:
+        return "inf"
+    return v
+
+
 class RegularityProfile(NamedTuple):
     """Index vectors for k = 0..n-1, with per-entry window flags."""
 
@@ -492,21 +502,7 @@ class RegularityProfile(NamedTuple):
     reg_window_limited: tuple
     coreg_window_limited: tuple
 
-    def to_json(self):
-        return {
-            "reg": [_json_index(v) for v in self.reg],
-            "coreg": [_json_index(v) for v in self.coreg],
-            "reg_window_limited": list(self.reg_window_limited),
-            "coreg_window_limited": list(self.coreg_window_limited),
-        }
-
-
-def _json_index(v):
-    if v == NEG_INFINITY:
-        return "-inf"
-    if v == POS_INFINITY:
-        return "inf"
-    return int(v)
+    to_json = _record_json
 
 
 def regularity_profile(t: CohomologyTable) -> RegularityProfile:

@@ -21,7 +21,7 @@ which stays inside the bound's slack on every grid the tests build, nor
 ``decompose`` skipping its gcd step altogether: the residual and its
 denominator then grow together, which changes no ratio and no coefficient.
 
-The table holds 21 mutants; all are killed in 21-27 s (CPython 3.11.7,
+The table holds 27 mutants; all are killed in about 40 s (CPython 3.11.7,
 2 CPUs).
 """
 
@@ -124,6 +124,26 @@ MUTANTS = (
     Mutant("PRV pairs lam.part(k) with mu.part(k) for k <= p", "bounds.py",
            "mu_up[p::-1]", "mu_up[:p + 1]",
            ("tests/test_bounds.py::TestLRWitness", "tests/test_bounds.py::TestCheckSharpness")),
+    # the bound sides, the label merge, the records' JSON and the part rule
+    Mutant("coreg bound without its shift 1", "bounds.py",
+           '"coreg": (max, 1, operator.ge)', '"coreg": (max, 0, operator.ge)',
+           ("tests/test_bounds.py::TestCheckTensorBounds",)),
+    Mutant("merged multiplicity overwritten, not added to", "tables.py",
+           "merged[lam] = _exact(merged.get(lam, 0) + mult)", "merged[lam] = mult",
+           ("tests/test_bounds.py::TestTensorHomogeneous",)),
+    Mutant("record JSON writes inf as -inf", "tables.py",
+           'return "inf"', 'return "-inf"', ("tests/test_startup.py::TestRecords",)),
+    Mutant("a float part accepted", "ratpoly.py",
+           "type(v) is int for", "type(v) in (int, float) for",
+           ("tests/test_partitions.py::TestGenPartition",)),
+    # the digit bound off the pieces
+    Mutant("digit bound takes the largest root factor, not their product", "tables.py",
+           "bits += sum(max(hi - min(r)", "bits += max(max(hi - min(r)",
+           ("tests/test_expr_cli.py::TestExitCodeContract::"
+            "test_hostile_sizes_are_refused_before_any_work",)),
+    Mutant("digit bound reads each root position's nearest roots", "tables.py",
+           "max(hi - min(r), max(r) - a)", "max(hi - max(r), min(r) - a)",
+           ("tests/test_tables.py::TestDigitBound",)),
 )
 
 

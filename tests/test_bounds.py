@@ -32,6 +32,12 @@ class TestTensorHomogeneous:
         t = tensor_homogeneous(structure_sheaf_table(3), g)
         assert t.terms == g.terms
 
+    def test_terms_of_two_pairs_reaching_one_label_add_up(self):
+        # S[2,0] x S[1,0] = S[3,0] + S[2,1] and S[1,1] x S[1,0] = S[2,1]
+        f = BottSumTable(2, [(2, gp(2, 0)), (3, gp(1, 1))])
+        t = tensor_homogeneous(f, homogeneous_table(gp(1, 0)))
+        assert t.terms == ((5, gp(2, 1)), (2, gp(3, 0)))
+
     def test_adjoint_square_dimensions(self):
         t = tensor_homogeneous(
             homogeneous_table(gp(2, 1, 0)), homogeneous_table(gp(2, 1, 0)))

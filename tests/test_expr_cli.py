@@ -679,7 +679,7 @@ class TestExitCodeContract:
         assert entries == []
 
     # bounded at 3847, 4269 and 3001 digits, under the default limit of
-    # 4300; the extreme roots alone would bound the last at 4501
+    # 4300; a bound off the extreme roots alone would put the last at 4501
     @pytest.mark.parametrize("expr, digits", [
         ("O(1" + "0" * 40 + ") on P100", 3843),
         ("O(1" + "0" * 44 + ") on P100", 4243),

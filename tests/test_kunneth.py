@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from river_banks import golden, tables
@@ -85,6 +86,11 @@ class TestPushforwardTable:
         for i in range(4):
             for c in range(-4, 4):
                 assert g.entry(i, c - i) == lit.entry(i, c - i)
+
+    @pytest.mark.parametrize("a", [(2.9, -1.5), (2, -1.0), (True, 0)])
+    def test_a_degree_that_is_no_int_is_refused_not_truncated(self, a):
+        with pytest.raises(TypeError):
+            pushforward_table(a)
 
     def test_single_factor_is_line(self):
         t = pushforward_table((0,))

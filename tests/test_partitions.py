@@ -29,6 +29,11 @@ class TestGenPartition:
         with pytest.raises(ValueError):
             GenPartition((1, 2))
 
+    @pytest.mark.parametrize("parts", [(2.7, True), (2.0, 1), (2, False), ("2", 1)])
+    def test_a_part_that_is_no_int_is_refused_not_truncated(self, parts):
+        with pytest.raises(TypeError):
+            GenPartition(parts)
+
     def test_part_indexing_counts_from_smallest(self):
         lam = gp(7, 5, 2, 2, 0, 0)
         assert [lam.part(k) for k in range(6)] == [0, 0, 2, 2, 5, 7]
@@ -92,6 +97,11 @@ class TestSchurDim:
             schur_dim((0, 1), 2)
         with pytest.raises(ValueError):
             schur_dim((1, 0), 3)
+
+    @pytest.mark.parametrize("nu", [(2.5, 0), (True, 0), (2, 0.0)])
+    def test_a_part_that_is_no_int_is_refused_not_truncated(self, nu):
+        with pytest.raises(TypeError):
+            schur_dim(nu, 2)
 
     def test_against_hook_content_oracle(self):
         rng = random.Random(71)

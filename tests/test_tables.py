@@ -685,6 +685,9 @@ class TestDigitBound:
     @given(st.integers(1, 4), st.lists(st.tuples(st.integers(1, 4), st.lists(
         st.integers(-3, 3), min_size=4, max_size=4)), min_size=1, max_size=3),
         st.integers(-3, 3), st.integers(0, 2))
+    # two pieces whose one root lies far from the grid in one and near it in
+    # the other: the bound takes each position's farthest root over the pieces
+    @example(1, [(1, [-1, 0, 0, 0]), (1, [0, 0, 0, 0])], 2, 0)
     def test_a_grid_past_the_limit_is_refused_before_it_is_written(self, n, terms, lo, width):
         # parts near multiples of 10**(700 // n), with their own offsets, so
         # the pieces differ and the entries pass the least limit CPython
