@@ -22,17 +22,22 @@ straightening as the oracle.  ``chi_polynomial`` is the same constant times
 the same linear factors, without the absolute value.
 
 Two memos.  ``_roots`` holds each label's roots, its Schur dimension and
-n!, so that ``schur_dim`` runs once per label.  The cells read it, and so
-does a table's natural piece, built with the table
-(``tables.BottSumTable``'s ``_pieces``): the constant schur_dim / n! stays
-two integers, and the regularity profile, naturality and the twist
-polynomial all come off the roots.  ``_bott`` holds the answer per
-(label, twist) and stays because a grid (``tables._cells``) asks for each
-twist once per row, and a hit is several times cheaper than the closed
-form.  It has to hold the keys of one grid while its rows are read, not
-the history: about 1700 for a chain of 8 labels on P^7 over 200 columns,
-1090 for O(0) on P^100 over 990 columns.  A larger memo only keeps twists
-that do not come back.
+n!, computed once per label.  The dimension is read off the roots: the Weyl
+product over i < j of (neg[j] - neg[i]), divided exactly by the
+superfactorial 0! 1! ... (n - 1)!, which ``partitions`` computes once per
+size; the parts, checked when the label was built, are not checked again.
+The cells read it, and so does a table's natural piece, built with the
+table (``tables.BottSumTable``'s ``_pieces``): the constant schur_dim / n!
+stays two integers, and the regularity profile, naturality and the twist
+polynomial all come off the roots.  ``_bott`` holds the answer per (label,
+twist) and stays because a grid (``tables._cells``) asks for each twist
+once per row, and a hit is several times cheaper than the closed form.  It
+has to hold the keys of one grid while its rows are read, not the history:
+about 1700 for a chain of 8 labels on P^7 over 200 columns, 1090 for O(0)
+on P^100 over 990 columns.  A larger memo only keeps twists that do not
+come back.  A miss multiplies the n factors d - r into the label's constant
+in integers and builds its ``BottCohomology`` with ``tuple.__new__``,
+skipping the class's Python-level ``__new__``.
 
 ``bott_cohomology`` is called once per label and cell of a homogeneous
 sum: its row (``tables.BottSumTable._row``) is the one generator row still
@@ -51,7 +56,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import NamedTuple, Optional
 
-from river_banks.partitions import GenPartition, schur_dim
+from river_banks.partitions import GenPartition, _superfactorial
 from river_banks.ratpoly import RatPoly, _from_roots
 
 
@@ -71,9 +76,17 @@ def bott_cohomology(n: int, lam: GenPartition, d: int) -> Optional[BottCohomolog
 
 @lru_cache(maxsize=1 << 10)
 def _roots(parts):
-    """(increasing roots, schur_dim(parts, n), n!) of a label with n parts."""
+    """(increasing roots, schur_dim(parts, n), n!) of a label with n parts.
+
+    The Schur dimension is the Weyl product over the roots, since
+    neg[j] - neg[i] is parts[i] - parts[j] + j - i.
+    """
     n = len(parts)
-    return tuple(i - n - p for i, p in enumerate(parts)), schur_dim(parts, n), factorial(n)
+    neg = tuple(i - n - p for i, p in enumerate(parts))
+    val, rem = divmod(prod(b - a for i, a in enumerate(neg) for b in neg[i + 1:]),
+                      _superfactorial(n))
+    assert rem == 0 and val > 0
+    return neg, val, factorial(n)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -82,7 +95,9 @@ def _bott(n, parts, d):
     below = bisect_left(neg, d)
     if below < n and neg[below] == d:
         return None
-    return BottCohomology(n - below, num * abs(prod(map(d.__sub__, neg))) // den)
+    for r in neg:
+        num *= d - r
+    return tuple.__new__(BottCohomology, (n - below, abs(num) // den))
 
 
 def chi_polynomial(n: int, lam: GenPartition) -> RatPoly:

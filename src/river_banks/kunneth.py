@@ -38,7 +38,7 @@ def product_line_cohomology(a, i: int) -> int:
     So only row i = #{j : a_j <= -2} can be nonzero, and there the entry is
     the product of the |a_j + 1|.
     """
-    a = [int(x) for x in a]
+    a = _ints(a)
     if i != sum(1 for aj in a if aj <= -2):
         return 0
     return prod(abs(aj + 1) for aj in a)

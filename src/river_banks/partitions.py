@@ -31,7 +31,7 @@ costs its own memory during its own expansion only.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from math import factorial, prod
 from operator import add, ge
@@ -102,7 +102,8 @@ def schur_dim(nu, size: int) -> int:
     ``size`` whose first entry is the largest; the value is the product over
     i < j of (nu_i - nu_j + j - i) / (j - i), always a positive integer.  It is
     computed in integers: the numerators' product divided exactly by the
-    product of the (j - i), which is the superfactorial 0! 1! ... (size - 1)!.
+    product of the (j - i), which is the superfactorial 0! 1! ... (size - 1)!,
+    computed once per size (``_superfactorial``, which ``bott`` shares).
     """
     nu = nu.parts if isinstance(nu, GenPartition) else _ints(nu)
     if len(nu) != size:
@@ -110,9 +111,15 @@ def schur_dim(nu, size: int) -> int:
     if any(a < b for a, b in zip(nu, nu[1:])):
         raise ValueError(f"label is not weakly decreasing: {nu}")
     num = prod(nu[i] - nu[j] + j - i for i in range(size) for j in range(i + 1, size))
-    val, rem = divmod(num, prod(map(factorial, range(size))))
+    val, rem = divmod(num, _superfactorial(size))
     assert rem == 0 and val > 0
     return val
+
+
+@cache
+def _superfactorial(size):
+    """0! 1! ... (size - 1)!, the product of the (j - i) over 0 <= i < j < size."""
+    return prod(map(factorial, range(size)))
 
 
 def straighten(weight):

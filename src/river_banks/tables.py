@@ -226,9 +226,11 @@ class BottSumTable(CohomologyTable):
                              for m, lam in self.terms for neg, num, den in [_roots(lam.parts)])
 
     def _entry(self, i, d):
+        # read once per cell, at call time, so a rebound bott_cohomology is the one called
+        n, bott = self.n, bott_cohomology
         total = 0
         for mult, lam in self.terms:
-            hit = bott_cohomology(self.n, lam, d)
+            hit = bott(n, lam, d)
             if hit is not None and hit.degree == i:
                 total += mult * hit.dim
         return _exact(total)

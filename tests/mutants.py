@@ -21,8 +21,8 @@ which stays inside the bound's slack on every grid the tests build, nor
 ``decompose`` skipping its gcd step altogether: the residual and its
 denominator then grow together, which changes no ratio and no coefficient.
 
-The table holds 27 mutants; all are killed in about 40 s (CPython 3.11.7,
-2 CPUs).
+The table holds 31 mutants; all are killed in 55-80 s (CPython 3.11.7,
+2 CPUs, a shared host).
 """
 
 from __future__ import annotations
@@ -92,10 +92,17 @@ MUTANTS = (
     Mutant("window flag off column hi dropped", "tables.py",
            "(c + 1, c == hi)", "(c + 1, False)",
            ("tests/test_tables.py::TestRegCoreg",)),
-    # Bott's theorem in closed form
+    # Bott's theorem in closed form, and the Weyl dimension off the roots
     Mutant("Bott degree one row low", "bott.py",
-           "BottCohomology(n - below,", "BottCohomology(n - below - 1,",
+           "(BottCohomology, (n - below,", "(BottCohomology, (n - below - 1,",
            ("tests/test_bott.py",)),
+    Mutant("Bott miss skips the last root factor", "bott.py",
+           "for r in neg:", "for r in neg[:-1]:", ("tests/test_bott.py::TestRootSequence",)),
+    Mutant("Weyl product root difference one too large", "bott.py",
+           "prod(b - a for", "prod(b - a + 1 for", ("tests/test_bott.py::TestRootSequence",)),
+    Mutant("superfactorial read over range(1, n + 1)", "partitions.py",
+           "prod(map(factorial, range(size)))", "prod(map(factorial, range(1, size + 1)))",
+           ("tests/test_partitions.py::TestSchurDim",)),
     # the fraction-free greedy decomposition
     Mutant("decompose takes the largest ratio", "boij_soderberg.py",
            "v * b < a * pv", "v * b > a * pv", DECOMPOSE_TESTS),
@@ -136,6 +143,9 @@ MUTANTS = (
     Mutant("a float part accepted", "ratpoly.py",
            "type(v) is int for", "type(v) in (int, float) for",
            ("tests/test_partitions.py::TestGenPartition",)),
+    Mutant("multidegree upstairs truncated with int()", "kunneth.py",
+           "a = _ints(a)\n    if i", "a = [int(x) for x in a]\n    if i",
+           ("tests/test_kunneth.py::TestProductLineCohomology",)),
     # the digit bound off the pieces
     Mutant("digit bound takes the largest root factor, not their product", "tables.py",
            "bits += sum(max(hi - min(r)", "bits += max(max(hi - min(r)",

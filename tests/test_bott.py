@@ -3,11 +3,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from river_banks import bott, partitions
+from river_banks import bott
 from river_banks.bott import BottCohomology, bott_cohomology, chi_polynomial
-from river_banks.partitions import GenPartition
+from river_banks.partitions import GenPartition, schur_dim
 from river_banks.ratpoly import RatPoly, _from_roots
 from river_banks.tables import NEG_INFINITY, homogeneous_table, render_ascii
 
@@ -61,19 +61,32 @@ class TestRootSequence:
     def test_matches_straightening(self, lam, d):
         assert bott_cohomology(lam.n, lam, d) == bott_by_straightening(lam.n, lam.parts, d)
 
-    def test_schur_dim_runs_once_per_label(self, monkeypatch):
-        calls, original = [], partitions.schur_dim
-
-        def counted(nu, size):
-            calls.append((nu, size))
-            return original(nu, size)
-
-        monkeypatch.setattr(partitions, "schur_dim", counted)
-        monkeypatch.setattr(bott, "schur_dim", counted)
+    def test_label_constant_is_computed_once_per_label(self):
         bott._roots.cache_clear()
         bott._bott.cache_clear()
         render_ascii(homogeneous_table(gp(4, 2, 2, 1, -3)), -20, 19)
-        assert calls == [((4, 2, 2, 1, -3), 5)]
+        info = bott._roots.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits > 0
+
+    @settings(max_examples=300)
+    @given(labels)
+    @example(gp(-1))
+    @example(gp(3, 0, -2))
+    @example(gp(*[-2] * 6))
+    def test_weyl_product_over_roots_is_schur_dim(self, lam):
+        assert bott._roots(lam.parts)[1] == schur_dim(lam, lam.n)
+
+    def test_miss_and_hit_are_bott_cohomology(self):
+        bott._bott.cache_clear()
+        miss = bott_cohomology(3, gp(2, 1, 0), -6)
+        hit = bott_cohomology(3, gp(2, 1, 0), -6)
+        for value in (miss, hit):
+            assert type(value) is BottCohomology
+            assert (value.degree, value.dim) == (3, 20)
+            assert value._fields == ("degree", "dim")
+            assert repr(value) == "BottCohomology(degree=3, dim=20)"
+        assert bott._bott.cache_info().hits == 1
 
 
 def scan_homogeneous_reg(n, lam, k):

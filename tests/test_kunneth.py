@@ -66,6 +66,11 @@ class TestProductLineCohomology:
         assert product_line_cohomology((1, 1), -1) == 0
         assert product_line_cohomology((1, 1), 3) == 0
 
+    @pytest.mark.parametrize("a", [(2.9, -1.5), (2, -1.0), (True, 0)])
+    def test_a_degree_that_is_no_int_is_refused_not_truncated(self, a):
+        with pytest.raises(TypeError):
+            product_line_cohomology(a, 0)
+
     @given(st.lists(st.integers(-9, 9), max_size=8))
     def test_closed_form_matches_subset_sum(self, a):
         for i in range(-1, len(a) + 2):
