@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "bott": "BottCohomology bott_cohomology chi_polynomial",
-    "boij_soderberg": "Decomposition NotDecomposableWithinScope NotZeroRegularError decompose "
-                      "recompose",
+    "boij_soderberg": "Decomposition NotDecomposableWithinScope NotZeroRegularError decompose",
     "bounds": "BoundReport UnobstructedReport check_sharpness "
               "check_tensor_bounds lr_witness tensor_homogeneous unobstructed_criterion",
     "exterior": "TwoForm kernel_dim wedge_matrix",

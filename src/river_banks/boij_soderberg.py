@@ -147,11 +147,6 @@ def decompose(t: CohomologyTable) -> Decomposition:
     return Decomposition(tuple(terms), True, True)
 
 
-def recompose(dec: Decomposition, n: int) -> BottSumTable:
-    """Sum of homogeneous tables with the decomposition's rational coefficients."""
-    return BottSumTable(n, [(c, lam) for c, lam in dec.terms])
-
-
 def _partial(terms):
     return Decomposition(tuple(terms), False, bool(terms))
 

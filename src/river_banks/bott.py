@@ -18,23 +18,23 @@ in closed form: only the entry -d + 0 can be out of order, so the
 inversions are the beta_i below -d; the Weyl product over the n + 1 entries
 is the one over the label's n entries times the n factors beta_i + d, and
 its denominator gains the factor n!.  The test suite keeps the
-straightening as the oracle.  ``chi_polynomial`` is the same constant times
-the same linear factors, without the absolute value.
+straightening as the oracle.  ``chi_polynomial`` is the twist polynomial
+of the label's table (``tables.CohomologyTable.hilbert_polynomial``): the
+same constant times the same linear factors, without the absolute value.
 
-Two memos.  ``_roots`` holds each label's roots, its Schur dimension and
-n!, computed once per label.  The dimension is read off the roots: the Weyl
-product over i < j of (neg[j] - neg[i]), divided exactly by the
-superfactorial 0! 1! ... (n - 1)!, which ``partitions`` computes once per
-size; the parts, checked when the label was built, are not checked again.
-The cells read it, and so does a table's natural piece, built with the
-table (``tables.BottSumTable``'s ``_pieces``): the constant schur_dim / n!
-stays two integers, and the regularity profile, naturality and the twist
-polynomial all come off the roots.  ``_bott`` holds the answer per (label,
-twist) and stays because a grid (``tables._cells``) asks for each twist
-once per row, and a hit is several times cheaper than the closed form.  It
-has to hold the keys of one grid while its rows are read, not the history:
-about 1700 for a chain of 8 labels on P^7 over 200 columns, 1090 for O(0)
-on P^100 over 990 columns.  A larger memo only keeps twists that do not
+Two memos.  ``partitions._roots`` holds each label's roots, its Schur
+dimension (the Weyl product over the roots, which ``schur_dim`` reads too)
+and n!, computed once per label; the parts, checked when the label was
+built, are not checked again.  The cells read it, and so does a table's
+natural piece, built with the table (``tables.BottSumTable``'s
+``_pieces``): the constant schur_dim / n! stays two integers, and the
+regularity profile, naturality and the twist polynomial all come off the
+roots.  ``_bott`` holds the answer per (label, twist) and stays because a
+grid (``tables._cells``) asks for each twist once per row, and a hit is
+several times cheaper than the closed form.  It has to hold the keys of
+one grid while its rows are read, not the history: about 1700 for a chain
+of 8 labels on P^7 over 200 columns, 1090 for O(0) on P^100 over 990
+columns.  A larger memo only keeps twists that do not
 come back.  A miss multiplies the n factors d - r into the label's constant
 in integers and builds its ``BottCohomology`` with ``tuple.__new__``,
 skipping the class's Python-level ``__new__``.
@@ -51,13 +51,11 @@ changes, ``_bott`` and that per-cell row go.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
 from typing import NamedTuple, Optional
 
-from river_banks.partitions import GenPartition, _superfactorial
-from river_banks.ratpoly import RatPoly, _from_roots
+from river_banks.partitions import GenPartition, _roots
+from river_banks.ratpoly import RatPoly
 
 
 class BottCohomology(NamedTuple):
@@ -72,21 +70,6 @@ def bott_cohomology(n: int, lam: GenPartition, d: int) -> Optional[BottCohomolog
     if len(lam.parts) != n:
         raise ValueError(f"label has length {lam.n}, expected {n}")
     return _bott(n, lam.parts, d)
-
-
-@lru_cache(maxsize=1 << 10)
-def _roots(parts):
-    """(increasing roots, schur_dim(parts, n), n!) of a label with n parts.
-
-    The Schur dimension is the Weyl product over the roots, since
-    neg[j] - neg[i] is parts[i] - parts[j] + j - i.
-    """
-    n = len(parts)
-    neg = tuple(i - n - p for i, p in enumerate(parts))
-    val, rem = divmod(prod(b - a for i, a in enumerate(neg) for b in neg[i + 1:]),
-                      _superfactorial(n))
-    assert rem == 0 and val > 0
-    return neg, val, factorial(n)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -105,9 +88,11 @@ def chi_polynomial(n: int, lam: GenPartition) -> RatPoly:
 
     The value at an integer d equals the alternating sum of the cohomology
     dimensions of the d-th twist; the degree is exactly n and the n roots are
-    the negated constant entries of the weight sequence.
+    the negated constant entries of the weight sequence.  It is the twist
+    polynomial of the label's table.
     """
     if lam.n != n:
         raise ValueError(f"label has length {lam.n}, expected {n}")
-    neg, num, den = _roots(lam.parts)
-    return _from_roots(neg, Fraction(num, den))
+    from river_banks.tables import homogeneous_table  # tables imports this module
+
+    return homogeneous_table(lam).hilbert_polynomial()

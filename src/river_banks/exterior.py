@@ -60,11 +60,7 @@ class TwoForm:
 
     @classmethod
     def monomial(cls, i, j, coeff=1):
-        if not (1 <= i < j <= DIM):
-            raise ValueError(f"monomial indices must satisfy 1 <= i < j <= {DIM}")
-        vals = [0] * len(BASIS2)
-        vals[BASIS2.index((i, j))] = coeff
-        return cls(vals)
+        return cls.from_pairs([((i, j), coeff)])
 
     @classmethod
     def from_pairs(cls, pairs):

@@ -21,6 +21,10 @@ the label's roots, so in the package ``straighten`` serves only those
 non-dominant weights; the test suite keeps it as the oracle for that closed
 form.
 
+``_roots`` keeps each label's roots, Weyl dimension and n!, once per label:
+``schur_dim``, ``bott``'s closed form and a homogeneous table's natural
+piece all read that one product.
+
 The weights come off Gelfand-Tsetlin patterns, one row at a time.  The
 weights of every row below the top are kept in ``_WEIGHTS`` across
 expansions, since the pairs a session expands share their lower rows.  The
@@ -100,20 +104,31 @@ def schur_dim(nu, size: int) -> int:
 
     ``nu`` is a weakly decreasing vector of ints (``ratpoly._ints``) of length
     ``size`` whose first entry is the largest; the value is the product over
-    i < j of (nu_i - nu_j + j - i) / (j - i), always a positive integer.  It is
-    computed in integers: the numerators' product divided exactly by the
-    product of the (j - i), which is the superfactorial 0! 1! ... (size - 1)!,
-    computed once per size (``_superfactorial``, which ``bott`` shares).
+    i < j of (nu_i - nu_j + j - i) / (j - i), always a positive integer, read
+    off the label's roots (``_roots``).
     """
     nu = nu.parts if isinstance(nu, GenPartition) else _ints(nu)
     if len(nu) != size:
         raise ValueError(f"label has length {len(nu)}, expected {size}")
     if any(a < b for a, b in zip(nu, nu[1:])):
         raise ValueError(f"label is not weakly decreasing: {nu}")
-    num = prod(nu[i] - nu[j] + j - i for i in range(size) for j in range(i + 1, size))
-    val, rem = divmod(num, _superfactorial(size))
+    return _roots(nu)[1]
+
+
+@lru_cache(maxsize=1 << 10)
+def _roots(parts):
+    """(increasing roots, schur_dim(parts, n), n!) of a label with n checked parts.
+
+    The roots are i - n - parts[i].  The Schur dimension is the Weyl product
+    over them, since neg[j] - neg[i] is parts[i] - parts[j] + j - i, divided
+    exactly by the product of the (j - i), the superfactorial.
+    """
+    n = len(parts)
+    neg = tuple(i - n - p for i, p in enumerate(parts))
+    val, rem = divmod(prod(b - a for i, a in enumerate(neg) for b in neg[i + 1:]),
+                      _superfactorial(n))
     assert rem == 0 and val > 0
-    return val
+    return neg, val, factorial(n)
 
 
 @cache

@@ -96,10 +96,3 @@ def _expand(roots) -> list:
     for r in roots:
         coeffs = [below - r * c for below, c in zip([0, *coeffs], [*coeffs, 0])]
     return coeffs
-
-
-def _from_roots(roots, lead=1) -> RatPoly:
-    """``lead * prod(x - r for r in roots)``, the integer expansion ``_expand`` scaled
-    by ``lead`` (``CohomologyTable.hilbert_polynomial`` sums the expansions in integers)."""
-    return RatPoly(c * lead for c in _expand(roots))
-

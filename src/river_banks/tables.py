@@ -27,7 +27,7 @@ A generator table keeps its natural pieces, built once with the table, in
 ``_pieces``: (p, q, increasing roots) with the exact constant p/q kept in
 integers.  Twist d of a piece vanishes at a root and otherwise has one
 group, of dimension p/q * |prod(d - r)|, in row #{r > d}.  A label is one
-piece (``bott._roots``), a pushforward one with constant 1 and the roots
+piece (``partitions._roots``), a pushforward one with constant 1 and the roots
 -a_j - 1, and a direct sum has its summands' pieces, scaled by their
 positive multiplicities.
 
@@ -51,11 +51,11 @@ window.  The whole regularity profile, every k at once (``_profile()``, by
 ``is_supernatural`` are derived from the pieces, for every generator
 backend.  The twist polynomial is summed in integers over one
 denominator, the lcm of the pieces' q, from each piece's integer expansion
-of prod(x - r) (``ratpoly._expand``, which ``bott.chi_polynomial`` reads
-through ``_from_roots``).  A windowed table, which is a literal window
-(a direct sum holds generator tables only), gives instead its ``window``:
-the display columns (lo, hi) it defines; a generator table's ``window`` is
-None.  A literal window sweeps its cells for its profile
+of prod(x - r) (``ratpoly._expand``); ``bott.chi_polynomial`` is the
+twist polynomial of a one-label table.  A windowed table, which is a
+literal window (a direct sum holds generator tables only), gives instead its
+``window``: the display columns (lo, hi) it defines; a generator table's
+``window`` is None.  A literal window sweeps its cells for its profile
 (``_grid_profile``): each display column keeps its top and bottom nonzero
 rows, the two banks of the river, and an answer that touches the end of
 the window carries a ``window_limited`` flag instead of being silently
@@ -75,8 +75,8 @@ from itertools import accumulate
 from math import lcm, prod
 from typing import NamedTuple
 
-from river_banks.bott import _roots, bott_cohomology
-from river_banks.partitions import GenPartition
+from river_banks.bott import bott_cohomology
+from river_banks.partitions import GenPartition, _roots
 from river_banks.ratpoly import RatPoly, _coeff, _exact, _expand, _int
 
 #: Explicit index values for vacuous regularity conditions (never sentinels).
@@ -568,8 +568,9 @@ def beilinson_terms(t: CohomologyTable, e: int):
 
 def render_ascii(t: CohomologyTable, lo: int, hi: int) -> str:
     """Rows n..0 with ``i:`` prefixes, dots for zeros, then the column index line."""
-    index = list(map(str, range(lo, hi + 1)))
+    # the rows first: ``_printed_rows`` refuses an oversized window before any column
     cells = [[str(v) if v else "." for v in row] for row in _printed_rows(t, lo, hi)]
+    index = list(map(str, range(lo, hi + 1)))
     widths = [max(map(len, col)) for col in zip(index, *cells)]
     label_w = len(f"{t.n}:")
     labels = [f"{i}:".rjust(label_w) for i in range(t.n, -1, -1)] + [" " * label_w]

@@ -9,19 +9,20 @@ the one-row closed form; the strip oracle expands a tensor product by
 Littlewood-Richardson tableaux, independent of the Brauer-Klimyk
 straightening; the product oracle reads the sharpness report off the whole
 expanded product, independent of the PRV witnesses; the straightening
-oracle reads a Bott twist off the dot-action straightening, independent of
-the root-sequence closed form; the wedge oracle builds the paired wedge
-matrix from products signed by sorting their indices, independent of the
-precomputed wedge table; the
-row oracle reads each cell off the subset-sum and straightening oracles,
-the stored rows of a literal window and the weighted sum of a direct sum's
-summands, never through a table's own rows, which ``entry`` reads too; the
-cell oracles read a row, an ASCII render or a JSON window one ``entry`` at
-a time and format it one cell at a time, independent of the row reads and
-the whole-row writers; the fraction oracle runs the greedy decomposition
-on a ``Fraction`` residual, independent of the integer residual over one
-denominator, and the piece oracle sums a twist polynomial one ``RatPoly``
-per piece, independent of the integer sum over one denominator.
+oracle reads a Bott twist off the dot-action straightening and the
+hook-content formula, independent of the root-sequence closed form and its
+Weyl product; the wedge oracle builds the paired wedge matrix from products
+signed by sorting their indices, independent of the precomputed wedge
+table; the row oracle reads each cell off the subset-sum and straightening
+oracles, the stored rows of a literal window and the weighted sum of a
+direct sum's summands, never through a table's own rows, which ``entry``
+reads too; the cell oracles read a row, an ASCII render or a JSON window
+one ``entry`` at a time and format it one cell at a time, independent of
+the row reads and the whole-row writers; the fraction oracle runs the
+greedy decomposition on a ``Fraction`` residual, independent of the integer
+residual over one denominator, and the piece oracle sums a twist
+polynomial one ``RatPoly`` per piece (``_from_roots``), independent of the
+integer sum over one denominator.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from river_banks.boij_soderberg import (
 from river_banks.bott import BottCohomology
 from river_banks.bounds import check_tensor_bounds, tensor_homogeneous
 from river_banks.kunneth import KunnethTable
-from river_banks.partitions import GenPartition, leq, schur_dim, straighten
-from river_banks.ratpoly import RatPoly, _from_roots
+from river_banks.partitions import GenPartition, leq, straighten
+from river_banks.ratpoly import RatPoly, _expand
 from river_banks.tables import (
     NEG_INFINITY,
     POS_INFINITY,
@@ -210,10 +211,31 @@ def bott_by_straightening(n, parts, d):
 
     The weight (parts, -d) is straightened by the dot action: a collision
     kills every group, otherwise the inversion count is the degree and the
-    straightened label's Schur module over n + 1 dimensions the group.
+    straightened label's Schur module over n + 1 dimensions the group, its
+    dimension by the hook-content formula.
     """
     hit = straighten(tuple(parts) + (-d,))
-    return None if hit is None else BottCohomology(hit[0], schur_dim(hit[1], n + 1))
+    return None if hit is None else BottCohomology(hit[0], hook_content_dim(hit[1], n + 1))
+
+
+def hook_content_dim(parts, size):
+    """Dimension of the Schur module of a label of length ``size``, by hook contents.
+
+    The label ``parts``, largest first, is shifted to a classical shape, its
+    least part 0, which twists the module by a power of the determinant and
+    keeps its dimension; the value is the product over the shape's boxes of
+    (size + content) / hook, with no root sequence and no Weyl product.
+    """
+    rows = [p - parts[-1] for p in parts if p > parts[-1]]
+    cols = [sum(1 for p in rows if p > j) for j in range(rows[0])] if rows else []
+    val = 1
+    den = 1
+    for i, row_len in enumerate(rows):
+        for j in range(row_len):
+            val *= size + j - i
+            den *= (row_len - j) + (cols[j] - i) - 1
+    assert val % den == 0
+    return val // den
 
 
 def lr_strips(lam, mu):
@@ -414,6 +436,11 @@ def json_by_cells(t, lo, hi):
     rows = [[v if v < 2**63 else str(v) for v in row_by_cells(t, i, lo, hi)]
             for i in range(t.n, -1, -1)]
     return {"n": t.n, "window": [lo, hi], "rows": rows}
+
+
+def _from_roots(roots, lead=1) -> RatPoly:
+    """``lead * prod(x - r for r in roots)``: the integer expansion ``_expand``, scaled."""
+    return RatPoly(c * lead for c in _expand(roots))
 
 
 def hilbert_by_pieces(t):

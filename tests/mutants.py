@@ -21,7 +21,7 @@ which stays inside the bound's slack on every grid the tests build, nor
 ``decompose`` skipping its gcd step altogether: the residual and its
 denominator then grow together, which changes no ratio and no coefficient.
 
-The table holds 31 mutants; all are killed in 55-80 s (CPython 3.11.7,
+The table holds 33 mutants; all are killed in about 70 s (CPython 3.11.7,
 2 CPUs, a shared host).
 """
 
@@ -98,11 +98,21 @@ MUTANTS = (
            ("tests/test_bott.py",)),
     Mutant("Bott miss skips the last root factor", "bott.py",
            "for r in neg:", "for r in neg[:-1]:", ("tests/test_bott.py::TestRootSequence",)),
-    Mutant("Weyl product root difference one too large", "bott.py",
-           "prod(b - a for", "prod(b - a + 1 for", ("tests/test_bott.py::TestRootSequence",)),
+    Mutant("Weyl product root difference one too large", "partitions.py",
+           "prod(b - a for", "prod(b - a + 1 for",
+           ("tests/test_partitions.py::TestSchurDim", "tests/test_bott.py::TestRootSequence")),
     Mutant("superfactorial read over range(1, n + 1)", "partitions.py",
            "prod(map(factorial, range(size)))", "prod(map(factorial, range(1, size + 1)))",
            ("tests/test_partitions.py::TestSchurDim",)),
+    Mutant("schur_dim reads n! off the roots' memo", "partitions.py",
+           "return _roots(nu)[1]", "return _roots(nu)[2]",
+           ("tests/test_partitions.py::TestSchurDim",)),
+    Mutant("chi_polynomial delegates to the label twisted by 1", "bott.py",
+           "homogeneous_table(lam).hilbert_polynomial()",
+           "homogeneous_table(lam.shift(1)).hilbert_polynomial()",
+           ("tests/test_bott.py::TestChiPolynomial",
+            "tests/test_tables.py::TestHilbertPolynomial::"
+            "test_chi_polynomial_is_the_homogeneous_twist_polynomial")),
     # the fraction-free greedy decomposition
     Mutant("decompose takes the largest ratio", "boij_soderberg.py",
            "v * b < a * pv", "v * b > a * pv", DECOMPOSE_TESTS),

@@ -5,13 +5,13 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from river_banks import bott
+from river_banks import bott, partitions
 from river_banks.bott import BottCohomology, bott_cohomology, chi_polynomial
-from river_banks.partitions import GenPartition, schur_dim
-from river_banks.ratpoly import RatPoly, _from_roots
+from river_banks.partitions import GenPartition
+from river_banks.ratpoly import RatPoly
 from river_banks.tables import NEG_INFINITY, homogeneous_table, render_ascii
 
-from corpus import bott_by_straightening, random_partition
+from corpus import _from_roots, bott_by_straightening, hook_content_dim, random_partition
 
 
 def gp(*parts):
@@ -62,10 +62,10 @@ class TestRootSequence:
         assert bott_cohomology(lam.n, lam, d) == bott_by_straightening(lam.n, lam.parts, d)
 
     def test_label_constant_is_computed_once_per_label(self):
-        bott._roots.cache_clear()
+        partitions._roots.cache_clear()
         bott._bott.cache_clear()
         render_ascii(homogeneous_table(gp(4, 2, 2, 1, -3)), -20, 19)
-        info = bott._roots.cache_info()
+        info = partitions._roots.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert info.hits > 0
 
@@ -74,8 +74,8 @@ class TestRootSequence:
     @example(gp(-1))
     @example(gp(3, 0, -2))
     @example(gp(*[-2] * 6))
-    def test_weyl_product_over_roots_is_schur_dim(self, lam):
-        assert bott._roots(lam.parts)[1] == schur_dim(lam, lam.n)
+    def test_weyl_product_over_roots_is_the_hook_content_dimension(self, lam):
+        assert partitions._roots(lam.parts)[1] == hook_content_dim(lam.parts, lam.n)
 
     def test_miss_and_hit_are_bott_cohomology(self):
         bott._bott.cache_clear()

@@ -649,6 +649,8 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("argv, limit", [
         (["table", "S[1,0] on P2", "--window", "-1000000:1000000"], f"limit of {MAX_CELLS}"),
+        # a billion columns: the ASCII writer refuses before it writes one
+        (["table", "O(0) on P1", "--window", "0:1000000000"], f"limit of {MAX_CELLS}"),
         (["decompose", "S[1000000000,0] on P2"], f"limit of {MAX_CELLS}"),
         (["table", "O(0) on P1500", "--window", "0:3"], f"limit P{MAX_AMBIENT_DIM}"),
         (["decompose", "O(0) on P300"], f"limit P{MAX_AMBIENT_DIM}"),

@@ -15,7 +15,7 @@ from river_banks.partitions import (
     straighten,
 )
 
-from corpus import lr_strips, random_partition
+from corpus import hook_content_dim, lr_strips, random_partition
 
 
 def gp(*parts):
@@ -60,20 +60,6 @@ class TestLeq:
             leq(gp(1, 0), gp(1, 0, 0))
 
 
-def hook_content_dim(shape, size):
-    """Independent dimension oracle for classical shapes (hook content formula)."""
-    rows = [p for p in shape if p > 0]
-    cols = [sum(1 for p in rows if p > j) for j in range(rows[0])] if rows else []
-    val = 1
-    den = 1
-    for i, row_len in enumerate(rows):
-        for j in range(row_len):
-            val *= size + j - i
-            den *= (row_len - j) + (cols[j] - i) - 1
-    assert val % den == 0
-    return val // den
-
-
 def gelfand_tsetlin_count(top):
     """Number of Gelfand-Tsetlin patterns with top row ``top``, by enumeration.
 
@@ -107,7 +93,7 @@ class TestSchurDim:
         rng = random.Random(71)
         for _ in range(100):
             n = rng.randint(1, 5)
-            lam = random_partition(rng, n, 0, 5)
+            lam = random_partition(rng, n, -3, 5)
             assert schur_dim(lam, n) == hook_content_dim(lam.parts, n)
 
     @given(st.lists(st.integers(-3, 5), min_size=1, max_size=4))

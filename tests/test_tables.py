@@ -3,13 +3,15 @@ import random
 import re
 import reprlib
 import sys
+import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from river_banks import golden
-from river_banks.boij_soderberg import Decomposition, NotZeroRegularError, decompose, recompose
+from river_banks.boij_soderberg import Decomposition, NotZeroRegularError, decompose
 from river_banks.bott import bott_cohomology, chi_polynomial
 from river_banks.expr import table_from_expr
 from river_banks.kunneth import pushforward_table
@@ -23,6 +25,7 @@ from river_banks.tables import (
     LiteralTable,
     RegularityProfile,
     SumTable,
+    MAX_CELLS,
     UndecidableError,
     WindowExceededError,
     _cells,
@@ -41,10 +44,12 @@ from river_banks.tables import (
 )
 
 from corpus import (
+    _from_roots,
     bundle_exprs,
     certified_range,
     coreg_condition_holds,
     hilbert_by_pieces,
+    hook_content_dim,
     json_by_cells,
     outcome,
     random_bott_sum,
@@ -364,7 +369,7 @@ class TestExact:
         expected = [[0, 0, 0, 1, 19 * half, 45 * half, 40],
                     [0, 0, 3, 3, 0, 0, 0],
                     [26, 12, 5 * half, half, 0, 0, 0]]
-        cells = _cells(recompose(dec, 2), -4, 2)
+        cells = _cells(BottSumTable(2, dec.terms), -4, 2)
         assert cells == expected
         assert ([[type(v) for v in row] for row in cells]
                 == [[type(v) for v in row] for row in expected])
@@ -654,6 +659,17 @@ class TestAsciiFormat:
     def test_parse_tolerates_trailing_period(self):
         t = parse_ascii("1: 1 .\n0: . 1\n   0 1.\n")
         assert (t.lo, t.hi) == (0, 1)
+
+    def test_an_oversized_window_is_refused_before_any_column(self):
+        # the index line of two million columns alone held over 100 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"past the limit of {MAX_CELLS}$"):
+                render_ascii(structure_sheaf_table(1), 0, 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestJsonFormat:
@@ -959,8 +975,12 @@ class TestHilbertPolynomial:
     @given(st.integers(1, 6).flatmap(
         lambda n: st.lists(st.integers(-4, 6), min_size=n, max_size=n)))
     def test_chi_polynomial_is_the_homogeneous_twist_polynomial(self, parts):
+        # dim / n! * prod(x + part(k - 1) + k), off the hook-content dimension
         lam = GenPartition(sorted(parts, reverse=True))
-        assert chi_polynomial(lam.n, lam) == homogeneous_table(lam).hilbert_polynomial()
+        n = lam.n
+        expected = _from_roots([-lam.part(k - 1) - k for k in range(1, n + 1)],
+                               Fraction(hook_content_dim(lam.parts, n), factorial(n)))
+        assert chi_polynomial(n, lam) == expected
 
     def test_literal_raises(self):
         from river_banks.tables import InsufficientDataError
