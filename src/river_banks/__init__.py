@@ -21,7 +21,7 @@ _EXPORTS = {
               "check_tensor_bounds lr_witness tensor_homogeneous unobstructed_criterion",
     "exterior": "TwoForm kernel_dim wedge_matrix",
     "expr": "ExprError table_from_expr",
-    "kunneth": "KunnethTable product_line_cohomology pushforward_table",
+    "kunneth": "KunnethTable product_line_cohomology",
     "partitions": "GenPartition leq lr_expand schur_dim",
     "ratpoly": "RatPoly",
     "tables": "NEG_INFINITY POS_INFINITY BottSumTable CohomologyTable LiteralTable "

@@ -71,8 +71,9 @@ def decompose(t: CohomologyTable) -> Decomposition:
     the coregularity index at k = 0); every extracted coefficient is exact
     and the residual is checked entrywise on that window.  When the input has
     a twist polynomial the recomposed polynomial must match it exactly, which
-    certifies the tails beyond the window.  P^0 is refused, and a window whose
-    cells do not certify a positive reg(0) raises ``UndecidableError``.
+    certifies the tails beyond the window.  P^0 is refused.  A window's flagged
+    positive reg(0) is its first column, which no cell above row 0 certifies
+    (``UndecidableError``), or one past a column that has one (``_grid_profile``).
 
     The residual is an integer grid over one denominator, the lcm of the
     input cells' denominators, and each step divides out the gcd of the
@@ -86,13 +87,9 @@ def decompose(t: CohomologyTable) -> Decomposition:
     if reg0 == NEG_INFINITY and coreg0 == POS_INFINITY:
         return Decomposition((), True, True)
     if reg0 > 0:
-        if prof.reg_window_limited[0]:
-            # a nonzero cell of rows 1..n just left of reg(0), inside the window
-            lo, hi = t.window
-            if not (lo <= reg0 - 1 <= hi
-                    and any(t.entry(j, reg0 - 1 - j) for j in range(1, n + 1))):
-                raise UndecidableError(
-                    "no visible cell certifies a positive regularity index at k=0")
+        if prof.reg_window_limited[0] and reg0 == t.window[0]:
+            raise UndecidableError(
+                "no visible cell certifies a positive regularity index at k=0")
         raise NotZeroRegularError(f"regularity index at k=0 is {reg0} > 0")
 
     maxpart = max(-coreg0 - 1, 0)

@@ -21,7 +21,7 @@ import re
 import sys
 
 import river_banks as rb
-from river_banks.ratpoly import _int
+from river_banks.ratpoly import _COEFF, _int
 
 OK, VIOLATION, USAGE, LIMITED = 0, 1, 2, 3
 DEFAULT_SEED = 1729
@@ -173,16 +173,15 @@ MAX_TRIALS = 10_000
 #: and q: two forms of ten distinct 300-digit "p/q" coefficients answer in
 #: about 0.5 s, and the cost grows quadratically past that.
 MAX_COEFF_DIGITS = 300
-_COEFF = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_two_form(text):
     """A form from JSON ``[[[i, j], c], ...]``, checked before any arithmetic.
 
     Indices must be JSON integers and each coefficient a JSON integer or a
-    "p" or "p/q" string of ASCII digits, as ``TwoForm.from_pairs`` documents,
-    of at most MAX_COEFF_DIGITS digits; booleans, floats and exponents are
-    refused.
+    "p" or "p/q" string by the rule ``ratpoly._COEFF``, which the library
+    follows too, of at most MAX_COEFF_DIGITS digits; booleans, floats and
+    exponents are refused.
     """
     import reprlib
 

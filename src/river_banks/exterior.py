@@ -6,14 +6,15 @@ space of 4-forms given by wedging with each form; its kernel is always
 nonzero, and this module computes the kernel dimension exactly.
 
 The arithmetic stays in integers wherever the input allows.  A ``TwoForm``
-keeps each integral coefficient as an ``int`` and only a genuinely rational
-one as a ``Fraction``, by the exact-number rule ``ratpoly._coeff``, which
-refuses a float or a bool.  Of the 100 products of a basis 2-form with a basis
-2-form, the 30 with four distinct indices are nonzero; ``_WEDGE`` lists them
-once, at import, as (column, coefficient index, 4-form row, sign), so that
-``wedge_matrix`` is one multiply-add per table row and block.  ``rank``
-scales each row by the lcm of its denominators and runs fraction-free
-(Bareiss) elimination over the integers.
+keeps each integral coefficient as an ``int`` and only a genuinely rational one
+as a ``Fraction``, by the exact-number rule ``ratpoly._coeff``, which refuses a
+float or a bool and reads text as "p" or "p/q" only, the command line's rule.
+Of the 100 products of a basis 2-form with a basis 2-form, the 30 with four
+distinct indices are nonzero; ``_WEDGE`` lists them once, at import, as
+(column, coefficient index, 4-form row, sign), so that ``wedge_matrix`` is one
+multiply-add per table row and block.  ``rank`` scales each row by the lcm of
+its denominators and runs fraction-free (Bareiss) elimination over the
+integers.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class TwoForm:
     def from_pairs(cls, pairs):
         """Build from ((i, j), coefficient) pairs with 1 <= i < j <= 5.
 
-        A coefficient is an integer, a Fraction, or a "p" or "p/q" string;
-        repeated monomials add up.
+        A coefficient is an integer, a Fraction, or a string by the rule of
+        ``wedge-kernel``, "p" or "p/q" (``ratpoly._COEFF``; any other text
+        raises ``ValueError``); repeated monomials add up.
         """
         vals = [0] * len(BASIS2)
         for (i, j), c in pairs:

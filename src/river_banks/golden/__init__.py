@@ -15,7 +15,7 @@ from math import comb
 
 from river_banks.bott import bott_cohomology
 from river_banks.bounds import check_tensor_bounds, unobstructed_criterion
-from river_banks.kunneth import pushforward_table
+from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
 from river_banks.tables import (
     LiteralTable,
@@ -69,8 +69,8 @@ def verify():
     fg = load("fg")
     phantom = load("phantom")
 
-    f_gen = pushforward_table(F_DEGREES)
-    g_gen = pushforward_table(G_DEGREES)
+    f_gen = KunnethTable(F_DEGREES)
+    g_gen = KunnethTable(G_DEGREES)
     check("pushforward-4,1,-1", _cells(f_gen, -4, 3) == _cells(f_lit, -4, 3),
           "generator matches the stored window")
     check("pushforward-3,-1,-2", _cells(g_gen, -4, 3) == _cells(g_lit, -4, 3),

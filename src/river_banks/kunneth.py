@@ -63,8 +63,3 @@ class KunnethTable(CohomologyTable):
 
     def __repr__(self):
         return f"<KunnethTable {','.join(str(x) for x in self.a)}>"
-
-
-def pushforward_table(a) -> KunnethTable:
-    """Cohomology table of the pushforward of the multidegree-``a`` line bundle."""
-    return KunnethTable(a)

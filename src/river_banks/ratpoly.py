@@ -1,6 +1,6 @@
-"""Dense univariate polynomials with exact rational coefficients, the integer rule
-read from text and the exact-number rules for coefficients, multiplicities, label
-parts and multidegrees."""
+"""Dense univariate polynomials with exact rational coefficients, the integer and
+coefficient rules read from text and the exact-number rules for coefficients,
+multiplicities, label parts and multidegrees."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ from fractions import Fraction
 #: Every integer read from text, the grammar's INT included (every subcommand
 #: loads this module): '1_0' and '٣', which int() reads, are refused.
 _INT = re.compile(r"[+-]?[0-9]+")
+#: Every coefficient or multiplicity read from text, in the CLI and the library alike:
+#: "p" or "p/q" in ASCII digits after an optional '-' (Fraction() also reads ' 7', '+2', '1e3').
+_COEFF = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
 
 def _int(text):
@@ -32,12 +35,15 @@ def _exact(v):
 def _coeff(c):
     """An exact number: an int passes through, anything else becomes an ``_exact`` Fraction.
 
-    A float or a bool is refused rather than read at its binary value.
+    A float or a bool is refused rather than read at its binary value, and
+    text other than "p" or "p/q" (``_COEFF``) too; q = 0 raises ZeroDivisionError.
     """
     if type(c) is int:
         return c
     if isinstance(c, (float, bool)):
         raise TypeError(f"expected an exact number, got {c!r}")
+    if isinstance(c, str) and _COEFF.fullmatch(c) is None:
+        raise ValueError(f'expected "p" or "p/q" in ASCII digits after an optional "-", got {c!r}')
     return _exact(Fraction(c))
 
 

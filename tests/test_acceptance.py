@@ -19,7 +19,7 @@ from river_banks.bounds import (
     unobstructed_criterion,
 )
 from river_banks.exterior import TwoForm, kernel_dim
-from river_banks.kunneth import pushforward_table
+from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition, lr_expand, schur_dim
 from river_banks.tables import (
     BottSumTable,
@@ -48,12 +48,12 @@ def _report(number, label, started, budget=None):
 def test_criterion_01_kunneth_reproduction():
     started = time.perf_counter()
     for degrees, name in (((4, 1, -1), "f"), ((3, -1, -2), "g")):
-        gen = pushforward_table(degrees)
+        gen = KunnethTable(degrees)
         lit = golden.load(name)
         for i in range(4):
             for c in range(-4, 4):
                 assert gen.entry(i, c - i) == lit.entry(i, c - i)
-    f = pushforward_table((4, 1, -1))
+    f = KunnethTable((4, 1, -1))
     assert [f.entry(3, -7), f.entry(3, -6)] == [70, 24]
     assert [f.entry(2, -4), f.entry(2, -3)] == [8, 6]
     assert f.entry(1, -1) == 4
@@ -65,10 +65,10 @@ def test_criterion_02_index_extraction():
     started = time.perf_counter()
     hm = golden.load("hm")
     assert hm.reg(1) == 1 and hm.coreg(0) == -5
-    for table in (pushforward_table((4, 1, -1)), golden.load("f")):
+    for table in (KunnethTable((4, 1, -1)), golden.load("f")):
         prof = regularity_profile(table)
         assert prof.reg == (1, 0, -2) and prof.coreg[:2] == (-3, -1)
-    for table in (pushforward_table((3, -1, -2)), golden.load("g")):
+    for table in (KunnethTable((3, -1, -2)), golden.load("g")):
         prof = regularity_profile(table)
         assert prof.reg == (2, 2, -1) and prof.coreg[:2] == (-2, 1)
     _report(2, "index profiles of the stored tables", started)
@@ -77,8 +77,8 @@ def test_criterion_02_index_extraction():
 def test_criterion_03_tensor_bounds_with_equality():
     started = time.perf_counter()
     reg_rep, coreg_rep = check_tensor_bounds(
-        pushforward_table((4, 1, -1)),
-        pushforward_table((3, -1, -2)),
+        KunnethTable((4, 1, -1)),
+        KunnethTable((3, -1, -2)),
         golden.load("fg"),
     )
     assert reg_rep.all_satisfied and coreg_rep.all_satisfied

@@ -70,10 +70,19 @@ def decomposition_inputs(draw):
     cut from an integral chain over columns that cover the decomposition's
     window (wide) or leave it (narrow); a perturbed window changes a few
     nonzero cells of a wide window, so that the greedy often fails part way.
+    A random window on P^1..P^4, 1 to 7 columns of cells from 0, 0, 0, 1, 2,
+    has a window-limited positive reg(0) about half the time, certified by a
+    cell above row 0 or by none.
     """
     n = draw(st.integers(1, 5))
     mult = st.sampled_from(MULTIPLICITIES)
-    kind = draw(st.sampled_from(("chain", "non-chain", "narrow", "wide", "perturbed")))
+    kind = draw(st.sampled_from(("chain", "non-chain", "narrow", "wide", "perturbed",
+                                 "random")))
+    if kind == "random":
+        n, width, lo = draw(st.integers(1, 4)), draw(st.integers(1, 7)), draw(st.integers(-4, 4))
+        row = st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=width, max_size=width)
+        return LiteralTable(n, lo, lo + width - 1,
+                            draw(st.lists(row, min_size=n + 1, max_size=n + 1)))
     if kind == "non-chain":
         label = st.lists(st.integers(-1, 3), min_size=n, max_size=n).map(
             lambda p: sorted(p, reverse=True))

@@ -11,7 +11,7 @@ from river_banks.bounds import (
     tensor_homogeneous,
     unobstructed_criterion,
 )
-from river_banks.kunneth import pushforward_table
+from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition, lr_expand, schur_dim
 from river_banks.tables import BottSumTable, homogeneous_table, structure_sheaf_table
 
@@ -47,7 +47,7 @@ class TestTensorHomogeneous:
 
     def test_rejects_kunneth(self):
         with pytest.raises(TypeError):
-            tensor_homogeneous(pushforward_table((1, 0)), structure_sheaf_table(2))
+            tensor_homogeneous(KunnethTable((1, 0)), structure_sheaf_table(2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -72,8 +72,8 @@ class TestTensorHomogeneous:
 
 class TestCheckTensorBounds:
     def test_printed_product_example(self):
-        f = pushforward_table((4, 1, -1))
-        g = pushforward_table((3, -1, -2))
+        f = KunnethTable((4, 1, -1))
+        g = KunnethTable((3, -1, -2))
         fg = golden.load("fg")
         reg_rep, coreg_rep = check_tensor_bounds(f, g, fg)
         assert reg_rep.all_satisfied and reg_rep.all_equal

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from river_banks.cli import _parse_two_form
 from river_banks.exterior import (
     BASIS2,
     TwoForm,
@@ -11,6 +13,8 @@ from river_banks.exterior import (
     rank,
     wedge_matrix,
 )
+from river_banks.kunneth import KunnethTable
+from river_banks.tables import BottSumTable, SumTable
 
 from corpus import wedge_matrix_by_sorting
 
@@ -61,6 +65,61 @@ class TestTwoForm:
             TwoForm.from_pairs([((1, 2), bad)])
         with pytest.raises(TypeError, match="exact number"):
             bad * TwoForm.monomial(1, 2)
+
+
+def spelled_by_the_rule(s):
+    """What the coefficient rule makes of ``s``, spelled without a regex: "p" or "p/q" in
+    ASCII digits after an optional '-' is read (q = 0 divides by zero), other text refused."""
+    p, slash, q = s.removeprefix("-").partition("/")
+    if not all(x.isascii() and x.isdigit() for x in ((p, q) if slash else (p,))):
+        return ValueError
+    return ZeroDivisionError if slash and not int(q) else Fraction(s)
+
+
+def outcome(build, *args):
+    """The value ``build`` returns, or the class of its ValueError or ZeroDivisionError."""
+    try:
+        return build(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+#: texts the command line refuses, and Fraction() reads
+OFF_RULE = ["1e3", "0.5", "1_0", "\u0663", " 7", "+2"]
+
+
+class TestCoefficientRule:
+    """Coefficient text is read by one rule in the library and on the command line."""
+
+    @given(st.text("0123456789/-+ ._e\u0663\u00b2", max_size=6))
+    @example("1e3")
+    @example("0.5")
+    @example("1_0")
+    @example("\u0663")
+    @example(" 7")
+    @example("+2")
+    @example("-1/0")
+    def test_the_cli_and_the_library_read_the_same_texts(self, s):
+        expected = spelled_by_the_rule(s)
+        if isinstance(expected, Fraction):
+            expected = TwoForm.from_pairs([((1, 2), expected)])
+        assert outcome(_parse_two_form, json.dumps([[[1, 2], s]])) == expected
+        assert outcome(TwoForm.from_pairs, [((1, 2), s)]) == expected
+
+    @pytest.mark.parametrize("s", OFF_RULE + ["7", "-3/4", "007/003"])
+    def test_multiplicities_follow_the_rule(self, s):
+        expected = spelled_by_the_rule(s)
+        for build in (lambda: BottSumTable(1, [(s, (0,))]),
+                      lambda: SumTable([(s, KunnethTable((0,)))])):
+            if expected is ValueError:
+                with pytest.raises(ValueError, match="ASCII digits"):
+                    build()
+            elif expected < 0:
+                # read by the rule, then refused: a multiplicity is positive
+                with pytest.raises(ValueError, match="(negative|non-positive) multiplicity"):
+                    build()
+            else:
+                assert build().terms[0][0] == expected
 
 
 class TestWedgeMatrix:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from river_banks import golden, tables
-from river_banks.kunneth import KunnethTable, product_line_cohomology, pushforward_table
+from river_banks.kunneth import KunnethTable, product_line_cohomology
 from river_banks.tables import (
     CohomologyTable,
     is_natural,
@@ -79,14 +79,14 @@ class TestProductLineCohomology:
 
 class TestPushforwardTable:
     def test_matches_stored_f(self):
-        f = pushforward_table((4, 1, -1))
+        f = KunnethTable((4, 1, -1))
         lit = golden.load("f")
         for i in range(4):
             for c in range(-4, 4):
                 assert f.entry(i, c - i) == lit.entry(i, c - i)
 
     def test_matches_stored_g(self):
-        g = pushforward_table((3, -1, -2))
+        g = KunnethTable((3, -1, -2))
         lit = golden.load("g")
         for i in range(4):
             for c in range(-4, 4):
@@ -95,10 +95,10 @@ class TestPushforwardTable:
     @pytest.mark.parametrize("a", [(2.9, -1.5), (2, -1.0), (True, 0)])
     def test_a_degree_that_is_no_int_is_refused_not_truncated(self, a):
         with pytest.raises(TypeError):
-            pushforward_table(a)
+            KunnethTable(a)
 
     def test_single_factor_is_line(self):
-        t = pushforward_table((0,))
+        t = KunnethTable((0,))
         assert t.entry(0, 3) == 4
         assert t.entry(1, -2) == 1
         assert t.entry(1, -1) == 0
@@ -204,7 +204,7 @@ class TestClosedFormProfile:
         entries = []
         monkeypatch.setattr(CohomologyTable, "entry",
                             lambda t, i, d: entries.append((i, d)))
-        t = pushforward_table((10**9, 0, -10**9))
+        t = KunnethTable((10**9, 0, -10**9))
         prof = regularity_profile(t)
         assert is_natural(t)
         assert entries == []
@@ -219,8 +219,8 @@ class TestSupernatural:
             raise AssertionError("entry read")
 
         monkeypatch.setattr(CohomologyTable, "entry", refuse)
-        assert is_supernatural(pushforward_table((10**9, 0, -10**9)))
-        assert not is_supernatural(pushforward_table((1, 1, 0)))
+        assert is_supernatural(KunnethTable((10**9, 0, -10**9)))
+        assert not is_supernatural(KunnethTable((1, 1, 0)))
 
     @given(multidegrees(max_size=5))
     def test_matches_distinct_multidegrees(self, a):

@@ -14,7 +14,7 @@ from river_banks import golden
 from river_banks.boij_soderberg import Decomposition, NotZeroRegularError, decompose
 from river_banks.bott import bott_cohomology, chi_polynomial
 from river_banks.expr import table_from_expr
-from river_banks.kunneth import pushforward_table
+from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
 from river_banks.tables import (
     NEG_INFINITY,
@@ -103,7 +103,7 @@ def generator_tables(draw, n=None, depth=2):
         for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                       max_size=2)):
             a[dst] = a[src]
-        t = pushforward_table(a)
+        t = KunnethTable(a)
     else:
         t = SumTable(draw(st.lists(st.tuples(st.integers(1, 3), generator_tables(n, depth - 1)),
                                    min_size=1, max_size=3)))
@@ -203,7 +203,7 @@ def polynomial_tables(draw):
                        st.sampled_from((-10**9, -10**9 + 1, 10**9 - 1, 10**9)))
     base = st.one_of(
         st.lists(st.tuples(mult, label), max_size=4).map(lambda ts: BottSumTable(n, ts)),
-        st.lists(degree, min_size=n, max_size=n).map(pushforward_table),
+        st.lists(degree, min_size=n, max_size=n).map(KunnethTable),
         generator_tables(n, depth=1))
     t = draw(st.one_of(base, st.lists(st.tuples(mult, base), min_size=1, max_size=3)
                        .map(SumTable)))
@@ -224,7 +224,7 @@ def mixed_sums(draw, n=None):
     n = n or draw(st.integers(1, 3))
     a = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
     label = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    terms = [(10, pushforward_table(a)),
+    terms = [(10, KunnethTable(a)),
              (draw(st.sampled_from((1, 2, 3, Fraction(1, 2)))),
               homogeneous_table(GenPartition(sorted(label)[::-1])))]
     terms = draw(st.permutations(terms))[:draw(st.integers(1, 2))]
@@ -249,7 +249,7 @@ def printed_windows(draw):
             lambda p: GenPartition(sorted(p, reverse=True)))
         t = BottSumTable(n, draw(st.lists(st.tuples(st.integers(1, 9), label), max_size=3)))
     elif kind == "push":
-        t = pushforward_table(draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5)))
+        t = KunnethTable(draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5)))
     elif kind == "literal":
         t = draw(literal_windows())
     else:
@@ -275,9 +275,9 @@ class TestRows:
     @example((LiteralTable(2, 0, 2, [[1, 2, 3]] * 3), 1, -1, 3))
     @example((LiteralTable(2, 0, 2, [[1, 2, 3]] * 3), 2, 1, 4))
     # halves that add up to integers column by column, and a half that does not
-    @example((SumTable([(Fraction(1, 2), pushforward_table((1, 0))),
-                        (Fraction(1, 2), pushforward_table((1, 0)))]), 0, -3, 3))
-    @example((SumTable([(Fraction(1, 2), pushforward_table((1, 0))),
+    @example((SumTable([(Fraction(1, 2), KunnethTable((1, 0))),
+                        (Fraction(1, 2), KunnethTable((1, 0)))]), 0, -3, 3))
+    @example((SumTable([(Fraction(1, 2), KunnethTable((1, 0))),
                         (1, structure_sheaf_table(2))]), 0, -3, 3))
     def test_a_row_is_the_oracles_row_and_its_cells(self, case):
         t, i, lo, hi = case
@@ -346,7 +346,7 @@ class TestExact:
                              (Fraction(2, 3), gp(3))])
         assert [m for m, _ in t.terms] == [big, 2, Fraction(1, 2), Fraction(2, 3)]
         assert [type(m) for m, _ in t.terms] == [int, int, Fraction, Fraction]
-        t = SumTable([(big, pushforward_table((1,))), (Fraction(6, 3), t), ("1/2", t)])
+        t = SumTable([(big, KunnethTable((1,))), (Fraction(6, 3), t), ("1/2", t)])
         assert [m for m, _ in t.terms] == [big, 2, Fraction(1, 2)]
         assert [type(m) for m, _ in t.terms] == [int, int, Fraction]
         assert t.hilbert_polynomial() == hilbert_by_pieces(t)
@@ -394,9 +394,9 @@ class TestRegCoreg:
     # adjacent roots -5, -4 and a repeated part
     @example(homogeneous_table(gp(2, 2, 0)))
     # the root -3 three times over
-    @example(pushforward_table((0, 2, 2, 2)))
+    @example(KunnethTable((0, 2, 2, 2)))
     # the twist just left of the root 0 is itself a root
-    @example(pushforward_table((-1, 0, 3)))
+    @example(KunnethTable((-1, 0, 3)))
     def test_generator_profile_matches_the_scan_oracles(self, t):
         prof = regularity_profile(t)
 
@@ -409,10 +409,10 @@ class TestRegCoreg:
         assert not any(prof.reg_window_limited + prof.coreg_window_limited)
 
     def test_kunneth_f_indices(self):
-        f = pushforward_table((4, 1, -1))
+        f = KunnethTable((4, 1, -1))
         assert [f.reg(k) for k in range(3)] == [1, 0, -2]
         assert f.coreg(0) == -3
-        g = pushforward_table((3, -1, -2))
+        g = KunnethTable((3, -1, -2))
         assert g.coreg(0) == -2
 
     def test_vacuous_indices_are_infinite(self):
@@ -467,7 +467,7 @@ class TestRegCoreg:
     def test_scanned_profile_reads_each_cell_once(self, monkeypatch):
         # a literal window over the certified range of a pushforward, which
         # itself reads its profile off its multidegree
-        push = pushforward_table((5, 3, 1, 0, -2, -4))
+        push = KunnethTable((5, 3, 1, 0, -2, -4))
         lo, hi = certified_range(push)
         t = literal_from_json(table_to_json(push, lo, hi))
         calls = []
@@ -545,7 +545,7 @@ class TestTwistAdd:
     def test_sum_refuses_a_non_positive_multiplicity(self, mult):
         o = structure_sheaf_table(2)
         with pytest.raises(ValueError, match="non-positive multiplicity"):
-            SumTable(((1, o), (mult, pushforward_table((1, 0)))))
+            SumTable(((1, o), (mult, KunnethTable((1, 0)))))
 
     @pytest.mark.parametrize("build", [
         # disjoint windows, 0..0 and 3..3, that no cell of the sum would lie in
@@ -640,7 +640,7 @@ class TestAsciiFormat:
 
     @given(printed_windows())
     @example((BottSumTable(2, []), -14, -3))
-    @example((pushforward_table((10**9, 0, -10**9)), -1, 2))
+    @example((KunnethTable((10**9, 0, -10**9)), -1, 2))
     @example((LiteralTable(1, -12, -10, [[0, 7, 0], [0, 123, 0]]), -12, -10))
     # the largest entry JSON writes as an integer, and the least it writes as a string
     @example((LiteralTable(1, 0, 1, [[2**63 - 1, 0], [2**63, 1]]), 0, 1))
@@ -674,7 +674,7 @@ class TestAsciiFormat:
 
 class TestJsonFormat:
     def test_round_trip(self):
-        f = pushforward_table((4, 1, -1))
+        f = KunnethTable((4, 1, -1))
         blob = table_to_json(f, -4, 3)
         t = literal_from_json(json.loads(json.dumps(blob)))
         for i in range(4):
@@ -800,9 +800,9 @@ class TestNaturalSupernatural:
         assert not is_supernatural(t)
 
     def test_kunneth_supernaturality(self):
-        assert is_supernatural(pushforward_table((4, 1, -1)))
-        assert is_natural(pushforward_table((1, 1, 0)))
-        assert not is_supernatural(pushforward_table((1, 1, 0)))
+        assert is_supernatural(KunnethTable((4, 1, -1)))
+        assert is_natural(KunnethTable((1, 1, 0)))
+        assert not is_supernatural(KunnethTable((1, 1, 0)))
 
     def test_one_label_reads_its_roots_off_the_label(self, monkeypatch):
         def refuse(*args):
@@ -905,7 +905,7 @@ class TestNaturalSupernatural:
         def refuse(*args):
             raise AssertionError("pieces rebuilt")
 
-        t = SumTable([(2, pushforward_table((3, -1, -4))), (3, homogeneous_table(gp(2, 1, 0)))])
+        t = SumTable([(2, KunnethTable((3, -1, -4))), (3, homogeneous_table(gp(2, 1, 0)))])
 
         def queries():
             return (regularity_profile(t), render_ascii(t, -8, 8), table_to_json(t, -8, 8),
@@ -942,7 +942,7 @@ class TestHilbertPolynomial:
 
     def test_kunneth_product_formula_and_alternating_sums(self):
         for a in ((4, 1, -1), (3, -1, -2)):
-            t = pushforward_table(a)
+            t = KunnethTable(a)
             chi = t.hilbert_polynomial()
             for d in range(-10, 11):
                 expected = Fraction(1)
@@ -967,7 +967,7 @@ class TestHilbertPolynomial:
     @given(polynomial_tables())
     # the empty sum, whose polynomial is zero
     @example(BottSumTable(3, []))
-    @example(SumTable([(Fraction(1, 2), pushforward_table([10**9, -10**9])),
+    @example(SumTable([(Fraction(1, 2), KunnethTable([10**9, -10**9])),
                        (Fraction(2, 3), homogeneous_table(gp(2, -1)))]))
     def test_the_integer_sum_matches_the_per_piece_oracle(self, t):
         assert t.hilbert_polynomial() == hilbert_by_pieces(t)
