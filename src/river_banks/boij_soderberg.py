@@ -8,6 +8,16 @@ coefficient keeping the residual entrywise nonnegative on a certified window,
 and repeats.  Honest chain sums are recovered exactly; inputs outside that
 scope fail loudly instead of being approximated.
 
+A generator table whose pieces already lie on a chain is answered off its
+pieces, with no grid.  A piece with strictly increasing roots is a positive
+multiple of one label's table (a homogeneous table is one supernatural
+piece), and the combination along a chain is unique (Eisenbud-Schreyer), so
+when the labels of the pieces, merged by equal roots, form a chain of at
+most ``MAX_TERMS`` labels, they and their constants are the greedy's
+answer.  The grid runs for every other table: a literal window, a piece
+with a repeated root, labels off a chain (which the greedy resolves through
+a finer chain) or more than ``MAX_TERMS`` of them.
+
 The arithmetic is fraction-free, in the manner of Bareiss elimination: the
 residual is an integer grid R over one common denominator D.  A step takes
 the least ratio a / b of a residual cell to its pivot cell by
@@ -23,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from river_banks.partitions import GenPartition, leq
+from river_banks.partitions import GenPartition, _roots, leq
 from river_banks.tables import (
     BottSumTable,
     CohomologyTable,
@@ -31,6 +41,7 @@ from river_banks.tables import (
     POS_INFINITY,
     UndecidableError,
     _cells,
+    _check_grid,
     _grid_profile,
     homogeneous_table,
     regularity_profile,
@@ -74,10 +85,30 @@ def decompose(t: CohomologyTable) -> Decomposition:
     certifies the tails beyond the window.  P^0 is refused.  A window's flagged
     positive reg(0) is its first column, which no cell above row 0 certifies
     (``UndecidableError``), or one past a column that has one (``_grid_profile``).
+    A window past ``MAX_CELLS`` cells is refused before any cell is read or
+    any piece merged, on either path.
 
-    The residual is an integer grid over one denominator, the lcm of the
-    input cells' denominators, and each step divides out the gcd of the
-    denominator and the cells (module docstring).
+    A generator table whose pieces lie on a chain of labels is answered off
+    its pieces (``_piece_chain``), which are the greedy's own answer; any
+    other table (a literal window, a piece with a repeated root, labels off
+    a chain, more than ``MAX_TERMS`` of them) goes to the grid greedy
+    (``_greedy``), whose residual is an integer grid over one denominator,
+    the lcm of the input cells' denominators, with the gcd of the
+    denominator and the cells divided out at each step (module docstring).
+    """
+    window = _window(t)
+    if window is None:
+        return Decomposition((), True, True)
+    terms = _piece_chain(t)
+    if terms is None:
+        return _greedy(t, *window)
+    return Decomposition(terms, True, True)
+
+
+def _window(t):
+    """``decompose``'s refusals, then its window (lo, hi) of display columns.
+
+    None for the zero generator table, whose decomposition is empty.
     """
     n = t.n
     if n < 1:
@@ -85,7 +116,7 @@ def decompose(t: CohomologyTable) -> Decomposition:
     prof = regularity_profile(t)
     reg0, coreg0 = prof.reg[0], prof.coreg[0]
     if reg0 == NEG_INFINITY and coreg0 == POS_INFINITY:
-        return Decomposition((), True, True)
+        return None
     if reg0 > 0:
         if prof.reg_window_limited[0] and reg0 == t.window[0]:
             raise UndecidableError(
@@ -94,6 +125,42 @@ def decompose(t: CohomologyTable) -> Decomposition:
 
     maxpart = max(-coreg0 - 1, 0)
     lo, hi = -maxpart - n - 2, maxpart + n + 2
+    _check_grid(n, lo, hi)
+    return lo, hi
+
+
+def _piece_chain(t):
+    """The terms of a generator table off its pieces when they lie on a chain, else None.
+
+    Pieces with equal roots are merged, their constants p/q summed.  A piece
+    whose roots r increase strictly is (p/q) * n! / schur_dim(lam) times the
+    table of the label lam with parts[i] = i - n - r[i], whose piece has the
+    constant schur_dim(lam) / n! (``partitions._roots``).  When these labels,
+    at most ``MAX_TERMS``, form a chain, the table is that positive
+    combination of homogeneous tables along a chain, which is unique
+    (Eisenbud-Schreyer); the greedy returns it, smallest label first.
+    """
+    if t.window is not None:
+        return None
+    n, merged = t.n, {}
+    for p, q, roots in t._pieces:
+        merged[roots] = merged.get(roots, 0) + Fraction(p, q)
+    if len(merged) > MAX_TERMS or any(a >= b for r in merged for a, b in zip(r, r[1:])):
+        return None
+    labels = sorted((tuple(i - n - r for i, r in enumerate(roots)), c)
+                    for roots, c in merged.items())
+    terms = []
+    for parts, c in labels:
+        lam = GenPartition(parts)
+        if terms and not leq(terms[-1][1], lam):
+            return None
+        _, dim, nfact = _roots(parts)
+        terms.append((c * nfact / dim, lam))
+    return tuple(terms)
+
+
+def _greedy(t, lo, hi):
+    """The greedy run over display columns lo..hi of ``t`` (module docstring)."""
     # the residual is grid / den: integer cells over one common denominator
     grid, den = _cells(t, lo, hi), 1
     if any(type(v) is Fraction for row in grid for v in row):
@@ -101,14 +168,14 @@ def decompose(t: CohomologyTable) -> Decomposition:
         grid = [[v.numerator * (den // v.denominator) for v in row] for row in grid]
 
     terms = []
-    prev = None
-    for _ in range(MAX_TERMS):
-        if not any(any(row) for row in grid):
-            break
-        lam = _pivot_label(grid, lo, hi, terms)
-        if prev is not None and not leq(prev, lam):
+    while any(any(row) for row in grid):
+        if len(terms) == MAX_TERMS:
             raise NotDecomposableWithinScope(
-                f"chain order violated: {prev} vs {lam}", _partial(terms))
+                f"residual nonzero after {MAX_TERMS} terms", _partial(terms))
+        lam = _pivot_label(grid, lo, hi, terms)
+        if terms and not leq(terms[-1][1], lam):
+            raise NotDecomposableWithinScope(
+                f"chain order violated: {terms[-1][1]} vs {lam}", _partial(terms))
         pivot = _cells(homogeneous_table(lam), lo, hi)
         # the least ratio a / b of a residual cell to its pivot cell (b > 0)
         a = b = None
@@ -131,13 +198,9 @@ def decompose(t: CohomologyTable) -> Decomposition:
             if g > 1:
                 den //= g
                 grid = [[v // g for v in row] for row in grid]
-        prev = lam
-    else:
-        raise NotDecomposableWithinScope(
-            f"residual nonzero after {MAX_TERMS} terms", _partial(terms))
 
     if t.window is None:
-        if BottSumTable(n, terms).hilbert_polynomial() != t.hilbert_polynomial():
+        if BottSumTable(t.n, terms).hilbert_polynomial() != t.hilbert_polynomial():
             raise NotDecomposableWithinScope(
                 "twist polynomial of the recomposition differs from the input",
                 _partial(terms))

@@ -56,12 +56,15 @@ def _ints(values):
 
 
 class RatPoly:
-    """Immutable polynomial; ``coeffs[k]`` multiplies x**k, trailing zeros trimmed."""
+    """Immutable polynomial; ``coeffs[k]`` multiplies x**k, trailing zeros trimmed.
+
+    Each coefficient is read by the exact-number rule (``_coeff``) and kept as a Fraction.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [Fraction(_coeff(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

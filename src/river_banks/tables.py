@@ -369,26 +369,31 @@ def _ascii_digits(cells):
 
 
 #: Refusals for hostile sizes, checked before any work: expressions on a
-#: space past P^MAX_AMBIENT_DIM do not parse, no grid read by ``_cells``
-#: (a render, a profile sweep, a decomposition window) holds more than
-#: MAX_CELLS cells, and ``bounds.tensor_homogeneous`` expands no product
-#: whose smaller factors, summed over the pairs of labels, have dimension
-#: past MAX_TENSOR_DIM (an expansion enumerates the weights of the smaller
-#: factor; the dearest products at the limit, of two labels of length 2,
-#: take a few seconds).
+#: space past P^MAX_AMBIENT_DIM do not parse, no grid (a render, a profile
+#: sweep, a decomposition window) holds more than MAX_CELLS cells
+#: (``_check_grid``, which ``_cells`` runs first), and
+#: ``bounds.tensor_homogeneous`` expands no product whose smaller factors,
+#: summed over the pairs of labels, have dimension past MAX_TENSOR_DIM (an
+#: expansion enumerates the weights of the smaller factor; the dearest
+#: products at the limit, of two labels of length 2, take a few seconds).
 MAX_AMBIENT_DIM = 100
 MAX_CELLS = 100_000
 MAX_TENSOR_DIM = 100_000
 
 
-def _cells(t: CohomologyTable, lo: int, hi: int):
-    """Rows 0..n of ``t`` over display columns lo..hi, as a list of lists."""
+def _check_grid(n: int, lo: int, hi: int):
+    """Refuse display columns lo..hi of P^n when empty or past ``MAX_CELLS`` cells."""
     if hi < lo:
         raise ValueError(f"empty window {lo}..{hi}")
-    size = (t.n + 1) * (hi - lo + 1)
+    size = (n + 1) * (hi - lo + 1)
     if size > MAX_CELLS:
-        raise ValueError(f"display columns {lo}..{hi} of P{t.n} hold {size} cells, "
+        raise ValueError(f"display columns {lo}..{hi} of P{n} hold {size} cells, "
                          f"past the limit of {MAX_CELLS}")
+
+
+def _cells(t: CohomologyTable, lo: int, hi: int):
+    """Rows 0..n of ``t`` over display columns lo..hi, as a list of lists."""
+    _check_grid(t.n, lo, hi)
     return [t._row(i, lo, hi) for i in range(t.n + 1)]
 
 

@@ -479,9 +479,10 @@ def decompose_by_fractions(t):
 
     terms = []
     prev = None
-    for _ in range(MAX_TERMS):
-        if not any(any(row) for row in grid):
-            break
+    while any(any(row) for row in grid):
+        if len(terms) == MAX_TERMS:
+            raise NotDecomposableWithinScope(
+                f"residual nonzero after {MAX_TERMS} terms", _partial(terms))
         lam = _pivot_label(grid, lo, hi, terms)
         if prev is not None and not leq(prev, lam):
             raise NotDecomposableWithinScope(
@@ -500,9 +501,6 @@ def decompose_by_fractions(t):
                     grid[i][x] -= coeff * pv
         terms.append((coeff, lam))
         prev = lam
-    else:
-        raise NotDecomposableWithinScope(
-            f"residual nonzero after {MAX_TERMS} terms", _partial(terms))
 
     if t.window is None:
         if BottSumTable(n, terms).hilbert_polynomial() != t.hilbert_polynomial():

@@ -21,7 +21,7 @@ which stays inside the bound's slack on every grid the tests build, nor
 ``decompose`` skipping its gcd step altogether: the residual and its
 denominator then grow together, which changes no ratio and no coefficient.
 
-The table holds 36 mutants; all are killed in about 55 s (CPython 3.11.7,
+The table holds 40 mutants; all are killed in 61-72 s (CPython 3.11.7,
 2 CPUs, a shared host).
 """
 
@@ -121,6 +121,14 @@ MUTANTS = (
            "Fraction(a, b * den)", "Fraction(a, b)", DECOMPOSE_TESTS),
     Mutant("decompose residual not scaled by b", "boij_soderberg.py",
            "[[b * v - a * pv", "[[v - a * pv", DECOMPOSE_TESTS),
+    # the decomposition off a generator table's pieces
+    Mutant("piece constant read as schur_dim / n!, not n! / schur_dim", "boij_soderberg.py",
+           "c * nfact / dim", "c * dim / nfact", DECOMPOSE_TESTS),
+    Mutant("pieces with equal roots not merged", "boij_soderberg.py",
+           "merged.get(roots, 0) + Fraction(p, q)", "Fraction(p, q)", DECOMPOSE_TESTS),
+    Mutant("pieces' labels not checked for a chain", "boij_soderberg.py",
+           "if terms and not leq(terms[-1][1], lam):\n            return None",
+           "if False:\n            return None", DECOMPOSE_TESTS),
     # a window's positive reg(0), certified off its profile
     Mutant("positive reg(0) certificate read one column right", "boij_soderberg.py",
            "reg0 == t.window[0]", "reg0 == t.window[0] + 1",
@@ -161,6 +169,9 @@ MUTANTS = (
     Mutant("coefficient text read by Fraction's own grammar", "ratpoly.py",
            "if isinstance(c, str) and _COEFF.fullmatch(c) is None:", "if False:",
            (f"{RULE_TEST}::test_the_cli_and_the_library_read_the_same_texts",)),
+    Mutant("polynomial coefficient read by Fraction() alone", "ratpoly.py",
+           "Fraction(_coeff(c)) for c in coeffs", "Fraction(c) for c in coeffs",
+           (f"{RULE_TEST}::test_polynomial_coefficients_follow_the_rule",)),
     Mutant("coefficient rule takes a leading '+'", "ratpoly.py",
            'r"-?([0-9]+)', 'r"[+-]?([0-9]+)',
            (f"{RULE_TEST}::test_multiplicities_follow_the_rule[+2]",)),

@@ -14,6 +14,7 @@ from river_banks.exterior import (
     wedge_matrix,
 )
 from river_banks.kunneth import KunnethTable
+from river_banks.ratpoly import RatPoly
 from river_banks.tables import BottSumTable, SumTable
 
 from corpus import wedge_matrix_by_sorting
@@ -120,6 +121,18 @@ class TestCoefficientRule:
                     build()
             else:
                 assert build().terms[0][0] == expected
+
+    @pytest.mark.parametrize("c", OFF_RULE + [0.1, True, "7", "-3/4", 5, Fraction(6, 4)])
+    def test_polynomial_coefficients_follow_the_rule(self, c):
+        if isinstance(c, (float, bool)):
+            with pytest.raises(TypeError, match="exact number"):
+                RatPoly([c])
+        elif isinstance(c, str) and spelled_by_the_rule(c) is ValueError:
+            with pytest.raises(ValueError, match="ASCII digits"):
+                RatPoly([c])
+        else:
+            (got,) = RatPoly([c]).coeffs
+            assert got == Fraction(c) and type(got) is Fraction
 
 
 class TestWedgeMatrix:
