@@ -15,13 +15,13 @@ that defines X on first use and reads X from it.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bott": "BottCohomology bott_cohomology chi_polynomial",
+    "bott": "BottCohomology bott_cohomology",
     "boij_soderberg": "Decomposition NotDecomposableWithinScope NotZeroRegularError decompose",
     "bounds": "BoundReport UnobstructedReport check_sharpness "
               "check_tensor_bounds lr_witness tensor_homogeneous unobstructed_criterion",
-    "exterior": "TwoForm kernel_dim wedge_matrix",
+    "exterior": "TwoForm kernel_dim",
     "expr": "ExprError table_from_expr",
-    "kunneth": "KunnethTable product_line_cohomology",
+    "kunneth": "KunnethTable",
     "partitions": "GenPartition leq lr_expand schur_dim",
     "ratpoly": "RatPoly",
     "tables": "NEG_INFINITY POS_INFINITY BottSumTable CohomologyTable LiteralTable "

@@ -11,7 +11,7 @@ the Weyl dimension formula, twist d
 * vanishes in every degree when d is a root;
 * otherwise has its one nonzero group in degree #{i : beta_i < -d}, the
   number of roots above d;
-* of dimension schur_dim(parts, n) / n! * |prod(d - r for r in neg)|.
+* of dimension schur_dim(lam) / n! * |prod(d - r for r in neg)|.
 
 This is the dot-action straightening of (parts[0], ..., parts[n-1], -d)
 in closed form: only the entry -d + 0 can be out of order, so the

@@ -37,6 +37,7 @@ from river_banks.tables import (
     BottSumTable,
     CohomologyTable,
     _record_json,
+    _written,
     homogeneous_table,
     regularity_profile,
 )
@@ -92,11 +93,11 @@ def tensor_homogeneous(f: BottSumTable, g: BottSumTable) -> BottSumTable:
                         "product table elsewhere and hand it to check-bounds as a file")
     if f.n != g.n:
         raise ValueError(f"ambient dimension mismatch: {f.n} vs {g.n}")
-    dims = {lam: schur_dim(lam, f.n) for _, lam in (*f.terms, *g.terms)}
+    dims = {lam: schur_dim(lam) for _, lam in (*f.terms, *g.terms)}
     size = sum(min(dims[lam], dims[mu]) for _, lam in f.terms for _, mu in g.terms)
     if size > MAX_TENSOR_DIM:
-        raise ValueError(f"the smaller factors of the tensor product have dimension {size}, "
-                         f"past the limit of {MAX_TENSOR_DIM}")
+        raise ValueError("the smaller factors of the tensor product have dimension "
+                         f"{_written(size)}, past the limit of {MAX_TENSOR_DIM}")
     return BottSumTable(f.n, [(mf * mg * c, nu) for mf, lam in f.terms for mg, mu in g.terms
                               for nu, c in lr_expand(lam, mu).items()])
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import lcm
 
-from river_banks.ratpoly import _coeff
+from river_banks.ratpoly import _coeff, _ints
 
 DIM = 5
 BASIS2 = tuple(combinations(range(1, DIM + 1), 2))
@@ -56,41 +56,25 @@ class TwoForm:
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls):
-        return cls((0,) * len(BASIS2))
-
-    @classmethod
-    def monomial(cls, i, j, coeff=1):
-        return cls.from_pairs([((i, j), coeff)])
-
-    @classmethod
     def from_pairs(cls, pairs):
-        """Build from ((i, j), coefficient) pairs with 1 <= i < j <= 5.
+        """Build from ((i, j), coefficient) pairs with ints 1 <= i < j <= 5 (``ratpoly._ints``).
 
         A coefficient is an integer, a Fraction, or a string by the rule of
         ``wedge-kernel``, "p" or "p/q" (``ratpoly._COEFF``; any other text
         raises ``ValueError``); repeated monomials add up.
         """
         vals = [0] * len(BASIS2)
-        for (i, j), c in pairs:
+        for ij, c in pairs:
+            i, j = _ints(ij)
             if not (1 <= i < j <= DIM):
                 raise ValueError(f"bad monomial index ({i}, {j})")
             vals[BASIS2.index((i, j))] += _coeff(c)
         return cls(vals)
 
-    def to_pairs(self):
-        return [(pair, str(c)) for pair, c in zip(BASIS2, self.coeffs) if c]
-
     @classmethod
     def random(cls, rng):
         """Integer coefficients in [-9, 9] from the given seeded generator."""
         return cls(rng.randint(-9, 9) for _ in BASIS2)
-
-    def __add__(self, other):
-        return TwoForm(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __rmul__(self, scalar):
-        return TwoForm(_coeff(scalar) * c for c in self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, TwoForm) and self.coeffs == other.coeffs

@@ -59,6 +59,7 @@ class KunnethTable(CohomologyTable):
         return KunnethTable(self.n - 1 - aj for aj in self.a)
 
     def twist(self, s):
+        (s,) = _ints((s,))
         return KunnethTable(aj + s for aj in self.a)
 
     def __repr__(self):

@@ -86,12 +86,6 @@ class RatPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return RatPoly([c + (b[k] if k < len(b) else 0) for k, c in enumerate(a)])
-
     def __repr__(self):
         if not self.coeffs:
             return "RatPoly(0)"

@@ -77,7 +77,7 @@ from typing import NamedTuple
 
 from river_banks.bott import bott_cohomology
 from river_banks.partitions import GenPartition, _roots
-from river_banks.ratpoly import RatPoly, _coeff, _exact, _expand, _int
+from river_banks.ratpoly import RatPoly, _coeff, _exact, _expand, _int, _ints
 
 #: Explicit index values for vacuous regularity conditions (never sentinels).
 NEG_INFINITY = float("-inf")
@@ -103,6 +103,14 @@ class UndecidableError(Exception):
 
 class InsufficientDataError(ValueError):
     """A literal window does not determine the requested global quantity."""
+
+
+def _ambient(n) -> int:
+    """The ambient dimension ``n``, an int (``ratpoly._ints``) of at least 0."""
+    (n,) = _ints((n,))
+    if n < 0:
+        raise ValueError(f"ambient dimension {n} < 0")
+    return n
 
 
 class CohomologyTable:
@@ -175,12 +183,7 @@ class CohomologyTable:
         lo, hi = self.window
         return _grid_profile(_cells(self, lo, hi), lo, hi)
 
-    # --- structural operations ----------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, CohomologyTable):
-            return NotImplemented
-        return SumTable(((1, self), (1, other)))
+    # --- twist polynomial ---------------------------------------------
 
     def hilbert_polynomial(self) -> RatPoly:
         """The twist polynomial, the sum of p/q * prod(d - r) over the pieces.
@@ -208,7 +211,7 @@ class BottSumTable(CohomologyTable):
     """
 
     def __init__(self, n, terms):
-        merged = {}
+        n, merged = _ambient(n), {}
         for mult, lam in terms:
             if not isinstance(lam, GenPartition):
                 lam = GenPartition(lam)
@@ -252,6 +255,7 @@ class BottSumTable(CohomologyTable):
                                      for m, lam in self.terms])
 
     def twist(self, s):
+        (s,) = _ints((s,))
         return BottSumTable(self.n, [(m, lam.shift(s)) for m, lam in self.terms])
 
     def __repr__(self):
@@ -306,6 +310,7 @@ class SumTable(CohomologyTable):
 class LiteralTable(CohomologyTable):
     """Finite window of values; queries outside the window are hard errors.
 
+    ``n`` (at least 0), ``lo`` and ``hi`` are ints (``ratpoly._ints``), and
     ``rows_by_i[i]`` holds row i left to right over display columns
     ``lo..hi``; entries are nonnegative integers, given as ints or as
     strings of ASCII digits (the cell rule of both file formats).  A bool,
@@ -313,6 +318,7 @@ class LiteralTable(CohomologyTable):
     """
 
     def __init__(self, n, lo, hi, rows_by_i):
+        n, (lo, hi) = _ambient(n), _ints((lo, hi))
         if hi < lo:
             raise ValueError(f"empty window {lo}..{hi}")
         rows_by_i = tuple(rows_by_i)
@@ -351,6 +357,7 @@ class LiteralTable(CohomologyTable):
         return LiteralTable(self.n, -self.hi - 1, -self.lo - 1, rows)
 
     def twist(self, s):
+        (s,) = _ints((s,))
         return LiteralTable(self.n, self.lo - s, self.hi - s, self.rows_by_i)
 
 
@@ -376,19 +383,37 @@ def _ascii_digits(cells):
 #: summed over the pairs of labels, have dimension past MAX_TENSOR_DIM (an
 #: expansion enumerates the weights of the smaller factor; the dearest
 #: products at the limit, of two labels of length 2, take a few seconds).
+#: A label's Weyl product past ``partitions.MAX_WEYL_BITS`` is refused too.
+#: A refusal writes a number past the interpreter's digit limit as its
+#: digit count (``_written``).
 MAX_AMBIENT_DIM = 100
 MAX_CELLS = 100_000
 MAX_TENSOR_DIM = 100_000
 
 
 def _check_grid(n: int, lo: int, hi: int):
-    """Refuse display columns lo..hi of P^n when empty or past ``MAX_CELLS`` cells."""
+    """Refuse display columns lo..hi of P^n when not ints, empty or past ``MAX_CELLS`` cells."""
+    _ints((n, lo, hi))
     if hi < lo:
-        raise ValueError(f"empty window {lo}..{hi}")
+        raise ValueError(f"empty window {_written(lo)}..{_written(hi)}")
     size = (n + 1) * (hi - lo + 1)
     if size > MAX_CELLS:
-        raise ValueError(f"display columns {lo}..{hi} of P{n} hold {size} cells, "
-                         f"past the limit of {MAX_CELLS}")
+        raise ValueError(f"display columns {_written(lo)}..{_written(hi)} of P{n} hold "
+                         f"{_written(size)} cells, past the limit of {MAX_CELLS}")
+
+
+def _written(v: int) -> str:
+    """``v`` in decimal, or "<D digits>" when the interpreter refuses to write it.
+
+    Past ``sys.get_int_max_str_digits()`` digits ``str`` raises, and a refusal
+    that wrote the number would name the interpreter's limit, not its own.
+    """
+    try:
+        return str(v)
+    except ValueError:
+        # 0.30103 > log10(2): the count below is exact or one too many
+        digits = v.bit_length() * 30103 // 100000 + 1
+        return f"<{digits - (abs(v) < 10 ** (digits - 1))} digits>"
 
 
 def _cells(t: CohomologyTable, lo: int, hi: int):
@@ -408,8 +433,10 @@ def _printed_rows(t: CohomologyTable, lo: int, hi: int):
     over a = lo - n..hi, so a piece (p, q, roots) puts at most
     |p| / q * prod max(hi - r, r - a) in a cell, and a cell sums at most
     every piece; the bound is taken in bits, with the largest |p|, the least
-    q and each root position's factor at its largest over the pieces.
+    q and each root position's factor at its largest over the pieces.  The
+    grid's own refusals (``_check_grid``) come first.
     """
+    _check_grid(t.n, lo, hi)
     limit = sys.get_int_max_str_digits()
     pieces = t._pieces if limit else ()
     if pieces:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from hypothesis import strategies as st
 
@@ -330,7 +330,8 @@ def sort_with_sign(indices):
 def wedge_matrix_by_sorting(eta1, eta2):
     """Matrix of w |-> (w ^ eta1, w ^ eta2) over the lexicographic bases of 2- and 4-forms.
 
-    Reads each form through ``to_pairs`` and signs every product e_a e_b e_c e_d
+    Reads each form's coefficients against its own list of the 2-forms, in
+    the same lexicographic order, and signs every product e_a e_b e_c e_d
     by sorting (a, b, c, d); rows are the 4-forms of the eta1 block, then of
     the eta2 block, columns the 2-forms.
     """
@@ -338,7 +339,7 @@ def wedge_matrix_by_sorting(eta1, eta2):
     basis4 = list(combinations(range(1, 6), 4))
     rows = [[Fraction(0)] * len(basis2) for _ in range(2 * len(basis4))]
     for block, eta in enumerate((eta1, eta2)):
-        for pair, coeff in eta.to_pairs():
+        for pair, coeff in zip(basis2, eta.coeffs):
             for col, w in enumerate(basis2):
                 quad, sign = sort_with_sign(w + pair)
                 if sign:
@@ -445,8 +446,11 @@ def _from_roots(roots, lead=1) -> RatPoly:
 
 def hilbert_by_pieces(t):
     """The twist polynomial of a generator table, summed one ``RatPoly`` per piece."""
-    return sum((_from_roots(roots, Fraction(p, q)) for p, q, roots in t._pieces),
-               RatPoly())
+    total = []
+    for p, q, roots in t._pieces:
+        total = [a + b for a, b in zip_longest(
+            total, _from_roots(roots, Fraction(p, q)).coeffs, fillvalue=0)]
+    return RatPoly(total)
 
 
 def decompose_by_fractions(t):

@@ -42,7 +42,7 @@ class TestTensorHomogeneous:
         t = tensor_homogeneous(
             homogeneous_table(gp(2, 1, 0)), homogeneous_table(gp(2, 1, 0)))
         assert dict((lam, m) for m, lam in t.terms) == lr_expand(gp(2, 1, 0), gp(2, 1, 0))
-        total = sum(m * schur_dim(lam, 3) for m, lam in t.terms)
+        total = sum(m * schur_dim(lam) for m, lam in t.terms)
         assert total == 64
 
     def test_rejects_kunneth(self):

@@ -17,7 +17,7 @@ from river_banks.cli import MAX_COEFF_DIGITS, build_parser, main
 from river_banks.exterior import TwoForm
 from river_banks.expr import MAX_DEPTH, ExprError, table_from_expr
 from river_banks.kunneth import KunnethTable
-from river_banks.partitions import GenPartition
+from river_banks.partitions import MAX_WEYL_BITS, GenPartition
 from river_banks.tables import (
     MAX_AMBIENT_DIM,
     MAX_CELLS,
@@ -579,6 +579,12 @@ table_files = st.one_of(
 any_expr = st.one_of(st.text(NOISE), st.text(), mutated(st.integers(1, 3).flatmap(bundle_exprs)))
 
 
+# 100 parts whose differences are about 10^1200, and 100 parts of up to ten digits
+HOSTILE_LABEL = ",".join(str((99 - i) * 10**1199) for i in range(100))
+TEN_DIGIT_LABEL = ",".join(str(9_999_999_999 - i * 10**8) for i in range(100))
+WEYL_LIMIT = f"past the limit of {MAX_WEYL_BITS} bits"
+
+
 class TestExitCodeContract:
     @settings(deadline=None, max_examples=300)
     @given(any_expr)
@@ -667,6 +673,18 @@ class TestExitCodeContract:
         # an entry of 4343 digits, bounded at 4359
         (["table", "O(1" + "0" * 45 + ") on P100", "--window", "0:0"],
          f"past the limit of {sys.get_int_max_str_digits()} digits"),
+        # a label's Weyl product, refused before it is multiplied out (19.7 M bits)
+        (["indices", f"S[{HOSTILE_LABEL}] on P100"], WEYL_LIMIT),
+        (["check-sharpness", HOSTILE_LABEL, HOSTILE_LABEL, "--n", "100"], WEYL_LIMIT),
+        (["tensor", f"S[{HOSTILE_LABEL}] on P100", f"S[{HOSTILE_LABEL}] on P100"], WEYL_LIMIT),
+        # numbers past the interpreter's limit on writing an integer are
+        # written as their digit counts, so the message names its own limit
+        (["tensor", f"S[{TEN_DIGIT_LABEL}] on P100", f"S[{TEN_DIGIT_LABEL}] on P100"],
+         f"dimension <39601 digits>, past the limit of {MAX_TENSOR_DIM}"),
+        (["decompose", "S[" + "9" * 4300 + ",0] on P2"],
+         f"<4301 digits> cells, past the limit of {MAX_CELLS}"),
+        (["decompose", "push(" + "9" * 4300 + ",0) on P2"],
+         f"<4301 digits> cells, past the limit of {MAX_CELLS}"),
     ])
     def test_hostile_sizes_are_refused_before_any_work(self, capsys, monkeypatch,
                                                        argv, limit):
@@ -679,6 +697,14 @@ class TestExitCodeContract:
         assert captured.out == "" and limit in captured.err
         assert len(captured.err.splitlines()) == 1
         assert entries == []
+
+    def test_a_label_inside_the_weyl_bound_still_answers(self, capsys):
+        parts = [(99 - i) * 10**30 for i in range(100)]
+        neg = [i - 100 - p for i, p in enumerate(parts)]
+        bits = sum((b - a).bit_length() for i, a in enumerate(neg) for b in neg[i + 1:])
+        assert 0.95 * MAX_WEYL_BITS < bits <= MAX_WEYL_BITS
+        assert main(["indices", f"S[{','.join(map(str, parts))}] on P100"]) == 0
+        assert json.loads(capsys.readouterr().out)["reg"][0] == -parts[-1]
 
     # bounded at 3847, 4269 and 3001 digits, under the default limit of
     # 4300; a bound off the extreme roots alone would put the last at 4501

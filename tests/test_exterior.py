@@ -29,26 +29,33 @@ base_forms = st.one_of(
     st.lists(small_ints, min_size=10, max_size=10).map(TwoForm),
     st.lists(coefficients, min_size=10, max_size=10).map(TwoForm),
     st.lists(st.tuples(st.sampled_from(BASIS2), coefficients), max_size=3).map(TwoForm.from_pairs),
-    st.just(TwoForm.zero()),
+    st.just(TwoForm([0] * 10)),
 )
+
+
+def scaled(s, eta):
+    return TwoForm(s * c for c in eta.coeffs)
+
+
 # integer, rational, sparse and zero forms, and nonzero multiples of them
-two_forms = base_forms | st.tuples(nonzero_scalars, base_forms).map(lambda p: p[0] * p[1])
+two_forms = base_forms | st.tuples(nonzero_scalars, base_forms).map(lambda p: scaled(*p))
 
 
 class TestTwoForm:
-    def test_from_pairs_and_back(self):
+    def test_from_pairs(self):
         eta = TwoForm.from_pairs([((1, 2), "1"), ((3, 4), "1/2")])
-        assert eta.to_pairs() == [((1, 2), "1"), ((3, 4), "1/2")]
+        assert eta.coeffs == (1, 0, 0, 0, 0, 0, 0, Fraction(1, 2), 0, 0)
+        assert repr(eta) == "TwoForm(1*e12 + 1/2*e34)"
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            TwoForm.monomial(2, 2)
+            TwoForm.from_pairs([((2, 2), 1)])
         with pytest.raises(ValueError):
             TwoForm.from_pairs([((0, 3), 1)])
 
-    def test_arithmetic(self):
-        eta = TwoForm.monomial(1, 2) + TwoForm.monomial(3, 4)
-        assert (2 * eta).to_pairs() == [((1, 2), "2"), ((3, 4), "2")]
+    def test_repeated_monomials_add_up(self):
+        eta = TwoForm.from_pairs([((1, 2), 1), ((3, 4), 1), ((1, 2), 1), ((3, 4), "1")])
+        assert eta == TwoForm.from_pairs([((1, 2), 2), ((3, 4), 2)])
 
     def test_coefficients_follow_the_exact_number_rule(self):
         big = 10**30
@@ -56,7 +63,7 @@ class TestTwoForm:
         assert eta.coeffs[:5] == (big, 2, Fraction(1, 2), Fraction(3, 4), -2)
         assert eta.coeffs[0] is big
         assert [type(c) for c in eta.coeffs[:5]] == [int, int, Fraction, Fraction, int]
-        assert type((2 * eta).coeffs[1]) is int
+        assert type(scaled(2, eta).coeffs[2]) is int
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
     def test_a_float_or_bool_coefficient_is_refused(self, bad):
@@ -64,8 +71,6 @@ class TestTwoForm:
             TwoForm([bad] + [0] * 9)
         with pytest.raises(TypeError, match="exact number"):
             TwoForm.from_pairs([((1, 2), bad)])
-        with pytest.raises(TypeError, match="exact number"):
-            bad * TwoForm.monomial(1, 2)
 
 
 def spelled_by_the_rule(s):
@@ -137,12 +142,13 @@ class TestCoefficientRule:
 
 class TestWedgeMatrix:
     def test_zero_pair(self):
-        m = wedge_matrix(TwoForm.zero(), TwoForm.zero())
+        zero = TwoForm([0] * 10)
+        m = wedge_matrix(zero, zero)
         assert all(v == 0 for row in m for v in row)
-        assert kernel_dim(TwoForm.zero(), TwoForm.zero()) == 10
+        assert kernel_dim(zero, zero) == 10
 
     def test_single_monomial_kernel(self):
-        e12 = TwoForm.monomial(1, 2)
+        e12 = TwoForm.from_pairs([((1, 2), 1)])
         assert kernel_dim(e12, e12) == 7
         m = wedge_matrix(e12, e12)
         killed = {(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)}
@@ -171,7 +177,7 @@ class TestAgainstTheSortingOracle:
 
     @given(two_forms)
     def test_values_round_trip_through_pairs(self, eta):
-        again = TwoForm.from_pairs(eta.to_pairs())
+        again = TwoForm.from_pairs(zip(BASIS2, eta.coeffs))
         assert again == eta and hash(again) == hash(eta) and repr(again) == repr(eta)
         for c in eta.coeffs:
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
@@ -189,7 +195,7 @@ class TestKernelDim:
             a, b = TwoForm.random(rng), TwoForm.random(rng)
             k = kernel_dim(a, b)
             assert kernel_dim(b, a) == k
-            assert kernel_dim(Fraction(3, 7) * a, -2 * b) == k
+            assert kernel_dim(scaled(Fraction(3, 7), a), scaled(-2, b)) == k
 
     def test_rational_coefficients(self):
         a = TwoForm.from_pairs([((1, 2), "2/3"), ((4, 5), "-7/5"), ((2, 3), "1/9")])

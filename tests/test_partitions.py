@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from river_banks import partitions
 from river_banks.partitions import (
     _MEMO_WEIGHTS,
+    MAX_WEYL_BITS,
     GenPartition,
     _lr_classical,
     leq,
@@ -74,39 +75,45 @@ def gelfand_tsetlin_count(top):
 
 class TestSchurDim:
     def test_examples(self):
-        assert schur_dim((0, 0, 0), 3) == 1
-        assert schur_dim((1, 0, 0), 3) == 3
-        assert schur_dim((2, 1, 0), 3) == 8
+        assert schur_dim(gp(0, 0, 0)) == 1
+        assert schur_dim(gp(1, 0, 0)) == 3
+        assert schur_dim(gp(2, 1, 0)) == 8
 
     def test_rejects_bad_input(self):
+        # the label is checked once, when it is built
         with pytest.raises(ValueError):
-            schur_dim((0, 1), 2)
-        with pytest.raises(ValueError):
-            schur_dim((1, 0), 3)
+            schur_dim(GenPartition((0, 1)))
 
     @pytest.mark.parametrize("nu", [(2.5, 0), (True, 0), (2, 0.0)])
     def test_a_part_that_is_no_int_is_refused_not_truncated(self, nu):
         with pytest.raises(TypeError):
-            schur_dim(nu, 2)
+            schur_dim(GenPartition(nu))
+
+    def test_the_weyl_bound_is_exact_at_its_edge(self):
+        # on P^2 the Weyl product is the one factor parts[0] - parts[1] + 1
+        edge = 2**MAX_WEYL_BITS - 1
+        assert schur_dim(gp(edge - 1, 0)) == edge
+        with pytest.raises(ValueError, match=f"past the limit of {MAX_WEYL_BITS} bits"):
+            schur_dim(gp(edge, 0))
 
     def test_against_hook_content_oracle(self):
         rng = random.Random(71)
         for _ in range(100):
             n = rng.randint(1, 5)
             lam = random_partition(rng, n, -3, 5)
-            assert schur_dim(lam, n) == hook_content_dim(lam.parts, n)
+            assert schur_dim(lam) == hook_content_dim(lam.parts, n)
 
     @given(st.lists(st.integers(-3, 5), min_size=1, max_size=4))
     def test_counts_gelfand_tsetlin_patterns(self, parts):
         nu = sorted(parts, reverse=True)
-        assert schur_dim(nu, len(nu)) == gelfand_tsetlin_count(nu)
+        assert schur_dim(GenPartition(nu)) == gelfand_tsetlin_count(nu)
 
     def test_shift_invariance(self):
         rng = random.Random(72)
         for _ in range(50):
             n = rng.randint(1, 4)
             lam = random_partition(rng, n, -3, 4)
-            assert schur_dim(lam, n) == schur_dim(lam.shift(5), n)
+            assert schur_dim(lam) == schur_dim(lam.shift(5))
 
 
 def straighten_by_search(weight):
@@ -147,7 +154,7 @@ def band_pairs(rng, n, size):
     out = []
     while len(out) < size:
         lam, mu = random_partition(rng, n, 0, 8), random_partition(rng, n, 0, 8)
-        if lo <= schur_dim(lam, n) * schur_dim(mu, n) <= hi:
+        if lo <= schur_dim(lam) * schur_dim(mu) <= hi:
             out.append((lam, mu))
     return out
 
@@ -219,8 +226,8 @@ class TestLRExpand:
             n = rng.randint(1, 4)
             lam = random_partition(rng, n, 0, 4)
             mu = random_partition(rng, n, 0, 4)
-            lhs = schur_dim(lam, n) * schur_dim(mu, n)
-            rhs = sum(c * schur_dim(nu, n) for nu, c in lr_expand(lam, mu).items())
+            lhs = schur_dim(lam) * schur_dim(mu)
+            rhs = sum(c * schur_dim(nu) for nu, c in lr_expand(lam, mu).items())
             assert lhs == rhs
 
     def test_shift_equivariance(self):
@@ -282,5 +289,5 @@ class TestLRExpand:
         big = gp(2 * k, k, 0)
         got = lr_expand(big, big)
         assert memo_weights() <= _MEMO_WEIGHTS
-        assert sum(c * schur_dim(nu, 3) for nu, c in got.items()) == schur_dim(big, 3) ** 2
+        assert sum(c * schur_dim(nu) for nu, c in got.items()) == schur_dim(big) ** 2
         assert cold_expand(big, big) == got

@@ -14,6 +14,7 @@ from river_banks import golden
 from river_banks.boij_soderberg import Decomposition, NotZeroRegularError, decompose
 from river_banks.bott import bott_cohomology, chi_polynomial
 from river_banks.expr import table_from_expr
+from river_banks.exterior import TwoForm
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition
 from river_banks.tables import (
@@ -360,6 +361,34 @@ class TestExact:
         with pytest.raises(TypeError, match="exact number"):
             sum_of(bad)
 
+    @pytest.mark.parametrize("site", [
+        lambda v: BottSumTable(v, [(1, gp(0))]),
+        lambda v: LiteralTable(v, 0, 0, [[1], [1]]),
+        lambda v: LiteralTable(1, v, 1, [[1], [1]]),
+        lambda v: LiteralTable(1, 0, v, [[1, 1], [1, 1]]),
+        lambda v: homogeneous_table(gp(1, 0)).twist(v),
+        lambda v: KunnethTable((0, 1)).twist(v),
+        lambda v: SumTable([(1, KunnethTable((0,)))]).twist(v),
+        lambda v: LiteralTable(1, 0, 0, [[1], [1]]).twist(v),
+        lambda v: render_ascii(structure_sheaf_table(1), v, 2),
+        lambda v: table_to_json(structure_sheaf_table(1), 0, v),
+        lambda v: TwoForm.from_pairs([((v, 2), 1)]),
+    ], ids=["bott-sum-n", "literal-n", "literal-lo", "literal-hi", "bott-sum-twist",
+            "pushforward-twist", "sum-twist", "literal-twist", "grid-lo", "grid-hi",
+            "form-index"])
+    @pytest.mark.parametrize("bad", [1.0, True])
+    def test_a_float_or_bool_is_refused_at_every_integer_edge(self, site, bad):
+        site(1)
+        with pytest.raises(TypeError, match="expected integers"):
+            site(bad)
+
+    @pytest.mark.parametrize("build", [lambda: BottSumTable(-1, []),
+                                       lambda: LiteralTable(-1, 0, 0, [])],
+                             ids=["bott-sum", "literal"])
+    def test_a_negative_ambient_dimension_is_refused(self, build):
+        with pytest.raises(ValueError, match="ambient dimension -1 < 0"):
+            build()
+
     def test_rational_recomposition_keeps_its_cells(self):
         # the integral cells come back as ints, the others as Fractions
         dec = Decomposition(((Fraction(1, 3), gp(1, 0)), (Fraction(8, 9), gp(2, 0)),
@@ -513,7 +542,8 @@ class TestDual:
             t = random_generator_table(rng)
             s = rng.randint(-4, 4)
             check_dual_twist_formulas(t, s, range(-9, 9))
-            check_dual_twist_formulas(t + random_kunneth(rng, n=t.n), s, range(-9, 9))
+            check_dual_twist_formulas(SumTable([(1, t), (1, random_kunneth(rng, n=t.n))]), s,
+                                      range(-9, 9))
 
     @given(literal_windows(), st.integers(-4, 4))
     def test_literal_dual_and_twist_follow_the_formulas(self, t, s):
@@ -549,18 +579,20 @@ class TestTwistAdd:
 
     @pytest.mark.parametrize("build", [
         # disjoint windows, 0..0 and 3..3, that no cell of the sum would lie in
-        lambda: LiteralTable(1, 0, 0, [[1], [0]]) + LiteralTable(1, 3, 3, [[0], [1]]),
+        lambda: SumTable([(1, LiteralTable(1, 0, 0, [[1], [0]])),
+                          (1, LiteralTable(1, 3, 3, [[0], [1]]))]),
         lambda: SumTable([(1, LiteralTable(1, 0, 1, [[1, 1]] * 2)),
                           (1, LiteralTable(1, 3, 4, [[1, 1]] * 2))]),
         # a generator table and a window, on either side
-        lambda: structure_sheaf_table(1) + LiteralTable(1, 0, 1, [[0, 0], [0, 1]]),
-        lambda: LiteralTable(1, 0, 0, [[0], [1]]) + structure_sheaf_table(1),
+        lambda: SumTable([(1, structure_sheaf_table(1)),
+                          (1, LiteralTable(1, 0, 1, [[0, 0], [0, 1]]))]),
+        lambda: SumTable([(1, LiteralTable(1, 0, 0, [[0], [1]])), (1, structure_sheaf_table(1))]),
         # a window nested in a sum, with the multiplicity 2
-        lambda: structure_sheaf_table(2).twist(-4) + SumTable(
-            ((2, LiteralTable(2, -2, 1, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])),)),
+        lambda: SumTable([(1, structure_sheaf_table(2).twist(-4)), (1, SumTable(
+            ((2, LiteralTable(2, -2, 1, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])),)))]),
         # the golden windows, added to themselves and to O(0)
-        lambda: golden.load("phantom") + golden.load("phantom"),
-        lambda: structure_sheaf_table(4) + golden.load("hm"),
+        lambda: SumTable([(1, golden.load("phantom")), (1, golden.load("phantom"))]),
+        lambda: SumTable([(1, structure_sheaf_table(4)), (1, golden.load("hm"))]),
     ], ids=["disjoint", "disjoint-terms", "generator-window", "window-generator", "nested",
             "phantom-phantom", "generator-hm"])
     def test_a_sum_refuses_a_windowed_summand(self, build):
@@ -579,10 +611,10 @@ class TestTwistAdd:
             SumTable(terms)
 
     def test_add_entries(self):
-        s = structure_sheaf_table(2) + homogeneous_table(gp(1, 0))
+        s = SumTable([(1, structure_sheaf_table(2)), (1, homogeneous_table(gp(1, 0)))])
         assert s.entry(0, 0) == 1 + 3
         with pytest.raises(ValueError):
-            structure_sheaf_table(2) + structure_sheaf_table(3)
+            SumTable([(1, structure_sheaf_table(2)), (1, structure_sheaf_table(3))])
 
     def test_sum_reg_law(self):
         rng = random.Random(26)
@@ -590,7 +622,7 @@ class TestTwistAdd:
             n = rng.randint(1, 4)
             t1 = random_bott_sum(rng, n=n)
             t2 = random_bott_sum(rng, n=n)
-            s = t1 + t2
+            s = SumTable([(1, t1), (1, t2)])
             for k in range(n):
                 assert s.reg(k) == max(t1.reg(k), t2.reg(k))
                 assert s.coreg(k) == min(t1.coreg(k), t2.coreg(k))
