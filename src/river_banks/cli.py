@@ -10,6 +10,8 @@ environment variable applies, and failing that the documented default 1729.
 
 Start-up is most of a call, so the subcommands reach the package through
 its lazy public names (``rb.X``): a call imports only the modules it runs.
+The values it reads are refused by the library's rules: integers by
+``ratpoly._int``, forms by ``TwoForm.from_pairs``, tables by ``LiteralTable``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,26 @@ import re
 import sys
 
 import river_banks as rb
-from river_banks.ratpoly import _COEFF, _int
+from river_banks.ratpoly import _check_digits, _digits, _int
 
 OK, VIOLATION, USAGE, LIMITED = 0, 1, 2, 3
 DEFAULT_SEED = 1729
 
 
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    try:
+        text = json.dumps(obj, indent=2)
+    except ValueError:
+        # json.dumps writes ints with repr, which refuses one past the digit limit
+        _check_digits(max(map(_digits, _ints_in(obj)), default=0), "an integer in the answer has")
+        raise
+    print(text)
+
+
+def _ints_in(obj):
+    """Every int in the JSON value ``obj``."""
+    items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    return [obj] if type(obj) is int else [v for item in items for v in _ints_in(item)]
 
 
 def _fail(message, code):
@@ -46,7 +60,7 @@ def _seed(args):
 def _json(text, what):
     """``json.loads``, with nesting past the recursion limit a usage error."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_int)
     except RecursionError:
         raise ValueError(f"{what} JSON nests too deeply") from None
 
@@ -64,17 +78,14 @@ def _load_table(ref):
 
 def _window(text):
     lo, _, hi = text.partition(":")
-    try:
-        return _int(lo), _int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"window must be lo:hi, got {text!r}") from None
+    return _integer(lo), _integer(hi)
 
 
 def _integer(text):
     try:
         return _int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text):
@@ -169,48 +180,13 @@ def _cmd_unobstructed(args):
 #: the cost grows linearly past that.
 MAX_TRIALS = 10_000
 
-#: Most digits in a form coefficient, counted in an integer or in each of p
-#: and q: two forms of ten distinct 300-digit "p/q" coefficients answer in
-#: about 0.5 s, and the cost grows quadratically past that.
-MAX_COEFF_DIGITS = 300
-
-
-def _parse_two_form(text):
-    """A form from JSON ``[[[i, j], c], ...]``, checked before any arithmetic.
-
-    Indices must be JSON integers and each coefficient a JSON integer or a
-    "p" or "p/q" string by the rule ``ratpoly._COEFF``, which the library
-    follows too, of at most MAX_COEFF_DIGITS digits; booleans, floats and
-    exponents are refused.
-    """
-    import reprlib
-
-    pairs = _json(text, "form")
-    if not isinstance(pairs, list):
-        raise ValueError(f"a form is a JSON list of [[i, j], coefficient] pairs, "
-                         f"got {reprlib.repr(pairs)}")
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], list)
-                and len(pair[0]) == 2 and all(type(i) is int for i in pair[0])):
-            raise ValueError("expected [[i, j], coefficient] with JSON integers i and j, "
-                             f"got {reprlib.repr(pair)}")
-        c = pair[1]
-        m = _COEFF.fullmatch(c) if isinstance(c, str) else None
-        if type(c) is not int and m is None:
-            raise ValueError("a coefficient must be a JSON integer or a \"p\" or \"p/q\" "
-                             f"string of ASCII digits, got {reprlib.repr(c)}")
-        digits = max(map(len, m.groups(""))) if m else len(str(abs(c)))
-        if digits > MAX_COEFF_DIGITS:
-            raise ValueError(f"a coefficient has {digits} digits, past the limit of "
-                             f"{MAX_COEFF_DIGITS} digits in an integer, p or q")
-    return rb.TwoForm.from_pairs(pairs)
-
 
 def _cmd_wedge_kernel(args):
     if (args.eta1 is None) != (args.eta2 is None):
         return _fail("--eta1 and --eta2 must be given together", USAGE)
     if args.eta1 is not None:
-        dim = rb.kernel_dim(_parse_two_form(args.eta1), _parse_two_form(args.eta2))
+        dim = rb.kernel_dim(*(rb.TwoForm.from_pairs(_json(eta, "form"))
+                               for eta in (args.eta1, args.eta2)))
         _emit({"kernel_dim": dim})
         return OK if dim >= 1 else VIOLATION
     if args.trials > MAX_TRIALS:

@@ -10,9 +10,9 @@
             | 'twist' '(' sum ',' INT ')'
             | '(' sum ')'
 
-INT is an optional sign and ASCII digits (``ratpoly._INT``, the rule for
+INT is an optional sign and ASCII digits (``ratpoly._int``, the rule for
 every integer read from text); other decimal digits, such as '٣', are
-refused rather than read.  Whitespace is insignificant.  The
+refused rather than read, as are too many digits.  Whitespace is insignificant.  The
 ambient clause pins the projective dimension; without it the dimension is
 inferred from S[...] lengths and push(...) arities and must be determined
 by at least one of them.
@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 
 from river_banks.partitions import GenPartition
-from river_banks.ratpoly import _INT
+from river_banks.ratpoly import _INT, _int
 from river_banks.tables import (
     MAX_AMBIENT_DIM,
     BottSumTable,
@@ -68,9 +68,9 @@ def _tokenize(text):
             raise ExprError(f"unexpected character {text[at]!r}", at)
         if kind == "INT":
             try:
-                v = int(v)
-            except ValueError:  # more digits than int() converts
-                raise ExprError(f"integer of {len(v)} characters is too long", at) from None
+                v = _int(v)
+            except ValueError as exc:
+                raise ExprError(str(exc), at) from None
         elif kind == "SUM":
             kind = v = "(+)"
         elif kind == "PUNCT":

@@ -8,7 +8,7 @@ nonzero, and this module computes the kernel dimension exactly.
 The arithmetic stays in integers wherever the input allows.  A ``TwoForm``
 keeps each integral coefficient as an ``int`` and only a genuinely rational one
 as a ``Fraction``, by the exact-number rule ``ratpoly._coeff``, which refuses a
-float or a bool and reads text as "p" or "p/q" only, the command line's rule.
+float or a bool and reads text as "p" or "p/q" only, for ``from_pairs`` too.
 Of the 100 products of a basis 2-form with a basis 2-form, the 30 with four
 distinct indices are nonzero; ``_WEDGE`` lists them once, at import, as
 (column, coefficient index, 4-form row, sign), so that ``wedge_matrix`` is one
@@ -19,12 +19,17 @@ integers.
 
 from __future__ import annotations
 
+import reprlib
 from itertools import combinations
 from math import lcm
 
-from river_banks.ratpoly import _coeff, _ints
+from river_banks.ratpoly import _COEFF, _coeff, _digits, _ints
 
 DIM = 5
+#: Most digits in a form coefficient, in an integer or in each of p and q: two
+#: forms of ten distinct 300-digit "p/q" coefficients answer in about 0.5 s,
+#: and the cost grows quadratically past that.
+MAX_COEFF_DIGITS = 300
 BASIS2 = tuple(combinations(range(1, DIM + 1), 2))
 BASIS4 = tuple(combinations(range(1, DIM + 1), 4))
 
@@ -57,17 +62,32 @@ class TwoForm:
 
     @classmethod
     def from_pairs(cls, pairs):
-        """Build from ((i, j), coefficient) pairs with ints 1 <= i < j <= 5 (``ratpoly._ints``).
+        """Build from a list or tuple of ((i, j), coefficient) pairs; repeated monomials add up.
 
-        A coefficient is an integer, a Fraction, or a string by the rule of
-        ``wedge-kernel``, "p" or "p/q" (``ratpoly._COEFF``; any other text
-        raises ``ValueError``); repeated monomials add up.
+        Each pair is checked before its coefficient is added: ints 1 <= i < j <= 5
+        (``ratpoly._ints``) and an exact number (``ratpoly._coeff``) of at most
+        MAX_COEFF_DIGITS digits in written p and q, or numerator and denominator.
         """
+        if not isinstance(pairs, (list, tuple)):
+            raise ValueError("a form is a list of [[i, j], coefficient] pairs, "
+                             f"got {reprlib.repr(pairs)}")
         vals = [0] * len(BASIS2)
-        for ij, c in pairs:
-            i, j = _ints(ij)
+        for pair in pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and isinstance(pair[0], (list, tuple)) and len(pair[0]) == 2):
+                raise ValueError(f"expected [[i, j], coefficient], got {reprlib.repr(pair)}")
+            (i, j), c = _ints(pair[0]), pair[1]
             if not (1 <= i < j <= DIM):
                 raise ValueError(f"bad monomial index ({i}, {j})")
+            # text is measured as written, before Fraction() reads it
+            m = _COEFF.fullmatch(c) if isinstance(c, str) else None
+            if m is None:
+                c = _coeff(c)
+            digits = (max(map(len, m.groups(""))) if m
+                      else _digits(max(abs(c.numerator), c.denominator)))
+            if digits > MAX_COEFF_DIGITS:
+                raise ValueError(f"a coefficient has {digits} digits, past the limit of "
+                                 f"{MAX_COEFF_DIGITS} digits (exterior.MAX_COEFF_DIGITS)")
             vals[BASIS2.index((i, j))] += _coeff(c)
         return cls(vals)
 

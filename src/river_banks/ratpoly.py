@@ -1,10 +1,13 @@
 """Dense univariate polynomials with exact rational coefficients, the integer and
 coefficient rules read from text and the exact-number rules for coefficients,
-multiplicities, label parts and multidegrees."""
+multiplicities, label parts and multidegrees.  A refusal names the limit it
+applies (``_check_digits``) and echoes text through ``reprlib.repr``."""
 
 from __future__ import annotations
 
 import re
+import reprlib
+import sys
 from fractions import Fraction
 
 #: Every integer read from text, the grammar's INT included (every subcommand
@@ -20,8 +23,24 @@ def _int(text):
     digits = text.strip()
     if _INT.fullmatch(digits) is None:
         raise ValueError("expected an integer (an optional sign and ASCII digits), "
-                         f"got {text!r}")
+                         f"got {reprlib.repr(text)}")
+    _check_digits(len(digits.lstrip("+-")), "an integer has")
     return int(digits)
+
+
+def _check_digits(digits, what):
+    """Refuse ``digits`` decimal digits past the interpreter's limit (0 for none)."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < digits:
+        raise ValueError(f"{what} {digits} digits, past the limit of {limit} digits for "
+                         "integer string conversion (sys.set_int_max_str_digits)")
+
+
+def _digits(v):
+    """The decimal digits of ``|v|``, counted without ``str`` (which refuses past the limit)."""
+    # 0.30103 > log10(2): the estimate is exact or one too many
+    digits = abs(v).bit_length() * 30103 // 100000 + 1
+    return digits - (abs(v) < 10 ** (digits - 1))
 
 
 def _exact(v):
@@ -43,7 +62,8 @@ def _coeff(c):
     if isinstance(c, (float, bool)):
         raise TypeError(f"expected an exact number, got {c!r}")
     if isinstance(c, str) and _COEFF.fullmatch(c) is None:
-        raise ValueError(f'expected "p" or "p/q" in ASCII digits after an optional "-", got {c!r}')
+        raise ValueError('expected "p" or "p/q" in ASCII digits after an optional "-", '
+                         f"got {reprlib.repr(c)}")
     return _exact(Fraction(c))
 
 

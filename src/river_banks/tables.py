@@ -77,7 +77,8 @@ from typing import NamedTuple
 
 from river_banks.bott import bott_cohomology
 from river_banks.partitions import GenPartition, _roots
-from river_banks.ratpoly import RatPoly, _coeff, _exact, _expand, _int, _ints
+from river_banks.ratpoly import (RatPoly, _check_digits, _coeff, _digits, _exact, _expand,
+                                 _int, _ints)
 
 #: Explicit index values for vacuous regularity conditions (never sentinels).
 NEG_INFINITY = float("-inf")
@@ -164,17 +165,13 @@ class CohomologyTable:
         """k-th regularity index; NEG_INFINITY when the condition is vacuous."""
         if k < 0:
             raise ValueError(f"index {k} out of range")
-        if k >= self.n:
-            return NEG_INFINITY
-        return self._profile().reg[k]
+        return NEG_INFINITY if k >= self.n else self._profile().reg[k]
 
     def coreg(self, k: int):
         """k-th coregularity index; POS_INFINITY when the condition is vacuous."""
         if k < 0:
             raise ValueError(f"index {k} out of range")
-        if k >= self.n:
-            return POS_INFINITY
-        return self._profile().coreg[k]
+        return POS_INFINITY if k >= self.n else self._profile().coreg[k]
 
     def _profile(self):
         """The regularity profile: off the pieces' roots, or one sweep of the window."""
@@ -310,29 +307,32 @@ class SumTable(CohomologyTable):
 class LiteralTable(CohomologyTable):
     """Finite window of values; queries outside the window are hard errors.
 
-    ``n`` (at least 0), ``lo`` and ``hi`` are ints (``ratpoly._ints``), and
-    ``rows_by_i[i]`` holds row i left to right over display columns
-    ``lo..hi``; entries are nonnegative integers, given as ints or as
-    strings of ASCII digits (the cell rule of both file formats).  A bool,
-    a float, a Fraction or any other string is refused, not rounded.
+    ``n`` (at least 0) is an int and ``lo..hi`` a grid by ``_check_grid``,
+    and ``rows_by_i[i]`` holds row i over display columns ``lo..hi``;
+    entries are nonnegative integers, given as ints or as strings of ASCII
+    digits (the cell rule of both file formats) that ``ratpoly._int`` reads.
+    A bool, a float, a Fraction or any other string is refused, not rounded.
     """
 
     def __init__(self, n, lo, hi, rows_by_i):
-        n, (lo, hi) = _ambient(n), _ints((lo, hi))
-        if hi < lo:
-            raise ValueError(f"empty window {lo}..{hi}")
+        n = _ambient(n)
+        _check_grid(n, lo, hi)
         rows_by_i = tuple(rows_by_i)
         width = hi - lo + 1
         if len(rows_by_i) != n + 1:
             raise ValueError(f"expected {n + 1} rows, got {len(rows_by_i)}")
-        rows = []
+        limit, rows = sys.get_int_max_str_digits(), []
         for i, row in enumerate(rows_by_i):
             # the cell rule once a row, over the row's cells that are no int
             text = [c for c in row if type(c) is not int]
-            if text and not _ascii_digits(text):
-                bad = next(c for c in text if not _ascii_digits([c]))
+            digits = _ascii_digits(text) if text else ""
+            if digits is None:
+                bad = next(c for c in text if _ascii_digits([c]) is None)
                 raise ValueError("a cell is an int or a string of ASCII digits, "
                                  f"got {reprlib.repr(bad)} in row {i}")
+            if 0 < limit < len(digits):
+                # refuses the longest cell when it is past the limit
+                _int(max(text, key=len))
             row = tuple(map(int, row))
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
@@ -362,17 +362,17 @@ class LiteralTable(CohomologyTable):
 
 
 def _ascii_digits(cells):
-    """Whether every cell is a nonempty string of ASCII digits, tested in one join.
+    """The cells joined when each is a nonempty string of ASCII digits, else None.
 
-    '٣' passes ``isdigit`` alone, so ``isascii`` goes with it; a bool, a
-    float or a Fraction fails the join, and an empty string, which would
-    vanish in it, is looked for on its own.
+    One join tests them all: '٣' passes ``isdigit`` alone, so ``isascii`` goes
+    with it; a bool, a float or a Fraction fails the join, and an empty
+    string, which would vanish in it, is looked for on its own.
     """
     try:
         digits = "".join(cells)
     except TypeError:
-        return False
-    return "" not in cells and digits.isascii() and digits.isdigit()
+        return None
+    return digits if "" not in cells and digits.isascii() and digits.isdigit() else None
 
 
 #: Refusals for hostile sizes, checked before any work: expressions on a
@@ -411,9 +411,7 @@ def _written(v: int) -> str:
     try:
         return str(v)
     except ValueError:
-        # 0.30103 > log10(2): the count below is exact or one too many
-        digits = v.bit_length() * 30103 // 100000 + 1
-        return f"<{digits - (abs(v) < 10 ** (digits - 1))} digits>"
+        return f"<{_digits(v)} digits>"
 
 
 def _cells(t: CohomologyTable, lo: int, hi: int):
@@ -437,8 +435,7 @@ def _printed_rows(t: CohomologyTable, lo: int, hi: int):
     grid's own refusals (``_check_grid``) come first.
     """
     _check_grid(t.n, lo, hi)
-    limit = sys.get_int_max_str_digits()
-    pieces = t._pieces if limit else ()
+    pieces = t._pieces if sys.get_int_max_str_digits() else ()
     if pieces:
         ps, qs, seqs = zip(*pieces)
         # |p| / q < 2**(bits of |p| - bits of q + 1); 0.30103 > log10(2), so
@@ -447,11 +444,8 @@ def _printed_rows(t: CohomologyTable, lo: int, hi: int):
         a = lo - t.n
         # zip(*seqs) gives each root position its roots, one per piece
         bits += sum(max(hi - min(r), max(r) - a).bit_length() for r in zip(*seqs))
-        digits = bits * 30103 // 100000 + 1
-        if digits > limit:
-            raise ValueError(f"an entry in display columns {lo}..{hi} of P{t.n} may have up "
-                             f"to {digits} digits, past the limit of {limit} digits for "
-                             "integer string conversion (sys.set_int_max_str_digits)")
+        _check_digits(bits * 30103 // 100000 + 1,
+                      f"an entry in display columns {lo}..{hi} of P{t.n} may have up to")
     rows = _cells(t, lo, hi)[::-1]
     for i, row in zip(range(t.n, -1, -1), rows):
         if Fraction in map(type, row):
@@ -587,12 +581,7 @@ def beilinson_terms(t: CohomologyTable, e: int):
 
     Rows run over max(0, e) <= j <= min(n, n + e); zero entries are omitted.
     """
-    out = []
-    for j in range(max(0, e), min(t.n, t.n + e) + 1):
-        v = t.entry(j, e - j)
-        if v:
-            out.append((j, v))
-    return out
+    return [(j, v) for j in range(max(0, e), min(t.n, t.n + e) + 1) if (v := t.entry(j, e - j))]
 
 
 # --- ASCII format ---------------------------------------------------------
@@ -626,19 +615,16 @@ def parse_ascii(text: str) -> LiteralTable:
     idx_tokens = index_line.split()
     if idx_tokens[-1].endswith("."):
         idx_tokens[-1] = idx_tokens[-1][:-1]
-    try:
-        cols = [_int(tok) for tok in idx_tokens]
-    except ValueError:
-        raise ValueError(f"malformed index line: {index_line!r}") from None
+    cols = [_int(tok) for tok in idx_tokens]
     if any(b != a + 1 for a, b in zip(cols, cols[1:])):
-        raise ValueError(f"index line is not consecutive: {cols}")
+        raise ValueError(f"index line is not consecutive: {reprlib.repr(cols)}")
 
     n = len(row_lines) - 1
     rows_by_i = [None] * (n + 1)
     for i, line in zip(range(n, -1, -1), row_lines):
         label, *cells = line.split()
         if label != f"{i}:":
-            raise ValueError(f"row {i} must start with the label '{i}:': {line!r}")
+            raise ValueError(f"row {i} must start with the label '{i}:': {reprlib.repr(line)}")
         rows_by_i[i] = [0 if c == "." else c for c in cells]
     return LiteralTable(n, cols[0], cols[-1], rows_by_i)
 
@@ -673,19 +659,16 @@ def table_to_json(t: CohomologyTable, lo: int, hi: int) -> dict:
 def literal_from_json(obj: dict) -> LiteralTable:
     """The literal window ``table_to_json`` writes, read strictly.
 
-    ``n`` (at least 0) and the window bounds must be JSON integers, and each
-    cell a JSON integer or a string of ASCII digits, the form big entries
-    are written in (``LiteralTable``'s cell rule, which refuses booleans,
-    floats and other strings rather than rounding them).
+    Only the JSON shape is checked here: an object with "n", "window" (a
+    list of two items) and "rows" (a list of lists); ``LiteralTable`` reads
+    the values, and a big entry is written as a string of ASCII digits.
     """
     if not (isinstance(obj, dict) and obj.keys() >= {"n", "window", "rows"}):
         raise ValueError('a table is a JSON object with the keys "n", "window" and "rows", '
                          f"got {reprlib.repr(obj)}")
-    n, window, rows = obj["n"], obj["window"], obj["rows"]
-    if not (type(n) is int and n >= 0 and isinstance(window, list) and len(window) == 2
-            and all(type(v) is int for v in window)):
-        raise ValueError("n must be a JSON integer >= 0 and window a pair of JSON integers, "
-                         f"got {reprlib.repr(n)} and {reprlib.repr(window)}")
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-        raise ValueError("rows must be a JSON list of lists")
-    return LiteralTable(n, *window, reversed(rows))
+    window, rows = obj["window"], obj["rows"]
+    if not (isinstance(window, list) and len(window) == 2 and isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)):
+        raise ValueError("window must be a JSON list of two items and rows must be a JSON list "
+                         f"of lists, got {reprlib.repr(window)} and {reprlib.repr(rows)}")
+    return LiteralTable(obj["n"], *window, reversed(rows))

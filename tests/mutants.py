@@ -21,7 +21,7 @@ which stays inside the bound's slack on every grid the tests build, nor
 ``decompose`` skipping its gcd step altogether: the residual and its
 denominator then grow together, which changes no ratio and no coefficient.
 
-The table holds 42 mutants; all are killed in 54 s (CPython 3.11.7,
+The table holds 44 mutants; all are killed in 61 s (CPython 3.11.7,
 2 CPUs, a shared host).
 """
 
@@ -186,6 +186,16 @@ MUTANTS = (
     Mutant("multidegree upstairs truncated with int()", "kunneth.py",
            "a = _ints(a)\n    if i", "a = [int(x) for x in a]\n    if i",
            ("tests/test_kunneth.py::TestProductLineCohomology",)),
+    # the digit bounds at the package's edge: a form's coefficients, and
+    # integer text past the interpreter's limit
+    Mutant("form digit bound skipped", "exterior.py",
+           "if digits > MAX_COEFF_DIGITS:", "if False:",
+           ("tests/test_expr_cli.py::TestCliCommands::"
+            "test_the_library_refuses_a_malformed_form_before_building_it",)),
+    Mutant("_int digit limit skipped", "ratpoly.py",
+           '_check_digits(len(digits.lstrip("+-")), "an integer has")', "pass",
+           ("tests/test_expr_cli.py::TestIntegerRule::"
+            "test_an_integer_past_the_digit_limit_is_refused_in_one_short_line",)),
     # the digit bound off the pieces
     Mutant("digit bound takes the largest root factor, not their product", "tables.py",
            "bits += sum(max(hi - min(r)", "bits += max(max(hi - min(r)",

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from river_banks import bounds, golden
-from river_banks.cli import MAX_COEFF_DIGITS, build_parser, main
-from river_banks.exterior import TwoForm
+from river_banks.cli import build_parser, main
+from river_banks.exterior import MAX_COEFF_DIGITS, TwoForm, kernel_dim
 from river_banks.expr import MAX_DEPTH, ExprError, table_from_expr
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import MAX_WEYL_BITS, GenPartition
@@ -37,6 +38,30 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def gp(*parts):
     return GenPartition(parts)
+
+
+def refuse_to_build(self, coeffs):
+    raise AssertionError("reached arithmetic")
+
+
+# forms TwoForm.from_pairs refuses, as JSON text, and a part of the message
+MALFORMED_FORMS = [
+    ('[[[1,2],"1e10000000"]]', "'1e10000000'"),
+    ("[[[1,2],1e400]]", "got inf"),
+    ('[[[1.9,2],"1"]]', "expected integers, got 1.9"),
+    ('[[[true,2],"1"]]', "expected integers, got True"),
+    ("[[[1,2],true]]", "got True"),
+    ('[[[1,2],"٣"]]', "ASCII digits"),
+    ('[[[1,2],"1"],5]', "expected [[i, j], coefficient]"),
+    ('[[[1,2,3],"1"]]', "expected [[i, j], coefficient]"),
+    ('{"1,2": 1}', "a form is a list"),
+    ('[[[1,2],"1/' + "7" * (MAX_COEFF_DIGITS + 1) + '"]]',
+     f"301 digits, past the limit of {MAX_COEFF_DIGITS} digits"),
+    ('[[[1,2],"-' + "7" * (MAX_COEFF_DIGITS + 1) + '/3"]]',
+     f"past the limit of {MAX_COEFF_DIGITS} digits"),
+    ("[[[1,2],1" + "0" * MAX_COEFF_DIGITS + "]]",
+     f"past the limit of {MAX_COEFF_DIGITS} digits"),
+]
 
 
 class TestParseExpr:
@@ -126,7 +151,9 @@ class TestParseExpr:
         ("O(1²) on P1", "unexpected character '²' (at column 4)"),
         # int() reads '٣' (Arabic-Indic three), the grammar's integers are ASCII
         ("O(2) on P27٣", "unexpected character '٣' (at column 12)"),
-        ("O(" + "9" * 5000 + ") on P1", "integer of 5000 characters is too long (at column 3)"),
+        ("O(" + "9" * 5000 + ") on P1",
+         f"an integer has 5000 digits, past the limit of {sys.get_int_max_str_digits()} "
+         "digits for integer string conversion (sys.set_int_max_str_digits) (at column 3)"),
         ("O(0) on P1500", f"P1500 is past the limit P{MAX_AMBIENT_DIM} on the ambient dimension"),
     ])
     def test_error_messages(self, text, message):
@@ -203,11 +230,12 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("text, message", [
         ("[" * 100000, "table JSON nests too deeply"),
-        ('{"n": 1.0, "window": [0, 0], "rows": [[1], [0]]}', "n must be a JSON integer"),
-        ('{"n": -1, "window": [0, 0], "rows": []}', "n must be a JSON integer >= 0"),
-        ('{"n": true, "window": [0, 0], "rows": [[1], [0]]}', "n must be a JSON integer"),
-        ('{"n": 1, "window": [0, "0"], "rows": [[1], [0]]}', "n must be a JSON integer"),
-        ('{"n": 1, "window": [0], "rows": [[1], [0]]}', "n must be a JSON integer"),
+        # the values of n and the window are LiteralTable's to refuse
+        ('{"n": 1.0, "window": [0, 0], "rows": [[1], [0]]}', "expected integers, got 1.0"),
+        ('{"n": -1, "window": [0, 0], "rows": []}', "ambient dimension -1 < 0"),
+        ('{"n": true, "window": [0, 0], "rows": [[1], [0]]}', "expected integers, got True"),
+        ('{"n": 1, "window": [0, "0"], "rows": [[1], [0]]}', "expected integers, got '0'"),
+        ('{"n": 1, "window": [0], "rows": [[1], [0]]}', "window must be a JSON list of two"),
         ('{"n": 1, "window": [0, 0], "rows": ["1", "0"]}', "rows must be a JSON list of lists"),
         ("[1, 2]", "a table is a JSON object"),
     ])
@@ -326,46 +354,57 @@ class TestCliCommands:
         assert hashlib.sha256(out).hexdigest() == recorded["stdout_sha256"]
 
     @pytest.mark.parametrize("eta1, message", [
-        ('[[[1,2],"1e10000000"]]', "'1e10000000'"),
-        ("[[[1,2],1e400]]", "got inf"),
-        ('[[[1.9,2],"1"]]', "with JSON integers i and j"),
-        ('[[[true,2],"1"]]', "with JSON integers i and j"),
-        ("[[[1,2],true]]", "got True"),
-        ('[[[1,2],"٣"]]', "ASCII digits"),
-        ('[[[1,2],"1"],5]', "expected [[i, j], coefficient]"),
-        ('[[[1,2,3],"1"]]', "expected [[i, j], coefficient]"),
-        ('{"1,2": 1}', "a form is a JSON list"),
+        *MALFORMED_FORMS,
         ("[" * 100000, "nests too deeply"),
-        ('[[[1,2],"1/' + "7" * (MAX_COEFF_DIGITS + 1) + '"]]',
-         f"301 digits, past the limit of {MAX_COEFF_DIGITS} digits"),
-        ('[[[1,2],"-' + "7" * (MAX_COEFF_DIGITS + 1) + '/3"]]',
-         f"past the limit of {MAX_COEFF_DIGITS} digits"),
-        ("[[[1,2],1" + "0" * MAX_COEFF_DIGITS + "]]",
-         f"past the limit of {MAX_COEFF_DIGITS} digits"),
     ])
     def test_wedge_kernel_refuses_a_malformed_form_before_any_arithmetic(
             self, capsys, monkeypatch, eta1, message):
-        def refuse(*args):
-            raise AssertionError("reached arithmetic")
-
-        monkeypatch.setattr(TwoForm, "from_pairs", refuse)
+        monkeypatch.setattr(TwoForm, "__init__", refuse_to_build)
         assert main(["wedge-kernel", "--eta1", eta1, "--eta2", "[]"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("eta1, message", MALFORMED_FORMS)
+    def test_the_library_refuses_a_malformed_form_before_building_it(
+            self, monkeypatch, eta1, message):
+        pairs = json.loads(eta1)
+        monkeypatch.setattr(TwoForm, "__init__", refuse_to_build)
+        with pytest.raises((ValueError, TypeError)) as info:
+            TwoForm.from_pairs(pairs)
+        assert message in str(info.value)
+
+    def test_the_library_refuses_forms_past_the_digit_limit_at_once(self):
+        # ten distinct 4000-digit "p/q" a form: kernel_dim on two took 37.6 s
+        # when only the command line bounded the digits
+        rng = random.Random(5)
+
+        def pairs():
+            return [((i, j), f"{rng.randrange(10**3999, 10**4000)}/"
+                             f"{rng.randrange(10**3999, 10**4000)}")
+                    for i in range(1, 6) for j in range(i + 1, 6)]
+
+        eta1, eta2 = pairs(), pairs()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_COEFF_DIGITS"):
+            kernel_dim(TwoForm.from_pairs(eta1), TwoForm.from_pairs(eta2))
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("eta1", [
-        '[[[1,2],"1/0"]]',
         '[[[1,2],"-' + "7" * MAX_COEFF_DIGITS + "/" + "9" * MAX_COEFF_DIGITS + '"]]',
         "[[[1,2],-" + "9" * MAX_COEFF_DIGITS + "]]",
     ])
     def test_wedge_kernel_passes_a_coefficient_at_the_digit_limit(self, monkeypatch, eta1):
-        def reached(pairs):
-            raise AssertionError("reached arithmetic")
-
-        monkeypatch.setattr(TwoForm, "from_pairs", reached)
+        monkeypatch.setattr(TwoForm, "__init__", refuse_to_build)
         with pytest.raises(AssertionError, match="reached arithmetic"):
             main(["wedge-kernel", "--eta1", eta1, "--eta2", "[]"])
+
+    def test_wedge_kernel_reads_a_zero_denominator_by_the_coefficient_rule(self, monkeypatch):
+        # "1/0" passes the form's rules and divides by zero where _coeff reads
+        # it, before the form is built: the known defect wedge-kernel-div0
+        monkeypatch.setattr(TwoForm, "__init__", refuse_to_build)
+        with pytest.raises(ZeroDivisionError):
+            main(["wedge-kernel", "--eta1", '[[[1,2],"1/0"]]', "--eta2", "[]"])
 
     def test_wedge_kernel_answers_forms_at_the_digit_limit(self, capsys):
         # the dearest accepted input: ten distinct limit-sized "p/q" per form
@@ -434,8 +473,7 @@ PINNED_ERRORS = [
        f"limit of {sys.get_int_max_str_digits()} digits for integer string conversion "
        "(sys.set_int_max_str_digits)") for fmt in ("ascii", "json")),
     (["wedge-kernel", "--eta1", "[[[1,2],true]]", "--eta2", "[]"], 2,
-     'a coefficient must be a JSON integer or a "p" or "p/q" string of ASCII digits, '
-     "got True"),
+     "expected an exact number, got True"),
     # refused before any trial: a call of 10**9 trials would run for days
     (["wedge-kernel", "--trials", "1000000000"], 2,
      "--trials 1000000000 is past the limit of 10000 trials"),
@@ -808,7 +846,7 @@ class TestIntegerRule:
     @pytest.mark.parametrize("argv, env, bad", [
         (["check-sharpness", "1_0,0", "1,0", "--n", "2"], {}, "1_0"),
         (["check-sharpness", "1,0", "1,0", "--n", "٢"], {}, "٢"),
-        (["table", "O(0) on P1", "--window", "1_0:11"], {}, "1_0:11"),
+        (["table", "O(0) on P1", "--window", "1_0:11"], {}, "'1_0'"),
         (["wedge-kernel", "--trials", "1_0"], {}, "1_0"),
         (["wedge-kernel", "--trials", "1"], {"RIVER_BANKS_SEED": "٧"}, "٧"),
     ], ids=["label", "n", "window", "trials", "env-seed"])
@@ -833,6 +871,32 @@ class TestIntegerRule:
         path.write_text(text)
         assert main(["indices", str(path)]) == 2
         assert_one_usage_error(capsys.readouterr(), bad)
+
+    # each exited 2 with CPython's message on its digit limit, or with the
+    # whole argument echoed, before the package's rule named that limit
+    @pytest.mark.parametrize("argv", [
+        ["indices", "S[" + "9" * 4300 + ",0] on P2"],
+        ["unobstructed", "S[" + "9" * 4300 + ",0,0] on P3"],
+        ["indices", "{}/cell.txt"],
+        ["indices", "{}/text-cell.json"],
+        ["indices", "{}/int-cell.json"],
+        ["table", "O(0) on P1", "--window", "0:" + "1" * 4400],
+        ["wedge-kernel", "--seed", "1" * 4400],
+        ["wedge-kernel", "--eta1", "[[[1,2]," + "1" * 4400 + "]]", "--eta2", "[]"],
+    ], ids=["index", "margin", "ascii-cell", "json-text-cell", "json-int-cell", "window",
+            "seed", "json-form-integer"])
+    def test_an_integer_past_the_digit_limit_is_refused_in_one_short_line(
+            self, capsys, tmp_path, argv):
+        cell = "1" * 4401
+        (tmp_path / "cell.txt").write_text(f"1: {cell} 0\n0: 0 1\n   0 1\n")
+        for name, written in (("text-cell", f'"{cell}"'), ("int-cell", cell)):
+            (tmp_path / f"{name}.json").write_text(
+                f'{{"n": 1, "window": [0, 1], "rows": [[{written}, 0], [0, 1]]}}')
+        assert main([a.replace("{}", str(tmp_path)) for a in argv]) == 2
+        captured = capsys.readouterr()
+        limit = f"past the limit of {sys.get_int_max_str_digits()} digits"
+        assert_one_usage_error(captured, limit)
+        assert all(len(ln) < 300 for ln in captured.err.splitlines())
 
     def test_padded_label_parts_still_read(self):
         with redirect_stdout(io.StringIO()):

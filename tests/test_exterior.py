@@ -1,11 +1,13 @@
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from river_banks.cli import _parse_two_form
+from river_banks.cli import main
 from river_banks.exterior import (
     BASIS2,
     TwoForm,
@@ -14,7 +16,7 @@ from river_banks.exterior import (
     wedge_matrix,
 )
 from river_banks.kunneth import KunnethTable
-from river_banks.ratpoly import RatPoly
+from river_banks.ratpoly import RatPoly, _coeff, _int
 from river_banks.tables import BottSumTable, SumTable
 
 from corpus import wedge_matrix_by_sorting
@@ -90,6 +92,12 @@ def outcome(build, *args):
         return type(exc)
 
 
+def wedge_kernel(eta1):
+    """The exit code of ``wedge-kernel --eta1 eta1 --eta2 []``, its output discarded."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(["wedge-kernel", "--eta1", eta1, "--eta2", "[]"])
+
+
 #: texts the command line refuses, and Fraction() reads
 OFF_RULE = ["1e3", "0.5", "1_0", "\u0663", " 7", "+2"]
 
@@ -107,10 +115,20 @@ class TestCoefficientRule:
     @example("-1/0")
     def test_the_cli_and_the_library_read_the_same_texts(self, s):
         expected = spelled_by_the_rule(s)
+        # wedge-kernel answers a form the library reads (exit 0) and refuses
+        # the text it refuses (exit 2); a zero denominator, the known defect,
+        # raises in both
+        code = {ValueError: 2, ZeroDivisionError: ZeroDivisionError}.get(expected, 0)
         if isinstance(expected, Fraction):
             expected = TwoForm.from_pairs([((1, 2), expected)])
-        assert outcome(_parse_two_form, json.dumps([[[1, 2], s]])) == expected
         assert outcome(TwoForm.from_pairs, [((1, 2), s)]) == expected
+        assert outcome(wedge_kernel, json.dumps([[[1, 2], s]])) == code
+
+    @pytest.mark.parametrize("read", [_int, _coeff], ids=["integer", "coefficient"])
+    def test_refused_text_is_echoed_in_short(self, read):
+        with pytest.raises(ValueError, match="ASCII digits") as info:
+            read("1e" + "7" * 5000)
+        assert len(str(info.value)) < 200
 
     @pytest.mark.parametrize("s", OFF_RULE + ["7", "-3/4", "007/003"])
     def test_multiplicities_follow_the_rule(self, s):
@@ -177,7 +195,7 @@ class TestAgainstTheSortingOracle:
 
     @given(two_forms)
     def test_values_round_trip_through_pairs(self, eta):
-        again = TwoForm.from_pairs(zip(BASIS2, eta.coeffs))
+        again = TwoForm.from_pairs(list(zip(BASIS2, eta.coeffs)))
         assert again == eta and hash(again) == hash(eta) and repr(again) == repr(eta)
         for c in eta.coeffs:
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1)

@@ -389,6 +389,13 @@ class TestExact:
         with pytest.raises(ValueError, match="ambient dimension -1 < 0"):
             build()
 
+    def test_a_literal_window_past_the_cell_limit_is_refused_when_built(self):
+        # refused by the grid rule before a row is read, not at the first read
+        with pytest.raises(ValueError, match=f"2000000002 cells, past the limit of {MAX_CELLS}"):
+            LiteralTable(1, 0, 10**9, [])
+        with pytest.raises(ValueError, match="empty window 1..0"):
+            LiteralTable(1, 1, 0, [])
+
     def test_rational_recomposition_keeps_its_cells(self):
         # the integral cells come back as ints, the others as Fractions
         dec = Decomposition(((Fraction(1, 3), gp(1, 0)), (Fraction(8, 9), gp(2, 0)),
