@@ -34,6 +34,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from river_banks.partitions import GenPartition, _roots, leq
+from river_banks.ratpoly import _decimal
 from river_banks.tables import (
     BottSumTable,
     CohomologyTable,
@@ -71,7 +72,7 @@ class Decomposition(NamedTuple):
     chain_certified: bool
 
     def to_json(self):
-        return [{"coeff": str(Fraction(c)), "lambda": str(lam)} for c, lam in self.terms]
+        return [{"coeff": _decimal(Fraction(c)), "lambda": str(lam)} for c, lam in self.terms]
 
 
 def decompose(t: CohomologyTable) -> Decomposition:

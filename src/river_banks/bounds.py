@@ -32,12 +32,12 @@ import operator
 from typing import NamedTuple
 
 from river_banks.partitions import GenPartition, lr_expand, schur_dim
+from river_banks.ratpoly import _written
 from river_banks.tables import (
     MAX_TENSOR_DIM,
     BottSumTable,
     CohomologyTable,
     _record_json,
-    _written,
     homogeneous_table,
     regularity_profile,
 )

@@ -23,7 +23,7 @@ import re
 import sys
 
 import river_banks as rb
-from river_banks.ratpoly import _check_digits, _digits, _int
+from river_banks.ratpoly import _check_digits, _decimal, _digits, _int
 
 OK, VIOLATION, USAGE, LIMITED = 0, 1, 2, 3
 DEFAULT_SEED = 1729
@@ -123,7 +123,7 @@ def _cmd_tensor(args):
     else:
         _emit({
             "n": product.n,
-            "terms": [{"mult": str(m), "lambda": str(lam)} for m, lam in product.terms],
+            "terms": [{"mult": _decimal(m), "lambda": str(lam)} for m, lam in product.terms],
         })
     return OK
 

@@ -41,7 +41,7 @@ from itertools import product
 from math import factorial, prod
 from operator import add, ge
 
-from river_banks.ratpoly import _int, _ints
+from river_banks.ratpoly import _decimal, _int, _ints
 
 # the kept Gelfand-Tsetlin weights of ``_lr_classical``, and their bound
 # (module docstring), from a ladder of 2^12..2^15 on the tensor benchmark
@@ -95,7 +95,7 @@ class GenPartition:
         return f"GenPartition({self.parts!r})"
 
     def __str__(self):
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(_decimal, self.parts))
 
 
 def leq(lam: GenPartition, mu: GenPartition) -> bool:

@@ -1,14 +1,19 @@
 """Dense univariate polynomials with exact rational coefficients, the integer and
 coefficient rules read from text and the exact-number rules for coefficients,
-multiplicities, label parts and multidegrees.  A refusal names the limit it
-applies (``_check_digits``) and echoes text through ``reprlib.repr``."""
+multiplicities, label parts and multidegrees.  A refusal echoes text through
+``reprlib.repr``.  Only this module reads the interpreter's limit on the digits
+of an integer as text: ``_check_digits`` refuses a count past it (text, a cell,
+a grid's bound, a number an answer writes) naming it, and ``_written`` writes a
+refusal's own numbers."""
 
 from __future__ import annotations
 
 import re
 import reprlib
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational
 
 #: Every integer read from text, the grammar's INT included (every subcommand
 #: loads this module): '1_0' and '٣', which int() reads, are refused.
@@ -43,6 +48,28 @@ def _digits(v):
     return digits - (abs(v) < 10 ** (digits - 1))
 
 
+def _written(v: int) -> str:
+    """``v`` in decimal, or "<D digits>" when the interpreter refuses to write it.
+
+    For a refusal's own numbers: past the limit ``str`` raises, and a refusal
+    that wrote the number would name the interpreter's limit, not its own.
+    """
+    try:
+        return str(v)
+    except ValueError:
+        return f"<{_digits(v)} digits>"
+
+
+def _decimal(v) -> str:
+    """``str(v)`` of an int or a Fraction an answer writes, counted only once ``str`` refuses."""
+    try:
+        return str(v)
+    except ValueError:
+        _check_digits(max(_digits(v.numerator), _digits(v.denominator)),
+                      "an integer in the answer has")
+        raise
+
+
 def _exact(v):
     """Collapse integral fractions to int so entries compare cleanly."""
     # an exact type test: isinstance on an int goes through the numbers ABCs
@@ -54,13 +81,14 @@ def _exact(v):
 def _coeff(c):
     """An exact number: an int passes through, anything else becomes an ``_exact`` Fraction.
 
-    A float or a bool is refused rather than read at its binary value, and
-    text other than "p" or "p/q" (``_COEFF``) too; q = 0 raises ZeroDivisionError.
+    A Rational (a bool aside), a Decimal and "p" or "p/q" text (``_COEFF``)
+    are read; any other value, a float or a bool included, is refused rather
+    than read at its binary value.  q = 0 raises ZeroDivisionError.
     """
     if type(c) is int:
         return c
-    if isinstance(c, (float, bool)):
-        raise TypeError(f"expected an exact number, got {c!r}")
+    if isinstance(c, bool) or not isinstance(c, (str, Rational, Decimal)):
+        raise TypeError(f"expected an exact number, got {reprlib.repr(c)}")
     if isinstance(c, str) and _COEFF.fullmatch(c) is None:
         raise ValueError('expected "p" or "p/q" in ASCII digits after an optional "-", '
                          f"got {reprlib.repr(c)}")

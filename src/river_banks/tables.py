@@ -43,11 +43,11 @@ by the benchmark: it reads its row cell by cell, through ``entry``
 the rows (``_printed_rows``), which refuses a fractional entry, since
 neither file format can hold one, and, before any cell, a generator grid
 whose entries the bound off its pieces puts past the interpreter's limit
-on writing an integer as text.
+on writing an integer as text (``ratpoly._check_digits``).
 
 Every derived query asks a table one of two questions: its pieces or its
-window.  The whole regularity profile, every k at once (``_profile()``, by
-``_roots_profile``), ``hilbert_polynomial``, ``is_natural`` and
+window.  The whole regularity profile, every k at once (``regularity_profile``,
+by ``_roots_profile``), ``hilbert_polynomial``, ``is_natural`` and
 ``is_supernatural`` are derived from the pieces, for every generator
 backend.  The twist polynomial is summed in integers over one
 denominator, the lcm of the pieces' q, from each piece's integer expansion
@@ -60,14 +60,13 @@ literal window (a direct sum holds generator tables only), gives instead its
 rows, the two banks of the river, and an answer that touches the end of
 the window carries a ``window_limited`` flag instead of being silently
 extrapolated.  A window sweeps its cells for ``is_natural`` too, but
-determines neither the twist polynomial (``InsufficientDataError``) nor
-supernaturality (``UndecidableError``).
+determines neither the twist polynomial nor supernaturality: both raise
+``UndecidableError``.
 """
 
 from __future__ import annotations
 
 import reprlib
-import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
@@ -77,8 +76,8 @@ from typing import NamedTuple
 
 from river_banks.bott import bott_cohomology
 from river_banks.partitions import GenPartition, _roots
-from river_banks.ratpoly import (RatPoly, _check_digits, _coeff, _digits, _exact, _expand,
-                                 _int, _ints)
+from river_banks.ratpoly import (RatPoly, _check_digits, _coeff, _exact, _expand, _int, _ints,
+                                 _written)
 
 #: Explicit index values for vacuous regularity conditions (never sentinels).
 NEG_INFINITY = float("-inf")
@@ -100,10 +99,6 @@ class WindowExceededError(LookupError):
 
 class UndecidableError(Exception):
     """The requested classification cannot be settled from the data given."""
-
-
-class InsufficientDataError(ValueError):
-    """A literal window does not determine the requested global quantity."""
 
 
 def _ambient(n) -> int:
@@ -165,20 +160,13 @@ class CohomologyTable:
         """k-th regularity index; NEG_INFINITY when the condition is vacuous."""
         if k < 0:
             raise ValueError(f"index {k} out of range")
-        return NEG_INFINITY if k >= self.n else self._profile().reg[k]
+        return NEG_INFINITY if k >= self.n else regularity_profile(self).reg[k]
 
     def coreg(self, k: int):
         """k-th coregularity index; POS_INFINITY when the condition is vacuous."""
         if k < 0:
             raise ValueError(f"index {k} out of range")
-        return POS_INFINITY if k >= self.n else self._profile().coreg[k]
-
-    def _profile(self):
-        """The regularity profile: off the pieces' roots, or one sweep of the window."""
-        if self.window is None:
-            return _roots_profile(self.n, {roots for _, _, roots in self._pieces})
-        lo, hi = self.window
-        return _grid_profile(_cells(self, lo, hi), lo, hi)
+        return POS_INFINITY if k >= self.n else regularity_profile(self).coreg[k]
 
     # --- twist polynomial ---------------------------------------------
 
@@ -189,8 +177,7 @@ class CohomologyTable:
         is divided by Q once, at the end.
         """
         if self.window is not None:
-            raise InsufficientDataError(
-                "a finite window does not determine the twist polynomial")
+            raise UndecidableError("a finite window does not determine the twist polynomial")
         den = self._den
         total = [0] * (self.n + 1)
         for p, q, roots in self._pieces:
@@ -310,7 +297,8 @@ class LiteralTable(CohomologyTable):
     ``n`` (at least 0) is an int and ``lo..hi`` a grid by ``_check_grid``,
     and ``rows_by_i[i]`` holds row i over display columns ``lo..hi``;
     entries are nonnegative integers, given as ints or as strings of ASCII
-    digits (the cell rule of both file formats) that ``ratpoly._int`` reads.
+    digits (the cell rule of both file formats) within the interpreter's digit
+    limit (``ratpoly._check_digits``).
     A bool, a float, a Fraction or any other string is refused, not rounded.
     """
 
@@ -321,18 +309,15 @@ class LiteralTable(CohomologyTable):
         width = hi - lo + 1
         if len(rows_by_i) != n + 1:
             raise ValueError(f"expected {n + 1} rows, got {len(rows_by_i)}")
-        limit, rows = sys.get_int_max_str_digits(), []
+        rows = []
         for i, row in enumerate(rows_by_i):
             # the cell rule once a row, over the row's cells that are no int
             text = [c for c in row if type(c) is not int]
-            digits = _ascii_digits(text) if text else ""
-            if digits is None:
-                bad = next(c for c in text if _ascii_digits([c]) is None)
+            if text and not _ascii_digits(text):
+                bad = next(c for c in text if not _ascii_digits([c]))
                 raise ValueError("a cell is an int or a string of ASCII digits, "
                                  f"got {reprlib.repr(bad)} in row {i}")
-            if 0 < limit < len(digits):
-                # refuses the longest cell when it is past the limit
-                _int(max(text, key=len))
+            _check_digits(max(map(len, text), default=0), "an integer has")
             row = tuple(map(int, row))
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
@@ -361,8 +346,8 @@ class LiteralTable(CohomologyTable):
         return LiteralTable(self.n, self.lo - s, self.hi - s, self.rows_by_i)
 
 
-def _ascii_digits(cells):
-    """The cells joined when each is a nonempty string of ASCII digits, else None.
+def _ascii_digits(cells) -> bool:
+    """True when each of the cells is a nonempty string of ASCII digits.
 
     One join tests them all: '٣' passes ``isdigit`` alone, so ``isascii`` goes
     with it; a bool, a float or a Fraction fails the join, and an empty
@@ -371,8 +356,8 @@ def _ascii_digits(cells):
     try:
         digits = "".join(cells)
     except TypeError:
-        return None
-    return digits if "" not in cells and digits.isascii() and digits.isdigit() else None
+        return False
+    return "" not in cells and digits.isascii() and digits.isdigit()
 
 
 #: Refusals for hostile sizes, checked before any work: expressions on a
@@ -385,7 +370,7 @@ def _ascii_digits(cells):
 #: products at the limit, of two labels of length 2, take a few seconds).
 #: A label's Weyl product past ``partitions.MAX_WEYL_BITS`` is refused too.
 #: A refusal writes a number past the interpreter's digit limit as its
-#: digit count (``_written``).
+#: digit count (``ratpoly._written``).
 MAX_AMBIENT_DIM = 100
 MAX_CELLS = 100_000
 MAX_TENSOR_DIM = 100_000
@@ -402,18 +387,6 @@ def _check_grid(n: int, lo: int, hi: int):
                          f"{_written(size)} cells, past the limit of {MAX_CELLS}")
 
 
-def _written(v: int) -> str:
-    """``v`` in decimal, or "<D digits>" when the interpreter refuses to write it.
-
-    Past ``sys.get_int_max_str_digits()`` digits ``str`` raises, and a refusal
-    that wrote the number would name the interpreter's limit, not its own.
-    """
-    try:
-        return str(v)
-    except ValueError:
-        return f"<{_digits(v)} digits>"
-
-
 def _cells(t: CohomologyTable, lo: int, hi: int):
     """Rows 0..n of ``t`` over display columns lo..hi, as a list of lists."""
     _check_grid(t.n, lo, hi)
@@ -427,7 +400,7 @@ def _printed_rows(t: CohomologyTable, lo: int, hi: int):
     the top (a sum with rational multiplicities has them) is refused.  So is,
     before any cell is computed, a generator grid whose entries may pass the
     interpreter's limit on the digits of an integer written as text
-    (``sys.get_int_max_str_digits()``, 0 for none).  The grid's twists d run
+    (``ratpoly._check_digits``).  The grid's twists d run
     over a = lo - n..hi, so a piece (p, q, roots) puts at most
     |p| / q * prod max(hi - r, r - a) in a cell, and a cell sums at most
     every piece; the bound is taken in bits, with the largest |p|, the least
@@ -435,9 +408,8 @@ def _printed_rows(t: CohomologyTable, lo: int, hi: int):
     grid's own refusals (``_check_grid``) come first.
     """
     _check_grid(t.n, lo, hi)
-    pieces = t._pieces if sys.get_int_max_str_digits() else ()
-    if pieces:
-        ps, qs, seqs = zip(*pieces)
+    if t._pieces:
+        ps, qs, seqs = zip(*t._pieces)
         # |p| / q < 2**(bits of |p| - bits of q + 1); 0.30103 > log10(2), so
         # a value below 2**bits has at most bits * 30103 // 100000 + 1 digits
         bits = len(ps).bit_length() + max(map(abs, ps)).bit_length() - min(qs).bit_length() + 1
@@ -534,7 +506,11 @@ class RegularityProfile(NamedTuple):
 
 
 def regularity_profile(t: CohomologyTable) -> RegularityProfile:
-    return t._profile()
+    """The regularity profile: off the pieces' roots, or one sweep of the window."""
+    if t.window is None:
+        return _roots_profile(t.n, {roots for _, _, roots in t._pieces})
+    lo, hi = t.window
+    return _grid_profile(_cells(t, lo, hi), lo, hi)
 
 
 # --- classification ------------------------------------------------------

@@ -21,7 +21,7 @@ which stays inside the bound's slack on every grid the tests build, nor
 ``decompose`` skipping its gcd step altogether: the residual and its
 denominator then grow together, which changes no ratio and no coefficient.
 
-The table holds 44 mutants; all are killed in 61 s (CPython 3.11.7,
+The table holds 47 mutants; all are killed in 61 s (CPython 3.11.7,
 2 CPUs, a shared host).
 """
 
@@ -196,6 +196,21 @@ MUTANTS = (
            '_check_digits(len(digits.lstrip("+-")), "an integer has")', "pass",
            ("tests/test_expr_cli.py::TestIntegerRule::"
             "test_an_integer_past_the_digit_limit_is_refused_in_one_short_line",)),
+    Mutant("literal cell digit check skipped", "tables.py",
+           '_check_digits(max(map(len, text), default=0), "an integer has")', "pass",
+           ("tests/test_expr_cli.py::TestIntegerRule::"
+            "test_the_interpreters_limit_is_the_one_every_refusal_names",)),
+    # the digit limit on what an answer writes, and the values a coefficient is
+    Mutant("label writer skips the digit check", "ratpoly.py",
+           "_check_digits(max(_digits(v.numerator), _digits(v.denominator)),\n"
+           '                      "an integer in the answer has")', "pass",
+           ("tests/test_expr_cli.py::TestIntegerRule::"
+            "test_an_integer_past_the_digit_limit_is_refused_in_one_short_line",)),
+    Mutant("_coeff hands any value to Fraction()", "ratpoly.py",
+           "if isinstance(c, bool) or not isinstance(c, (str, Rational, Decimal)):",
+           "if isinstance(c, (float, bool)):",
+           ("tests/test_expr_cli.py::TestCliCommands::"
+            "test_the_library_refuses_a_malformed_form_before_building_it",)),
     # the digit bound off the pieces
     Mutant("digit bound takes the largest root factor, not their product", "tables.py",
            "bits += sum(max(hi - min(r)", "bits += max(max(hi - min(r)",

@@ -51,6 +51,11 @@ MALFORMED_FORMS = [
     ('[[[1.9,2],"1"]]', "expected integers, got 1.9"),
     ('[[[true,2],"1"]]', "expected integers, got True"),
     ("[[[1,2],true]]", "got True"),
+    # a coefficient that is neither a number nor text, echoed in short
+    ("[[[4,5],[1]]]", "expected an exact number, got [1]"),
+    ("[[[4,5],null]]", "expected an exact number, got None"),
+    ('[[[4,5],{"a":1}]]', "expected an exact number, got {'a': 1}"),
+    ("[[[4,5],[" + "1," * 50 + "1]]]", "expected an exact number, got [1, 1, 1, 1, 1, 1, ...]"),
     ('[[[1,2],"٣"]]', "ASCII digits"),
     ('[[[1,2],"1"],5]', "expected [[i, j], coefficient]"),
     ('[[[1,2,3],"1"]]', "expected [[i, j], coefficient]"),
@@ -514,7 +519,7 @@ class TestErrorMapping:
         def undecidable(table):
             raise UndecidableError("a finite window does not determine supernaturality")
 
-        monkeypatch.setattr(BottSumTable, "_profile", undecidable)
+        monkeypatch.setattr("river_banks.tables.regularity_profile", undecidable)
         assert main(["indices", "S[1,0] on P2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -524,7 +529,7 @@ class TestErrorMapping:
         def broken(table):
             raise RuntimeError("not a documented failure")
 
-        monkeypatch.setattr(BottSumTable, "_profile", broken)
+        monkeypatch.setattr("river_banks.tables.regularity_profile", broken)
         with pytest.raises(RuntimeError, match="not a documented failure"):
             main(["indices", "S[1,0] on P2"])
 
@@ -877,14 +882,18 @@ class TestIntegerRule:
     @pytest.mark.parametrize("argv", [
         ["indices", "S[" + "9" * 4300 + ",0] on P2"],
         ["unobstructed", "S[" + "9" * 4300 + ",0,0] on P3"],
+        ["tensor", *["S[" + "9" * 4300 + "," + "9" * 4300 + "] on P2"] * 2],
+        ["tensor", *["9" * 4300 + "*S[1,0] on P2"] * 2],
+        ["decompose", "9" * 4300 + "*push(2,1,0) on P3"],
         ["indices", "{}/cell.txt"],
         ["indices", "{}/text-cell.json"],
         ["indices", "{}/int-cell.json"],
         ["table", "O(0) on P1", "--window", "0:" + "1" * 4400],
         ["wedge-kernel", "--seed", "1" * 4400],
         ["wedge-kernel", "--eta1", "[[[1,2]," + "1" * 4400 + "]]", "--eta2", "[]"],
-    ], ids=["index", "margin", "ascii-cell", "json-text-cell", "json-int-cell", "window",
-            "seed", "json-form-integer"])
+    ], ids=["index", "margin", "product-label", "product-multiplicity",
+            "decomposition-coefficient", "ascii-cell", "json-text-cell", "json-int-cell",
+            "window", "seed", "json-form-integer"])
     def test_an_integer_past_the_digit_limit_is_refused_in_one_short_line(
             self, capsys, tmp_path, argv):
         cell = "1" * 4401
@@ -897,6 +906,45 @@ class TestIntegerRule:
         limit = f"past the limit of {sys.get_int_max_str_digits()} digits"
         assert_one_usage_error(captured, limit)
         assert all(len(ln) < 300 for ln in captured.err.splitlines())
+
+    def test_the_interpreters_limit_is_the_one_every_refusal_names(self, tmp_path):
+        # a fresh interpreter started at a limit of 640 digits refuses a cell,
+        # a grid's bound, an index and a product label, each in the package's
+        # words naming 640; at the limit 0 the same calls answer
+        (tmp_path / "cell.txt").write_text(f"1: {'9' * 641} 0\n0: 0 1\n   0 1\n")
+        cases = [
+            (["indices", str(tmp_path / "cell.txt")], "an integer has 641 digits"),
+            (["table", "O(1" + "0" * 10 + ") on P100", "--window", "0:0"],
+             "an entry in display columns 0..0 of P100 may have up to 867 digits"),
+            (["indices", "S[" + "9" * 640 + ",0] on P2"],
+             "an integer in the answer has 641 digits"),
+            (["tensor", *["S[" + "9" * 640 + "," + "9" * 640 + "] on P2"] * 2],
+             "an integer in the answer has 641 digits"),
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from river_banks.cli import main\n"
+            "def call(argv):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = main(argv)\n"
+            "    return code, out.getvalue() != '', err.getvalue()\n"
+            "argvs = json.loads(sys.stdin.read())\n"
+            "at_640 = [call(argv) for argv in argvs]\n"
+            "sys.set_int_max_str_digits(0)\n"
+            "print(json.dumps([at_640, [call(argv) for argv in argvs]]))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              input=json.dumps([argv for argv, _ in cases]),
+                              # the package this test imported, a mutated copy included
+                              env=dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
+                                       PYTHONPATH=str(Path(bounds.__file__).resolve().parents[1])),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        at_640, unlimited = json.loads(proc.stdout)
+        for (_, message), got in zip(cases, at_640):
+            assert got == [2, False, f"{message}, past the limit of 640 digits for integer "
+                                     "string conversion (sys.set_int_max_str_digits)\n"]
+        assert unlimited == [[0, True, ""]] * len(cases)
 
     def test_padded_label_parts_still_read(self):
         with redirect_stdout(io.StringIO()):

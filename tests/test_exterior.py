@@ -2,6 +2,7 @@ import io
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -61,10 +62,12 @@ class TestTwoForm:
 
     def test_coefficients_follow_the_exact_number_rule(self):
         big = 10**30
-        eta = TwoForm([big, Fraction(6, 3), Fraction(1, 2), "3/4", "-2", 0, 0, 0, 0, 0])
-        assert eta.coeffs[:5] == (big, 2, Fraction(1, 2), Fraction(3, 4), -2)
+        eta = TwoForm([big, Fraction(6, 3), Fraction(1, 2), "3/4", "-2", Decimal("2.5"),
+                       Decimal(3), 0, 0, 0])
+        assert eta.coeffs[:7] == (big, 2, Fraction(1, 2), Fraction(3, 4), -2, Fraction(5, 2), 3)
         assert eta.coeffs[0] is big
-        assert [type(c) for c in eta.coeffs[:5]] == [int, int, Fraction, Fraction, int]
+        assert [type(c) for c in eta.coeffs[:7]] == [int, int, Fraction, Fraction, int,
+                                                      Fraction, int]
         assert type(scaled(2, eta).coeffs[2]) is int
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])

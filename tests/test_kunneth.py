@@ -195,7 +195,7 @@ class TestClosedFormProfile:
     @example(KunnethTable((-1, 0, 3)))
     def test_matches_the_sweep_and_the_scan_oracles(self, t):
         lo, hi = certified_range(t)
-        prof = t._profile()
+        prof = tables.regularity_profile(t)
         assert prof == tables._grid_profile(tables._cells(t, lo, hi), lo, hi)
         assert prof.reg == tuple(scan_reg(t, k) for k in range(t.n))
         assert prof.coreg == tuple(scan_coreg(t, k) for k in range(t.n))
