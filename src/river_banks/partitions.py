@@ -10,41 +10,42 @@ form ``"4,1,0"``.  The subscript used by the index formulas throughout this
 package counts from the other end: ``lam.part(k)`` is the k-th SMALLEST
 entry, so ``part(0) == parts[-1]`` and ``part(n - 1) == parts[0]``.
 
-``straighten`` is the dot-action straightening of a weight: add the
-staircase, sort, count inversions, subtract the staircase.  The tensor
-product expansion (``lr_expand``) is the Brauer-Klimyk signed sum of the
-straightenings of lam + w over the weights w of the other factor.  A weight
-with lam + w already weakly decreasing is its own straightening with sign +,
-so only the other weights go through ``straighten``.  Bott's theorem is the
-straightening of one weight too, but ``bott`` reads it in closed form off
-the label's roots, so in the package ``straighten`` serves only those
-non-dominant weights; the test suite keeps it as the oracle for that closed
-form.
+The tensor product expansion (``lr_expand``) is the Brauer-Klimyk signed
+sum of the dot-action straightenings of lam + w over the weights w of the
+other factor: add the staircase rho, sort, take the sign of the sort,
+subtract rho.  A weight with lam + w + rho already strictly decreasing is
+its own straightening with sign +, and one with two equal entries
+cancels.  Bott's theorem is the straightening of one weight too, but
+``bott`` reads it in closed form off the label's roots; the test suite
+keeps the straightening itself as the oracle for that closed form.
 
 ``_roots`` keeps each label's roots, Weyl dimension and n!, once per label:
 ``schur_dim``, ``bott``'s closed form and a homogeneous table's natural
 piece all read that one product.  A label whose product may pass
 ``MAX_WEYL_BITS`` bits is refused there, before anything is multiplied.
 
-The weights come off Gelfand-Tsetlin patterns, one row at a time.  The
-weights of every row below the top are kept in ``_WEIGHTS`` across
-expansions, since the pairs a session expands share their lower rows.  The
-memo is bounded by the number of weights it holds: an expansion that ends
-with more than ``_MEMO_WEIGHTS`` of them clears it, so one large label
-costs its own memory during its own expansion only.
+The weights come off Gelfand-Tsetlin patterns, one row at a time.  Their
+multiplicities are symmetric, so only the weakly decreasing (dominant)
+weights are counted, and each is spread over its distinct permutations at
+the top row.  The dominant weights of every row below the top are kept in
+``_WEIGHTS`` across expansions, since the pairs a session expands share
+their lower rows.  The memo is bounded by the number of weights it holds:
+an expansion that ends with more than ``_MEMO_WEIGHTS`` of them clears it,
+so one large label costs its own memory during its own expansion only.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import product
+from itertools import combinations, product, starmap
 from math import factorial, prod
-from operator import add, ge
+from operator import add, ge, gt, lt
 
 from river_banks.ratpoly import _decimal, _int, _ints
 
-# the kept Gelfand-Tsetlin weights of ``_lr_classical``, and their bound
-# (module docstring), from a ladder of 2^12..2^15 on the tensor benchmark
+# the kept dominant Gelfand-Tsetlin weights of ``_lr_classical``, and their bound
+# (module docstring), from a ladder of 2^12..2^15 on the tensor benchmark taken
+# while every weight was kept
 _MEMO_WEIGHTS = 1 << 13
 _WEIGHTS = {}
 
@@ -63,7 +64,7 @@ class GenPartition:
         parts = _ints(parts)
         if not parts:
             raise ValueError("a generalized partition needs at least one part")
-        if any(a < b for a, b in zip(parts, parts[1:])):
+        if not all(map(ge, parts, parts[1:])):
             raise ValueError(f"parts are not weakly decreasing: {parts}")
         self.parts = parts
 
@@ -144,28 +145,6 @@ def _superfactorial(size):
     return prod(map(factorial, range(size)))
 
 
-def straighten(weight):
-    """Dot-action straightening of an integer weight of length k.
-
-    Adds the staircase (k - 1, ..., 1, 0) and returns None when two entries
-    collide; otherwise ``(inversions, nu)``, where nu is the strictly
-    decreasing sort minus the staircase.  The code subtracts (0, 1, ...,
-    k - 1) instead, which differs from the staircase by a constant and so
-    sorts and collides alike.
-    """
-    beta = [w - i for i, w in enumerate(weight)]
-    if len(set(beta)) < len(beta):
-        return None
-    srt = sorted(beta, reverse=True)
-    # each entry, largest first, is inverted with the smaller ones still before it
-    inv, rest = 0, beta[:]
-    for b in srt:
-        i = rest.index(b)
-        inv += i
-        del rest[i]
-    return inv, tuple(b + i for i, b in enumerate(srt))
-
-
 def lr_expand(lam: GenPartition, mu: GenPartition) -> dict:
     """Littlewood-Richardson expansion of the product of two Schur functors.
 
@@ -191,49 +170,91 @@ def lr_expand(lam: GenPartition, mu: GenPartition) -> dict:
 def _lr_classical(lam, mu):
     """The nonzero ``(nu, multiplicity)`` pairs of the product, as tuples.
 
-    The weights w of mu come off its Gelfand-Tsetlin patterns.  When
-    lam + w is weakly decreasing, that is when lam + w + rho is already
-    strictly decreasing, the term is lam + w with sign +: no sort and no
-    inversion count.  Every other weight goes through ``straighten``.  The
-    rows below mu are read from and added to the kept memo ``_WEIGHTS``,
-    which is cleared at the end if it then holds more than
-    ``_MEMO_WEIGHTS`` weights; mu's own row is used once and never kept.
+    Each weight w of mu (``_pattern_weights``) adds its multiplicity, signed,
+    to the straightening of beta = lam + rho + w, kept as a strictly
+    decreasing tuple; here rho = (0, -1, ..., 1 - n), a staircase up to a
+    constant, which sorts and collides alike.  A strictly decreasing beta is
+    its own straightening, with sign +.  Any other beta with two equal
+    entries cancels; one with distinct entries is sorted, and its sign is
+    the parity of its pairs out of order.  rho comes off each term once, at
+    the end, when the kept memo ``_WEIGHTS`` is also cleared if it holds
+    more than ``_MEMO_WEIGHTS`` weights; mu's own row is never kept.
 
     A tensor op expands its pair once: the sharpness report and the
     witnesses are read off the PRV term instead.  The 64-entry
     ``lru_cache`` stays only because the benchmark's tracer reads its
     ``cache_info()``.
     """
+    n = len(lam)
+    shifted = tuple(map(add, lam, range(0, -n, -1)))
     acc = {}
     for w, m in _pattern_weights(mu).items():
-        nu = tuple(map(add, lam, w))
-        if all(map(ge, nu, nu[1:])):
-            acc[nu] = acc.get(nu, 0) + m
-        else:
-            hit = straighten(nu)
-            if hit is not None:
-                acc[hit[1]] = acc.get(hit[1], 0) + (-m if hit[0] % 2 else m)
+        beta = tuple(map(add, shifted, w))
+        if all(map(gt, beta, beta[1:])):
+            acc[beta] = acc.get(beta, 0) + m
+        elif len(set(beta)) == n:
+            key = tuple(sorted(beta, reverse=True))
+            acc[key] = acc.get(key, 0) + (-m if sum(starmap(lt, combinations(beta, 2))) & 1 else m)
     if sum(map(len, _WEIGHTS.values())) > _MEMO_WEIGHTS:
         _WEIGHTS.clear()
-    return tuple((nu, c) for nu, c in acc.items() if c)
+    return tuple((tuple(map(add, beta, range(n))), c) for beta, c in acc.items() if c)
 
 
 def _pattern_weights(row):
     """Weight multiplicities of the Gelfand-Tsetlin patterns with top ``row``.
 
+    Multiplicities are symmetric, so each decreasing weight
+    (``_dominant_weights``) is spread over its distinct permutations
+    (``_orbit``).
+    """
+    out = {}
+    for w, m in _dominant_weights(row).items():
+        out.update(dict.fromkeys(_orbit(w), m))
+    return out
+
+
+def _dominant_weights(row):
+    """Multiplicities of the weakly decreasing weights of the patterns with top ``row``.
+
     The next row interlaces it, row[i] >= sub[i] >= row[i + 1], and a
-    pattern's weight lists the differences of successive row sums.  The
-    rows below ``row`` are looked up in, or added to, ``_WEIGHTS``.
+    pattern's weight is the weight of the pattern below, with top ``sub``,
+    followed by sum(row) - sum(sub).  So the decreasing weights of ``row``
+    are the decreasing weights of its sub-rows that end at or above that
+    last entry.  The sub-rows' are looked up in, or added to, ``_WEIGHTS``.
     """
     if len(row) == 1:
         return {row: 1}
     out, total = {}, sum(row)
     for sub in product(*(range(b, a + 1) for a, b in zip(row, row[1:]))):
-        tail = (total - sum(sub),)
+        tail = total - sum(sub)
         below = _WEIGHTS.get(sub)
         if below is None:
-            below = _WEIGHTS[sub] = _pattern_weights(sub)
+            below = _WEIGHTS[sub] = _dominant_weights(sub)
         for w, m in below.items():
-            key = w + tail
-            out[key] = out.get(key, 0) + m
+            if w[-1] >= tail:
+                key = w + (tail,)
+                out[key] = out.get(key, 0) + m
     return out
+
+
+def _orbit(w):
+    """The distinct permutations of the weakly decreasing tuple ``w``, from ``w`` down.
+
+    Each step takes the lexicographic predecessor: past the last i with
+    a[i] > a[i + 1], the entries increase, so a[i] swaps with the last of
+    them below it and the tail is reversed.  The increasing arrangement has
+    no such i and ends the orbit.
+    """
+    a, k = list(w), len(w)
+    while True:
+        yield tuple(a)
+        i = k - 2
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = k - 1
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]

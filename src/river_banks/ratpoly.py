@@ -98,7 +98,8 @@ def _coeff(c):
 def _ints(values):
     """A label's parts or a multidegree as ints; any other value is refused, not truncated."""
     values = tuple(values)
-    if all(type(v) is int for v in values):
+    # an exact type test at C level: bool and int subclasses are refused
+    if set(map(type, values)) <= {int}:
         return values
     raise TypeError(f"expected integers, got {next(v for v in values if type(v) is not int)!r}")
 

@@ -195,20 +195,21 @@ class BottSumTable(CohomologyTable):
     """
 
     def __init__(self, n, terms):
-        n, merged = _ambient(n), {}
+        n, merged, labels = _ambient(n), {}, {}
         for mult, lam in terms:
             if not isinstance(lam, GenPartition):
                 lam = GenPartition(lam)
-            if lam.n != n:
-                raise ValueError(f"label {lam} has length {lam.n}, expected {n}")
+            parts = lam.parts
+            if len(parts) != n:
+                raise ValueError(f"label {lam} has length {len(parts)}, expected {n}")
             mult = _coeff(mult)
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult} for {lam}")
             if mult:
-                merged[lam] = _exact(merged.get(lam, 0) + mult)
+                merged[parts] = merged.get(parts, 0) + mult
+                labels[parts] = lam
         self.n = n
-        self.terms = tuple(sorted(((m, lam) for lam, m in merged.items()),
-                                  key=lambda t: t[1].parts))
+        self.terms = tuple((_exact(merged[parts]), labels[parts]) for parts in sorted(merged))
         self._pieces = tuple((m.numerator * num, m.denominator * den, neg)
                              for m, lam in self.terms for neg, num, den in [_roots(lam.parts)])
 

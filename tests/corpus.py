@@ -11,7 +11,9 @@ straightening; the product oracle reads the sharpness report off the whole
 expanded product, independent of the PRV witnesses; the straightening
 oracle reads a Bott twist off the dot-action straightening and the
 hook-content formula, independent of the root-sequence closed form and its
-Weyl product; the wedge oracle builds the paired wedge matrix from products
+Weyl product; the pattern oracle lists every weight of the Gelfand-Tsetlin
+patterns, independent of the dominant weights spread over their
+permutations; the wedge oracle builds the paired wedge matrix from products
 signed by sorting their indices, independent of the precomputed wedge
 table; the row oracle reads each cell off the subset-sum and straightening
 oracles, the stored rows of a literal window and the weighted sum of a
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from functools import cache
+from itertools import combinations, product, zip_longest
 
 from hypothesis import strategies as st
 
@@ -44,7 +47,7 @@ from river_banks.boij_soderberg import (
 from river_banks.bott import BottCohomology
 from river_banks.bounds import check_tensor_bounds, tensor_homogeneous
 from river_banks.kunneth import KunnethTable
-from river_banks.partitions import GenPartition, leq, straighten
+from river_banks.partitions import GenPartition, leq
 from river_banks.ratpoly import RatPoly, _expand
 from river_banks.tables import (
     NEG_INFINITY,
@@ -204,6 +207,47 @@ def subset_sum_cohomology(a, i):
             prod *= (-aj - 1 if aj <= -2 else 0) if j in picked else max(aj + 1, 0)
         total += prod
     return total
+
+
+def straighten(weight):
+    """Dot-action straightening of an integer weight of length k.
+
+    Adds the staircase (k - 1, ..., 1, 0) and returns None when two entries
+    collide; otherwise ``(inversions, nu)``, where nu is the strictly
+    decreasing sort minus the staircase.  The code subtracts (0, 1, ...,
+    k - 1) instead, which differs from the staircase by a constant and so
+    sorts and collides alike.
+    """
+    beta = [w - i for i, w in enumerate(weight)]
+    if len(set(beta)) < len(beta):
+        return None
+    srt = sorted(beta, reverse=True)
+    # each entry, largest first, is inverted with the smaller ones still before it
+    inv, rest = 0, beta[:]
+    for b in srt:
+        i = rest.index(b)
+        inv += i
+        del rest[i]
+    return inv, tuple(b + i for i, b in enumerate(srt))
+
+
+@cache
+def pattern_weights_by_enumeration(row):
+    """Multiplicities of every weight of the Gelfand-Tsetlin patterns with top ``row``.
+
+    The next row interlaces it, row[i] >= sub[i] >= row[i + 1], and a
+    pattern's weight lists the differences of successive row sums: every
+    weight of every sub-row, kept across calls, gets the last difference
+    appended.  No symmetry is used.
+    """
+    if len(row) == 1:
+        return {row: 1}
+    out, total = Counter(), sum(row)
+    for sub in product(*(range(b, a + 1) for a, b in zip(row, row[1:]))):
+        tail = (total - sum(sub),)
+        for w, m in pattern_weights_by_enumeration(sub).items():
+            out[w + tail] += m
+    return dict(out)
 
 
 def bott_by_straightening(n, parts, d):

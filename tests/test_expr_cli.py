@@ -13,8 +13,9 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
+import river_banks
 from river_banks import bounds, golden
-from river_banks.cli import build_parser, main
+from river_banks.cli import _dumps, build_parser, main
 from river_banks.exterior import MAX_COEFF_DIGITS, TwoForm, kernel_dim
 from river_banks.expr import MAX_DEPTH, ExprError, table_from_expr
 from river_banks.kunneth import KunnethTable
@@ -33,7 +34,8 @@ from corpus import bundle_exprs
 
 
 CLI_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "cli_expected.json"
-SRC = Path(__file__).resolve().parent.parent / "src"
+# the package the tests imported, so that a subprocess runs a mutated copy too
+SRC = Path(river_banks.__file__).resolve().parents[1]
 
 
 def gp(*parts):
@@ -192,6 +194,18 @@ class TestCliCommands:
         assert main(["table", "O(0) on P1", "--window", "0:1", "--format", "json"]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob == {"n": 1, "window": [0, 1], "rows": [[0, 0], [1, 2]]}
+
+    # what an answer is made of: strings, ints, bools and null (floats too),
+    # in lists, tuples (records' fields) and objects with string keys
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: (st.lists(inner) | st.tuples(inner, inner)
+                       | st.dictionaries(st.text(), inner)),
+        max_leaves=30)
+
+    @given(JSON_VALUES)
+    def test_the_json_writer_writes_the_bytes_of_json_dumps(self, obj):
+        assert _dumps(obj) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize("fmt", ["ascii", "json"])
     def test_table_rejects_an_empty_window(self, capsys, fmt):
@@ -935,9 +949,8 @@ class TestIntegerRule:
             "print(json.dumps([at_640, [call(argv) for argv in argvs]]))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               input=json.dumps([argv for argv, _ in cases]),
-                              # the package this test imported, a mutated copy included
                               env=dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
-                                       PYTHONPATH=str(Path(bounds.__file__).resolve().parents[1])),
+                                       PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         at_640, unlimited = json.loads(proc.stdout)

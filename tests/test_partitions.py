@@ -10,13 +10,19 @@ from river_banks.partitions import (
     MAX_WEYL_BITS,
     GenPartition,
     _lr_classical,
+    _pattern_weights,
     leq,
     lr_expand,
     schur_dim,
-    straighten,
 )
 
-from corpus import hook_content_dim, lr_strips, random_partition
+from corpus import (
+    hook_content_dim,
+    lr_strips,
+    pattern_weights_by_enumeration,
+    random_partition,
+    straighten,
+)
 
 
 def gp(*parts):
@@ -114,6 +120,29 @@ class TestSchurDim:
             n = rng.randint(1, 4)
             lam = random_partition(rng, n, -3, 4)
             assert schur_dim(lam) == schur_dim(lam.shift(5))
+
+
+# the widest span of parts, per length, that keeps a row's patterns below
+# about 17 000, so that the enumeration oracle stays quick
+SPANS = {1: 12, 2: 12, 3: 12, 4: 12, 5: 6, 6: 4}
+ROWS = st.integers(1, 6).flatmap(lambda n: st.integers(-4, 8 - SPANS[n]).flatmap(
+    lambda lo: st.lists(st.integers(lo, lo + SPANS[n]), min_size=n, max_size=n)))
+
+
+class TestPatternWeights:
+    @given(ROWS)
+    def test_dominant_weights_spread_over_their_orbits_match_the_enumeration(self, parts):
+        row = tuple(sorted(parts, reverse=True))
+        partitions._WEIGHTS.clear()
+        got = _pattern_weights(row)
+        assert got == pattern_weights_by_enumeration(row)
+        assert sum(got.values()) == schur_dim(GenPartition(row))
+
+    def test_a_long_row_with_one_box_has_one_orbit(self):
+        # 100 parts: the orbit is spread without visiting the 100! orderings
+        row = (1,) + (0,) * 99
+        assert _pattern_weights(row) == {
+            tuple(int(i == j) for i in range(100)): 1 for j in range(100)}
 
 
 def straighten_by_search(weight):
@@ -280,9 +309,9 @@ class TestLRExpand:
 
     def test_kept_weights_are_bounded(self):
         # the sub-rows (a, b) of (2k, k, 0), k <= a <= 2k and 0 <= b <= k,
-        # hold a - b + 1 weights each
+        # hold the (a - b) // 2 + 1 decreasing weights (x, a + b - x), x >= a + b - x
         k = next(k for k in count(1) if sum(
-            a - b + 1 for a in range(k, 2 * k + 1) for b in range(k + 1)) > _MEMO_WEIGHTS)
+            (a - b) // 2 + 1 for a in range(k, 2 * k + 1) for b in range(k + 1)) > _MEMO_WEIGHTS)
         small = gp(2, 1, 0)
         cold_expand(small, small)
         assert 0 < memo_weights() <= _MEMO_WEIGHTS

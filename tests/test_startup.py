@@ -23,7 +23,9 @@ from river_banks.partitions import GenPartition
 from river_banks.tables import BottSumTable, regularity_profile
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "src" / "river_banks" / "golden"
+# the package the tests imported, so that a fresh interpreter runs a mutated copy too
+SRC = Path(river_banks.__file__).resolve().parents[1]
+GOLDEN = SRC / "river_banks" / "golden"
 
 # The public names of the package, by the module that defines them.
 EXPORTS = {
@@ -78,8 +80,8 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 
 
 def fresh(code, *args):
-    """stdout of a new interpreter that imports the package from this checkout."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    """stdout of a new interpreter that imports the package the tests imported."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
