@@ -26,12 +26,14 @@ piece all read that one product.  A label whose product may pass
 
 The weights come off Gelfand-Tsetlin patterns, one row at a time.  Their
 multiplicities are symmetric, so only the weakly decreasing (dominant)
-weights are counted, and each is spread over its distinct permutations at
-the top row.  The dominant weights of every row below the top are kept in
-``_WEIGHTS`` across expansions, since the pairs a session expands share
-their lower rows.  The memo is bounded by the number of weights it holds:
-an expansion that ends with more than ``_MEMO_WEIGHTS`` of them clears it,
-so one large label costs its own memory during its own expansion only.
+weights are counted, and the expansion walks each over its distinct
+permutations.  The dominant weights of every row below the top are kept
+in ``_WEIGHTS`` across expansions, since the pairs a session expands share
+their lower rows; a two-part row reads its own in closed form, so no
+one-part row is kept.  The memo is bounded by the number of weights it
+holds: an expansion that ends with more than ``_MEMO_WEIGHTS`` of them
+clears it, so one large label costs its own memory during its own
+expansion only.
 """
 
 from __future__ import annotations
@@ -39,13 +41,16 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import combinations, product, starmap
 from math import factorial, prod
-from operator import add, ge, gt, lt
+from operator import add, ge, gt, lt, sub
 
 from river_banks.ratpoly import _decimal, _int, _ints
 
 # the kept dominant Gelfand-Tsetlin weights of ``_lr_classical``, and their bound
-# (module docstring), from a ladder of 2^12..2^15 on the tensor benchmark taken
-# while every weight was kept
+# (module docstring).  3000 in-process ops of the tensor benchmark's seed-3101
+# stream keep at most 3366 weights in 574 rows, and S[99999,0] squared keeps
+# none, so only a large label of three or more parts reaches the bound; 2^11,
+# which the stream does reach, saved 0.2 MiB of peak RSS and lost tensor ops/s
+# in three of three 8 s runs
 _MEMO_WEIGHTS = 1 << 13
 _WEIGHTS = {}
 
@@ -126,15 +131,16 @@ def _roots(parts):
     factors pass ``MAX_WEYL_BITS`` is refused before any is multiplied.
     """
     n = len(parts)
-    neg = tuple(i - n - p for i, p in enumerate(parts))
+    neg = tuple(map(sub, range(-n, 0), parts))
+    # the pairs (b, a) of roots with a before b, so that sub gives b - a at C level
+    rev = neg[::-1]
     # each difference is at most the span: a small label pays one subtraction
     if (neg[-1] - neg[0]).bit_length() * (n * (n - 1) // 2) > MAX_WEYL_BITS:
-        bits = sum((b - a).bit_length() for i, a in enumerate(neg) for b in neg[i + 1:])
+        bits = sum(map(int.bit_length, starmap(sub, combinations(rev, 2))))
         if bits > MAX_WEYL_BITS:
             raise ValueError(f"the Weyl product of a label of {n} parts may have up to {bits} "
                              f"bits, past the limit of {MAX_WEYL_BITS} bits")
-    val, rem = divmod(prod(b - a for i, a in enumerate(neg) for b in neg[i + 1:]),
-                      _superfactorial(n))
+    val, rem = divmod(prod(starmap(sub, combinations(rev, 2))), _superfactorial(n))
     assert rem == 0 and val > 0
     return neg, val, factorial(n)
 
@@ -163,22 +169,28 @@ def lr_expand(lam: GenPartition, mu: GenPartition) -> dict:
         raise ValueError(f"length mismatch: {lam.n} vs {mu.n}")
     if schur_dim(lam) < schur_dim(mu):
         lam, mu = mu, lam
-    return {GenPartition(nu): c for nu, c in _lr_classical(lam.parts, mu.parts)}
+    return {_label(nu): c for nu, c in _lr_classical(lam.parts, mu.parts)}
 
 
 @lru_cache(maxsize=1 << 6)
 def _lr_classical(lam, mu):
     """The nonzero ``(nu, multiplicity)`` pairs of the product, as tuples.
 
-    Each weight w of mu (``_pattern_weights``) adds its multiplicity, signed,
-    to the straightening of beta = lam + rho + w, kept as a strictly
+    Each dominant weight of mu (``_dominant_weights``) is walked over its
+    orbit (``_orbit``), and each weight w of it adds the multiplicity,
+    signed, to the straightening of beta = lam + rho + w, kept as a strictly
     decreasing tuple; here rho = (0, -1, ..., 1 - n), a staircase up to a
     constant, which sorts and collides alike.  A strictly decreasing beta is
     its own straightening, with sign +.  Any other beta with two equal
     entries cancels; one with distinct entries is sorted, and its sign is
     the parity of its pairs out of order.  rho comes off each term once, at
     the end, when the kept memo ``_WEIGHTS`` is also cleared if it holds
-    more than ``_MEMO_WEIGHTS`` weights; mu's own row is never kept.
+    more than ``_MEMO_WEIGHTS`` weights; mu's own row is never kept.  A
+    strictly decreasing tuple of ints minus rho is weakly decreasing, so
+    each nu is a label by construction, and ``lr_expand`` wraps it without
+    checking it again (``_label``).  The cache keeps the tuples, not the
+    wrapped labels: 64 expansions' worth of ``GenPartition`` objects cost
+    the tensor benchmark 0.2 MiB of peak RSS.
 
     A tensor op expands its pair once: the sharpness report and the
     witnesses are read off the PRV term instead.  The 64-entry
@@ -188,48 +200,48 @@ def _lr_classical(lam, mu):
     n = len(lam)
     shifted = tuple(map(add, lam, range(0, -n, -1)))
     acc = {}
-    for w, m in _pattern_weights(mu).items():
-        beta = tuple(map(add, shifted, w))
-        if all(map(gt, beta, beta[1:])):
-            acc[beta] = acc.get(beta, 0) + m
-        elif len(set(beta)) == n:
-            key = tuple(sorted(beta, reverse=True))
-            acc[key] = acc.get(key, 0) + (-m if sum(starmap(lt, combinations(beta, 2))) & 1 else m)
+    for dominant, m in _dominant_weights(mu).items():
+        for w in _orbit(dominant):
+            beta = tuple(map(add, shifted, w))
+            if all(map(gt, beta, beta[1:])):
+                acc[beta] = acc.get(beta, 0) + m
+            elif len(set(beta)) == n:
+                key = tuple(sorted(beta, reverse=True))
+                signed = -m if sum(starmap(lt, combinations(beta, 2))) & 1 else m
+                acc[key] = acc.get(key, 0) + signed
     if sum(map(len, _WEIGHTS.values())) > _MEMO_WEIGHTS:
         _WEIGHTS.clear()
     return tuple((tuple(map(add, beta, range(n))), c) for beta, c in acc.items() if c)
 
 
-def _pattern_weights(row):
-    """Weight multiplicities of the Gelfand-Tsetlin patterns with top ``row``.
-
-    Multiplicities are symmetric, so each decreasing weight
-    (``_dominant_weights``) is spread over its distinct permutations
-    (``_orbit``).
-    """
-    out = {}
-    for w, m in _dominant_weights(row).items():
-        out.update(dict.fromkeys(_orbit(w), m))
-    return out
+def _label(parts):
+    """The ``GenPartition`` of ``parts``, a weakly decreasing tuple of ints, unchecked."""
+    lam = object.__new__(GenPartition)
+    lam.parts = parts
+    return lam
 
 
 def _dominant_weights(row):
     """Multiplicities of the weakly decreasing weights of the patterns with top ``row``.
 
-    The next row interlaces it, row[i] >= sub[i] >= row[i + 1], and a
-    pattern's weight is the weight of the pattern below, with top ``sub``,
-    followed by sum(row) - sum(sub).  So the decreasing weights of ``row``
+    The next row interlaces it, row[i] >= lower[i] >= row[i + 1], and a
+    pattern's weight is the weight of the pattern below, with top ``lower``,
+    followed by sum(row) - sum(lower).  So the decreasing weights of ``row``
     are the decreasing weights of its sub-rows that end at or above that
     last entry.  The sub-rows' are looked up in, or added to, ``_WEIGHTS``.
+    A one-part sub-row (x,) is its own only weight, so a two-part row reads
+    its weights (x, sum(row) - x), x at or above the half sum, off no memo.
     """
     if len(row) == 1:
         return {row: 1}
     out, total = {}, sum(row)
-    for sub in product(*(range(b, a + 1) for a, b in zip(row, row[1:]))):
-        tail = total - sum(sub)
-        below = _WEIGHTS.get(sub)
+    if len(row) == 2:
+        return dict.fromkeys(((x, total - x) for x in range(-(-total // 2), row[0] + 1)), 1)
+    for lower in product(*(range(b, a + 1) for a, b in zip(row, row[1:]))):
+        tail = total - sum(lower)
+        below = _WEIGHTS.get(lower)
         if below is None:
-            below = _WEIGHTS[sub] = _dominant_weights(sub)
+            below = _WEIGHTS[lower] = _dominant_weights(lower)
         for w, m in below.items():
             if w[-1] >= tail:
                 key = w + (tail,)

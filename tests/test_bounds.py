@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from river_banks import bounds, golden
 from river_banks.bounds import (
@@ -52,6 +52,20 @@ class TestTensorHomogeneous:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             tensor_homogeneous(structure_sheaf_table(2), structure_sheaf_table(3))
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        *[st.lists(st.integers(-3, 6), min_size=n, max_size=n)] * 2)))
+    def test_the_expansions_unchecked_labels_pass_the_label_checks(self, pair):
+        # lr_expand's terms are built without GenPartition's checks; reading
+        # each again through them changes neither a label nor the product table
+        lam, mu = (GenPartition(sorted(p, reverse=True)) for p in pair)
+        # a smaller factor past 5000 weights only makes the example slow
+        assume(min(schur_dim(lam), schur_dim(mu)) <= 5000)
+        got = lr_expand(lam, mu)
+        assert all(nu == GenPartition(nu.parts) and nu.n == lam.n for nu in got)
+        checked = BottSumTable(lam.n, [(c, GenPartition(list(nu.parts))) for nu, c in got.items()])
+        product = tensor_homogeneous(homogeneous_table(lam), homogeneous_table(mu))
+        assert product.terms == checked.terms
 
     def test_size_counts_the_smaller_factor_of_each_pair(self, monkeypatch):
         # dims 2 and 3 against 4: the pairs expand min(2, 4) + min(3, 4) = 5 weights

@@ -9,8 +9,9 @@ from river_banks.partitions import (
     _MEMO_WEIGHTS,
     MAX_WEYL_BITS,
     GenPartition,
+    _dominant_weights,
     _lr_classical,
-    _pattern_weights,
+    _orbit,
     leq,
     lr_expand,
     schur_dim,
@@ -129,19 +130,24 @@ ROWS = st.integers(1, 6).flatmap(lambda n: st.integers(-4, 8 - SPANS[n]).flatmap
     lambda lo: st.lists(st.integers(lo, lo + SPANS[n]), min_size=n, max_size=n)))
 
 
+def pattern_weights(row):
+    """Every weight of the patterns with top ``row``: the dominant ones spread over their orbits."""
+    return {w: m for d, m in _dominant_weights(row).items() for w in _orbit(d)}
+
+
 class TestPatternWeights:
     @given(ROWS)
     def test_dominant_weights_spread_over_their_orbits_match_the_enumeration(self, parts):
         row = tuple(sorted(parts, reverse=True))
         partitions._WEIGHTS.clear()
-        got = _pattern_weights(row)
+        got = pattern_weights(row)
         assert got == pattern_weights_by_enumeration(row)
         assert sum(got.values()) == schur_dim(GenPartition(row))
 
     def test_a_long_row_with_one_box_has_one_orbit(self):
         # 100 parts: the orbit is spread without visiting the 100! orderings
         row = (1,) + (0,) * 99
-        assert _pattern_weights(row) == {
+        assert pattern_weights(row) == {
             tuple(int(i == j) for i in range(100)): 1 for j in range(100)}
 
 
@@ -306,6 +312,14 @@ class TestLRExpand:
             _lr_classical.cache_clear()
             warm[i] = lr_expand(*pairs[i])
         assert [warm[i] for i in range(len(pairs))] == cold
+
+    def test_a_one_part_row_is_never_kept(self):
+        # a one-part row (x,) is its own only weight, so a two-part row reads
+        # its weights off no memo: S[k,0] squared keeps no row at all
+        cold_expand(gp(40, 0), gp(40, 0))
+        assert not partitions._WEIGHTS
+        cold_expand(gp(40, 20, 0), gp(40, 20, 0))
+        assert partitions._WEIGHTS and all(len(row) == 2 for row in partitions._WEIGHTS)
 
     def test_kept_weights_are_bounded(self):
         # the sub-rows (a, b) of (2k, k, 0), k <= a <= 2k and 0 <= b <= k,
