@@ -21,10 +21,9 @@ import json
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 
 import river_banks as rb
-from river_banks.ratpoly import _check_digits, _decimal, _digits, _int
+from river_banks.ratpoly import _decimal, _int
 
 OK, VIOLATION, USAGE, LIMITED = 0, 1, 2, 3
 DEFAULT_SEED = 1729
@@ -32,34 +31,13 @@ DEFAULT_SEED = 1729
 
 def _emit(obj):
     try:
-        text = _dumps(obj)
+        text = json.dumps(obj, indent=2)
     except ValueError:
-        # ints are written with repr, which refuses one past the digit limit
-        _check_digits(max(map(_digits, _ints_in(obj)), default=0), "an integer in the answer has")
+        # ints are written with repr, which refuses one past the digit limit;
+        # _decimal refuses the largest in the package's words
+        _decimal(max(_ints_in(obj), key=abs, default=0))
         raise
     print(text)
-
-
-def _dumps(obj, pad="\n"):
-    """``json.dumps(obj, indent=2)``, byte for byte, for an object with string keys.
-
-    With an indent ``json.dumps`` runs the pure-Python encoder; here each
-    container is joined from its items' text, strings are escaped by the C
-    ``encode_basestring_ascii``, ints written by ``repr`` and any other value
-    by ``json.dumps`` itself.
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if type(obj) is int:
-        return repr(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
-        return f"{{{inner}{(',' + inner).join(items)}{pad}}}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = [_dumps(v, inner) for v in obj]
-        return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
-    return json.dumps(obj)
 
 
 def _ints_in(obj):

@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import combinations, product, starmap
 from math import factorial, prod
-from operator import add, ge, gt, lt, sub
+from operator import add, ge, gt, lt, mul, sub
 
 from river_banks.ratpoly import _decimal, _int, _ints
 
@@ -128,7 +128,9 @@ def _roots(parts):
     over them, since neg[j] - neg[i] is parts[i] - parts[j] + j - i, divided
     exactly by the product of the (j - i), the superfactorial.  The product
     has at most as many bits as its factors together, and a label whose
-    factors pass ``MAX_WEYL_BITS`` is refused before any is multiplied.
+    factors pass ``MAX_WEYL_BITS`` is refused before any is multiplied.  The
+    factors of pairs d apart have at least bit_length(d) bits each, n - d of
+    them, so a label of 388 parts or more is refused off its length alone.
     """
     n = len(parts)
     neg = tuple(map(sub, range(-n, 0), parts))
@@ -136,6 +138,11 @@ def _roots(parts):
     rev = neg[::-1]
     # each difference is at most the span: a small label pays one subtraction
     if (neg[-1] - neg[0]).bit_length() * (n * (n - 1) // 2) > MAX_WEYL_BITS:
+        # and at least j - i: a long label is refused off its length alone
+        least = sum(map(mul, range(n - 1, 0, -1), map(int.bit_length, range(1, n))))
+        if least > MAX_WEYL_BITS:
+            raise ValueError(f"the Weyl product of a label of {n} parts has factors of at "
+                             f"least {least} bits, past the limit of {MAX_WEYL_BITS} bits")
         bits = sum(map(int.bit_length, starmap(sub, combinations(rev, 2))))
         if bits > MAX_WEYL_BITS:
             raise ValueError(f"the Weyl product of a label of {n} parts may have up to {bits} "

@@ -312,12 +312,12 @@ class LiteralTable(CohomologyTable):
             raise ValueError(f"expected {n + 1} rows, got {len(rows_by_i)}")
         rows = []
         for i, row in enumerate(rows_by_i):
-            # the cell rule once a row, over the row's cells that are no int
             text = [c for c in row if type(c) is not int]
-            if text and not _ascii_digits(text):
-                bad = next(c for c in text if not _ascii_digits([c]))
-                raise ValueError("a cell is an int or a string of ASCII digits, "
-                                 f"got {reprlib.repr(bad)} in row {i}")
+            for c in text:
+                # '٣' passes isdigit alone
+                if not (isinstance(c, str) and c.isascii() and c.isdigit()):
+                    raise ValueError("a cell is an int or a string of ASCII digits, "
+                                     f"got {reprlib.repr(c)} in row {i}")
             _check_digits(max(map(len, text), default=0), "an integer has")
             row = tuple(map(int, row))
             if len(row) != width:
@@ -347,20 +347,6 @@ class LiteralTable(CohomologyTable):
         return LiteralTable(self.n, self.lo - s, self.hi - s, self.rows_by_i)
 
 
-def _ascii_digits(cells) -> bool:
-    """True when each of the cells is a nonempty string of ASCII digits.
-
-    One join tests them all: '٣' passes ``isdigit`` alone, so ``isascii`` goes
-    with it; a bool, a float or a Fraction fails the join, and an empty
-    string, which would vanish in it, is looked for on its own.
-    """
-    try:
-        digits = "".join(cells)
-    except TypeError:
-        return False
-    return "" not in cells and digits.isascii() and digits.isdigit()
-
-
 #: Refusals for hostile sizes, checked before any work: expressions on a
 #: space past P^MAX_AMBIENT_DIM do not parse, no grid (a render, a profile
 #: sweep, a decomposition window) holds more than MAX_CELLS cells
@@ -368,8 +354,8 @@ def _ascii_digits(cells) -> bool:
 #: ``bounds.tensor_homogeneous`` expands no product whose smaller factors,
 #: summed over the pairs of labels, have dimension past MAX_TENSOR_DIM (an
 #: expansion enumerates the weights of the smaller factor; the dearest
-#: product at the limit, ``S[99999,0] on P2`` squared, takes 1.1 s with
-#: start-up and peaks at 124 MiB, on CPython 3.11.7 on a 2-CPU shared host).
+#: product at the limit, ``S[99999,0] on P2`` squared, takes 1.3-1.9 s with
+#: start-up and peaks at 160 MiB, on CPython 3.11.7 on a 2-CPU shared host).
 #: A label's Weyl product past ``partitions.MAX_WEYL_BITS`` is refused too.
 #: A refusal writes a number past the interpreter's digit limit as its
 #: digit count (``ratpoly._written``).

@@ -15,7 +15,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 import river_banks
 from river_banks import bounds, golden
-from river_banks.cli import _dumps, build_parser, main
+from river_banks.cli import build_parser, main
 from river_banks.exterior import MAX_COEFF_DIGITS, TwoForm, kernel_dim
 from river_banks.expr import MAX_DEPTH, ExprError, table_from_expr
 from river_banks.kunneth import KunnethTable
@@ -194,18 +194,6 @@ class TestCliCommands:
         assert main(["table", "O(0) on P1", "--window", "0:1", "--format", "json"]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob == {"n": 1, "window": [0, 1], "rows": [[0, 0], [1, 2]]}
-
-    # what an answer is made of: strings, ints, bools and null (floats too),
-    # in lists, tuples (records' fields) and objects with string keys
-    JSON_VALUES = st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-        lambda inner: (st.lists(inner) | st.tuples(inner, inner)
-                       | st.dictionaries(st.text(), inner)),
-        max_leaves=30)
-
-    @given(JSON_VALUES)
-    def test_the_json_writer_writes_the_bytes_of_json_dumps(self, obj):
-        assert _dumps(obj) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize("fmt", ["ascii", "json"])
     def test_table_rejects_an_empty_window(self, capsys, fmt):

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import count, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import river_banks
 from river_banks import partitions
 from river_banks.partitions import (
     _MEMO_WEIGHTS,
@@ -24,6 +29,9 @@ from corpus import (
     random_partition,
     straighten,
 )
+
+
+SRC = Path(river_banks.__file__).resolve().parents[1]
 
 
 def gp(*parts):
@@ -102,6 +110,28 @@ class TestSchurDim:
         assert schur_dim(gp(edge - 1, 0)) == edge
         with pytest.raises(ValueError, match=f"past the limit of {MAX_WEYL_BITS} bits"):
             schur_dim(gp(edge, 0))
+
+    def test_the_length_bound_is_exact_at_its_edge(self):
+        # a constant label's root differences are exactly the j - i, so its
+        # counted bits are the length bound itself: 521 380 at 387 parts and
+        # 524 361 at 388
+        assert schur_dim(GenPartition((0,) * 387)) == 1
+        with pytest.raises(ValueError, match="a label of 388 parts has factors of at least "
+                                             f"524361 bits, past the limit of {MAX_WEYL_BITS}"):
+            schur_dim(GenPartition((0,) * 388))
+
+    def test_a_long_label_is_refused_off_its_length(self):
+        # the sum over its pairs took minutes at 10^5 parts
+        code = ("from river_banks.partitions import GenPartition, schur_dim\n"
+                "try:\n"
+                "    schur_dim(GenPartition(range(10**5, 0, -1)))\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=20)
+        assert proc.stdout.startswith("the Weyl product of a label of 100000 parts has "
+                                      "factors of at least ")
 
     def test_against_hook_content_oracle(self):
         rng = random.Random(71)

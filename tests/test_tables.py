@@ -784,7 +784,7 @@ class TestLiteralCellRule:
         ("٣", "'٣'"),
         ("-1", "'-1'"),
         ("1_0", "'1_0'"),
-        # an empty string would vanish in the row's join
+        # an empty string holds no digit
         ("", "''"),
         (None, "None"),
     ])
