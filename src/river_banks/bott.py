@@ -34,10 +34,13 @@ grid (``tables._cells``) asks for each twist once per row, and a hit is
 several times cheaper than the closed form.  It has to hold the keys of
 one grid while its rows are read, not the history: about 1700 for a chain
 of 8 labels on P^7 over 200 columns, 1090 for O(0) on P^100 over 990
-columns.  A larger memo only keeps twists that do not
-come back.  A miss multiplies the n factors d - r into the label's constant
-in integers and builds its ``BottCohomology`` with ``tuple.__new__``,
-skipping the class's Python-level ``__new__``.
+columns.  A larger memo only keeps twists that do not come back.  A hit is
+the memo lookup alone.  The label's length is checked on a miss, at the top
+of ``_bott``: a label of the wrong length can never be a stored key, and its
+refusal raises before anything is stored, so it is refused again on every
+call.  A miss multiplies the n factors d - r into the label's constant in
+integers and builds its ``BottCohomology`` with ``tuple.__new__``, skipping
+the class's Python-level ``__new__``.
 
 ``bott_cohomology`` is called once per label and cell of a homogeneous
 sum: its row (``tables.BottSumTable._row``) is the one generator row still
@@ -66,14 +69,19 @@ class BottCohomology(NamedTuple):
 
 
 def bott_cohomology(n: int, lam: GenPartition, d: int) -> Optional[BottCohomology]:
-    """Cohomology of the lam-bundle twisted by d on P^n; None if all groups vanish."""
-    if len(lam.parts) != n:
-        raise ValueError(f"label has length {lam.n}, expected {n}")
+    """Cohomology of the lam-bundle twisted by d on P^n; None if all groups vanish.
+
+    A repeated (label, twist) is the ``_bott`` memo lookup alone: a label
+    whose length is not n is refused on the memo's miss path, and since the
+    refusal raises, its key is never stored and every such call is refused.
+    """
     return _bott(n, lam.parts, d)
 
 
 @lru_cache(maxsize=1 << 12)
 def _bott(n, parts, d):
+    if len(parts) != n:
+        raise ValueError(f"label has length {len(parts)}, expected {n}")
     neg, num, den = _roots(parts)
     below = bisect_left(neg, d)
     if below < n and neg[below] == d:

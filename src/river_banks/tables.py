@@ -195,7 +195,9 @@ class BottSumTable(CohomologyTable):
     """
 
     def __init__(self, n, terms):
-        n, merged, labels = _ambient(n), {}, {}
+        # parts -> (multiplicity, label), the term itself: its parts are hashed
+        # by one get and one store, and the sorted values are the terms
+        n, merged = _ambient(n), {}
         for mult, lam in terms:
             if not isinstance(lam, GenPartition):
                 lam = GenPartition(lam)
@@ -206,10 +208,10 @@ class BottSumTable(CohomologyTable):
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult} for {lam}")
             if mult:
-                merged[parts] = merged.get(parts, 0) + mult
-                labels[parts] = lam
+                held = merged.get(parts)
+                merged[parts] = (mult, lam) if held is None else (_exact(held[0] + mult), lam)
         self.n = n
-        self.terms = tuple((_exact(merged[parts]), labels[parts]) for parts in sorted(merged))
+        self.terms = tuple(term for _, term in sorted(merged.items()))
         self._pieces = tuple((m.numerator * num, m.denominator * den, neg)
                              for m, lam in self.terms for neg, num, den in [_roots(lam.parts)])
 

@@ -21,7 +21,7 @@ which stays inside the bound's slack on every grid the tests build, nor
 ``decompose`` skipping its gcd step altogether: the residual and its
 denominator then grow together, which changes no ratio and no coefficient.
 
-The table holds 56 mutants; all are killed in 108 s (CPython 3.11.7,
+The table holds 58 mutants; all are killed in 116 s (CPython 3.11.7,
 2 CPUs, a shared host).
 """
 
@@ -101,6 +101,10 @@ MUTANTS = (
            ("tests/test_bott.py",)),
     Mutant("Bott miss skips the last root factor", "bott.py",
            "for r in neg:", "for r in neg[:-1]:", ("tests/test_bott.py::TestRootSequence",)),
+    Mutant("Bott length refusal dropped", "bott.py",
+           '    if len(parts) != n:\n'
+           '        raise ValueError(f"label has length {len(parts)}, expected {n}")\n',
+           "", ("tests/test_bott.py::TestBottCohomology",)),
     Mutant("Weyl product root difference one too large", "partitions.py",
            "prod(starmap(sub, combinations(rev, 2)))",
            "prod(b - a + 1 for b, a in combinations(rev, 2))",
@@ -181,8 +185,12 @@ MUTANTS = (
            '"coreg": (max, 1, operator.ge)', '"coreg": (max, 0, operator.ge)',
            ("tests/test_bounds.py::TestCheckTensorBounds",)),
     Mutant("merged multiplicity overwritten, not added to", "tables.py",
-           "merged[parts] = merged.get(parts, 0) + mult", "merged[parts] = mult",
+           "(_exact(held[0] + mult), lam)", "(mult, lam)",
            ("tests/test_bounds.py::TestTensorHomogeneous",)),
+    Mutant("merged multiplicity not made exact", "tables.py",
+           "(_exact(held[0] + mult), lam)", "(held[0] + mult, lam)",
+           ("tests/test_tables.py::TestExact::"
+            "test_merged_multiplicities_follow_the_exact_number_rule",)),
     Mutant("record JSON writes inf as -inf", "tables.py",
            'return "inf"', 'return "-inf"', ("tests/test_startup.py::TestRecords",)),
     Mutant("a bool grid bound read as an int", "tables.py",

@@ -29,8 +29,28 @@ class TestBottCohomology:
         assert bott_cohomology(2, gp(1, 0), -3) is None
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^label has length 2, expected 3$"):
             bott_cohomology(3, gp(1, 0), 0)
+
+    # the length is checked on the memo's miss path: a refusal raises before
+    # its key is stored, so it is refused on every call, whatever the memo holds
+
+    def test_a_label_longer_than_n_is_refused(self):
+        # without the check, the roots of (1, 0) read at n = 1 answer BottCohomology(-1, 3)
+        with pytest.raises(ValueError, match="^label has length 2, expected 1$"):
+            bott_cohomology(1, gp(1, 0), 0)
+
+    def test_a_label_shorter_than_n_is_refused(self):
+        with pytest.raises(ValueError, match="^label has length 1, expected 2$"):
+            bott_cohomology(2, gp(1), 0)
+
+    def test_a_refusal_is_repeated_and_stores_nothing(self):
+        assert bott_cohomology(2, gp(1, 0), 0) == BottCohomology(0, 3)
+        size = bott._bott.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^label has length 2, expected 3$"):
+                bott_cohomology(3, gp(1, 0), 0)
+            assert bott._bott.cache_info().currsize == size
 
     def test_line_bundle_certification(self):
         for n in range(1, 6):

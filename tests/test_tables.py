@@ -351,6 +351,13 @@ class TestExact:
         assert [type(m) for m, _ in t.terms] == [int, int, Fraction]
         assert t.hilbert_polynomial() == hilbert_by_pieces(t)
 
+    def test_merged_multiplicities_follow_the_exact_number_rule(self):
+        # equal labels are merged and sorted by their parts; a sum that is whole is an int
+        t = BottSumTable(1, [(Fraction(1, 2), gp(1)), (Fraction(1, 3), (2,)), (3, gp(0)),
+                             ("1/2", (1,)), (Fraction(1, 3), gp(2)), (0, gp(-1))])
+        assert t.terms == ((3, gp(0)), (1, gp(1)), (Fraction(2, 3), gp(2)))
+        assert [type(m) for m, _ in t.terms] == [int, int, Fraction]
+
     @pytest.mark.parametrize("sum_of", [
         lambda m: BottSumTable(1, [(m, gp(0))]),
         lambda m: SumTable([(m, structure_sheaf_table(1))]),
