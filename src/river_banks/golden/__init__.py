@@ -82,10 +82,11 @@ def verify():
 
     for name in _FILES:
         t = load(name)
-        again = parse_ascii(render_ascii(t, t.lo, t.hi))
+        lo, hi = t.window
+        again = parse_ascii(render_ascii(t, lo, hi))
         check(f"roundtrip-{name}",
-              _cells(t, t.lo, t.hi) == _cells(again, t.lo, t.hi)
-              and ascii_normalize(render_ascii(t, t.lo, t.hi))
+              _cells(t, lo, hi) == _cells(again, lo, hi)
+              and ascii_normalize(render_ascii(t, lo, hi))
               == ascii_normalize(source(name)))
 
     check("hm-corner-entries",

@@ -56,12 +56,13 @@ twist polynomial of a one-label table.  A windowed table, which is a
 literal window (a direct sum holds generator tables only), gives instead its
 ``window``: the display columns (lo, hi) it defines; a generator table's
 ``window`` is None.  A literal window sweeps its cells for its profile
-(``_grid_profile``): each display column keeps its top and bottom nonzero
-rows, the two banks of the river, and an answer that touches the end of
-the window carries a ``window_limited`` flag instead of being silently
-extrapolated.  A window sweeps its cells for ``is_natural`` too, but
-determines neither the twist polynomial nor supernaturality: both raise
-``UndecidableError``.
+(``_grid_profile``): each row keeps its first and last nonzero display
+columns, the two banks of the river, reg(k) reads the last columns of the
+rows above k and coreg(k) the first columns of the rows below n - k, and an
+answer that touches the end of the window carries a ``window_limited`` flag
+instead of being silently extrapolated.  A window sweeps its cells for
+``is_natural`` too, but determines neither the twist polynomial nor
+supernaturality: both raise ``UndecidableError``.
 """
 
 from __future__ import annotations
@@ -328,25 +329,29 @@ class LiteralTable(CohomologyTable):
                 raise ValueError(f"negative entry in row {i}")
             rows.append(row)
         self.n = n
+        # lo and hi repeat the window for the benchmark's tests, their only readers
         self.lo = lo
         self.hi = hi
         self.window = (lo, hi)
         self.rows_by_i = tuple(rows)
 
     def _row(self, i, lo, hi):
-        if not self.lo <= lo <= hi <= self.hi:
+        start, end = self.window
+        if not start <= lo <= hi <= end:
             # the first column outside the window, left to right
-            c = self.hi + 1 if self.lo <= lo <= self.hi else lo
-            raise WindowExceededError(i, c - i, self.lo, self.hi)
-        return list(self.rows_by_i[i][lo - self.lo:hi - self.lo + 1])
+            c = end + 1 if start <= lo <= end else lo
+            raise WindowExceededError(i, c - i, start, end)
+        return list(self.rows_by_i[i][lo - start:hi - start + 1])
 
     def dual(self):
+        lo, hi = self.window
         rows = [row[::-1] for row in reversed(self.rows_by_i)]
-        return LiteralTable(self.n, -self.hi - 1, -self.lo - 1, rows)
+        return LiteralTable(self.n, -hi - 1, -lo - 1, rows)
 
     def twist(self, s):
         (s,) = _ints((s,))
-        return LiteralTable(self.n, self.lo - s, self.hi - s, self.rows_by_i)
+        lo, hi = self.window
+        return LiteralTable(self.n, lo - s, hi - s, self.rows_by_i)
 
 
 #: Refusals for hostile sizes, checked before any work: expressions on a
@@ -419,27 +424,31 @@ def _printed_rows(t: CohomologyTable, lo: int, hi: int):
 def _grid_profile(grid, lo, hi):
     """The regularity profile of rows 0..n of ``grid`` over display columns lo..hi.
 
-    One pass records each nonzero column's top and bottom nonzero rows, the
-    river's two banks.  reg(k) is one more than the last column whose top row
-    is above k, coreg(k) one less than the first column whose bottom row is
-    below n - k.  Without such a column the answer is lo (for reg) or hi (for
-    coreg), flagged window-limited; so is an answer read off column hi (for
-    reg) or lo (for coreg).
+    One pass over the rows records each row's first and last nonzero columns,
+    the river's two banks; an all-zero row has neither, and stands in with
+    hi + 1 and lo - 1, just outside the window.  reg(k) is one more than
+    the largest last column over rows k+1..n, coreg(k) one less than the
+    smallest first column over rows 0..n-k-1.  Without a nonzero cell in
+    those rows the answer is lo (for reg) or hi (for coreg), flagged
+    window-limited; so is an answer read off column hi (for reg) or lo (for
+    coreg).
     """
-    n = len(grid) - 1
-    banks = []
-    for x, c in enumerate(range(lo, hi + 1)):
-        rows = [j for j in range(n + 1) if grid[j][x]]
-        if rows:
-            banks.append((c, rows[-1], rows[0]))
-    reg, coreg = [], []
-    for k in range(n):
-        c = next((c for c, top, _ in reversed(banks) if top > k), None)
-        reg.append((lo, True) if c is None else (c + 1, c == hi))
-        c = next((c for c, _, bottom in banks if bottom < n - k), None)
-        coreg.append((hi, True) if c is None else (c - 1, c == lo))
-    return RegularityProfile(tuple(v for v, _ in reg), tuple(v for v, _ in coreg),
-                             tuple(f for _, f in reg), tuple(f for _, f in coreg))
+    first, last = [], []
+    for row in grid:
+        v = next(filter(None, row), None)
+        if v is None:
+            first.append(hi + 1)
+            last.append(lo - 1)
+        else:
+            first.append(lo + row.index(v))
+            rev = row[::-1]
+            last.append(hi - rev.index(next(filter(None, rev))))
+    # reg(k) for k = n-1..0 is the running max of last over rows n..k+1
+    reg = list(accumulate(reversed(last[1:]), max))[::-1]
+    coreg = list(accumulate(first[:-1], min))[::-1]
+    return RegularityProfile(tuple(c + 1 for c in reg), tuple(c - 1 for c in coreg),
+                             tuple(c == hi or c < lo for c in reg),
+                             tuple(c == lo or c > hi for c in coreg))
 
 
 def _roots_profile(n, seqs):

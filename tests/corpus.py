@@ -20,7 +20,9 @@ oracles, the stored rows of a literal window and the weighted sum of a
 direct sum's summands, never through a table's own rows, which ``entry``
 reads too; the cell oracles read a row, an ASCII render or a JSON window
 one ``entry`` at a time and format it one cell at a time, independent of
-the row reads and the whole-row writers; the fraction oracle runs the
+the row reads and the whole-row writers; the column oracle reads a grid's
+regularity profile off each display column's top and bottom nonzero rows,
+independent of the per-row banks; the fraction oracle runs the
 greedy decomposition on a ``Fraction`` residual, independent of the integer
 residual over one denominator, and the piece oracle sums a twist
 polynomial one ``RatPoly`` per piece (``_from_roots``), independent of the
@@ -54,6 +56,7 @@ from river_banks.tables import (
     POS_INFINITY,
     BottSumTable,
     LiteralTable,
+    RegularityProfile,
     SumTable,
     UndecidableError,
     WindowExceededError,
@@ -190,6 +193,32 @@ def reg_condition_holds(t, k, m):
 
 def coreg_condition_holds(t, k, m):
     return not any(t.entry(j, m - j) for j in range(0, t.n - k))
+
+
+def grid_profile_by_columns(grid, lo, hi):
+    """The regularity profile of rows 0..n of ``grid`` over display columns lo..hi.
+
+    One pass records each nonzero column's top and bottom nonzero rows, the
+    river's two banks.  reg(k) is one more than the last column whose top row
+    is above k, coreg(k) one less than the first column whose bottom row is
+    below n - k.  Without such a column the answer is lo (for reg) or hi (for
+    coreg), flagged window-limited; so is an answer read off column hi (for
+    reg) or lo (for coreg).
+    """
+    n = len(grid) - 1
+    banks = []
+    for x, c in enumerate(range(lo, hi + 1)):
+        rows = [j for j in range(n + 1) if grid[j][x]]
+        if rows:
+            banks.append((c, rows[-1], rows[0]))
+    reg, coreg = [], []
+    for k in range(n):
+        c = next((c for c, top, _ in reversed(banks) if top > k), None)
+        reg.append((lo, True) if c is None else (c + 1, c == hi))
+        c = next((c for c, _, bottom in banks if bottom < n - k), None)
+        coreg.append((hi, True) if c is None else (c - 1, c == lo))
+    return RegularityProfile(tuple(v for v, _ in reg), tuple(v for v, _ in coreg),
+                             tuple(f for _, f in reg), tuple(f for _, f in coreg))
 
 
 def subset_sum_cohomology(a, i):

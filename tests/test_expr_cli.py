@@ -809,7 +809,7 @@ def _env_seed(text):
 INT_READERS = {
     "label part": lambda s: GenPartition.parse(s).parts[0],
     "ASCII cell": lambda s: parse_ascii(f"0: {s}\n   0\n").entry(0, 0),
-    "index number": lambda s: parse_ascii(f"0: 1\n{s}\n").lo,
+    "index number": lambda s: parse_ascii(f"0: 1\n{s}\n").window[0],
     "--window": lambda s: _parsed(["table", "O(0) on P1", "--window", f"{s}:{s}"]).window[0],
     "--n": lambda s: _parsed(["check-sharpness", "0", "0", "--n", s]).n,
     "--trials": lambda s: _parsed(["wedge-kernel", "--trials", s]).trials,

@@ -30,6 +30,7 @@ from river_banks.tables import (
     WindowExceededError,
     _cells,
     _exact,
+    _grid_profile,
     ascii_normalize,
     beilinson_terms,
     homogeneous_table,
@@ -48,6 +49,7 @@ from corpus import (
     bundle_exprs,
     certified_range,
     coreg_condition_holds,
+    grid_profile_by_columns,
     hilbert_by_pieces,
     hook_content_dim,
     json_by_cells,
@@ -82,6 +84,26 @@ def literal_windows(draw, n=None):
     row = st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=width, max_size=width)
     return LiteralTable(n, lo, lo + width - 1, draw(st.lists(row, min_size=n + 1,
                                                              max_size=n + 1)))
+
+
+@st.composite
+def profile_grids(draw):
+    """A grid of 1..8 rows and 1..60 display columns from a random lo, with its lo and hi.
+
+    Cells are mostly zero, some negative and some past 2**63; a row may be
+    all zero, and the nonzero cells may be kept to column lo alone, to
+    column hi alone, or dropped, for an all-zero grid.
+    """
+    rows, width = draw(st.integers(1, 8)), draw(st.integers(1, 60))
+    lo = draw(st.one_of(st.integers(-70, 70), st.integers(-2**80, 2**80)))
+    cell = st.sampled_from((0, 0, 0, 0, 1, -1, 7, 2**64 + 1, -2**70))
+    row = st.one_of(st.just([0] * width), st.lists(cell, min_size=width, max_size=width))
+    grid = draw(st.lists(row, min_size=rows, max_size=rows))
+    # the nonzero cells of column lo alone, of column hi alone, or of none (-1)
+    only = draw(st.sampled_from((None, 0, width - 1, -1)))
+    if only is not None:
+        grid = [[v if c == only else 0 for c, v in enumerate(r)] for r in grid]
+    return grid, lo, lo + width - 1
 
 
 @st.composite
@@ -140,7 +162,7 @@ def bott_sums_and_windows(draw):
 
 
 def assert_same_window(got, t, lo, hi):
-    assert (got.n, got.lo, got.hi) == (t.n, lo, hi)
+    assert (got.n, got.window) == (t.n, (lo, hi))
     for i in range(t.n + 1):
         for c in range(lo, hi + 1):
             assert got.entry(i, c - i) == t.entry(i, c - i)
@@ -491,6 +513,16 @@ class TestRegCoreg:
         prof = regularity_profile(t)
         assert prof.reg == (3,) and prof.reg_window_limited == (True,)
 
+    @given(profile_grids())
+    # row 1 ends right of row 2, which reg(0) reads and reg(1) does not
+    @example(([[0, 0, 0], [0, 0, 5], [0, 1, 0]], 0, 2))
+    # the last nonzero column is hi, and for coreg the first is lo
+    @example(([[0, 0], [0, 3]], -1, 0))
+    @example(([[-2, 0], [0, 0]], 4, 5))
+    @example(([[0] * 4] * 3, 10**30, 10**30 + 3))
+    def test_grid_profile_matches_the_column_oracle(self, case):
+        assert _grid_profile(*case) == grid_profile_by_columns(*case)
+
     @given(literal_windows())
     def test_literal_profile_matches_definition(self, t):
         assert regularity_profile(t) == brute_profile(t)
@@ -660,9 +692,9 @@ class TestAsciiFormat:
     def test_round_trip_golden(self):
         for name in golden.names():
             t = golden.load(name)
-            again = parse_ascii(render_ascii(t, t.lo, t.hi))
+            again = parse_ascii(render_ascii(t, *t.window))
             assert again.rows_by_i == t.rows_by_i
-            assert (again.lo, again.hi) == (t.lo, t.hi)
+            assert again.window == t.window
 
     @given(bott_sums_and_windows())
     def test_round_trip_bott_sums(self, case):
@@ -703,7 +735,7 @@ class TestAsciiFormat:
 
     def test_parse_tolerates_trailing_period(self):
         t = parse_ascii("1: 1 .\n0: . 1\n   0 1.\n")
-        assert (t.lo, t.hi) == (0, 1)
+        assert t.window == (0, 1)
 
     def test_an_oversized_window_is_refused_before_any_column(self):
         # the index line of two million columns alone held over 100 MiB
