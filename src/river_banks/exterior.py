@@ -148,7 +148,5 @@ def rank(matrix) -> int:
                 m[r][c] = q
         prev = pv
         rank_ += 1
-        if rank_ == nrows:
-            break
     return rank_
 

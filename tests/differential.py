@@ -6,10 +6,11 @@ The ref's tree is exported with ``git archive`` into a temporary directory:
 no network, and nothing in the repository changes, even when the run is
 interrupted.  Both trees then run the same argument vectors, each call in a
 fresh ``python -m river_banks`` interpreter with that tree's ``src`` on
-``PYTHONPATH``, the tree as working directory, a 1 GB address-space cap and
-a 120 s timeout, two calls at a time.  The vectors are every
-``bench/workloads.CLI_CASES`` call, the hostile calls of the CI workflow
-and 30 random calls per family, drawn from the seed (default 0):
+``PYTHONPATH``, the tree as working directory, an address-space cap of
+``MEMORY_CAP`` bytes and a 120 s timeout, two calls at a time.  The vectors
+are every ``bench/workloads.CLI_CASES`` call, the hostile calls that tier-1
+runs under the same cap (``hostile_calls``) and 30 random calls per family,
+drawn from the seed (default 0):
 well-formed and broken expressions for ``table``, ``indices``, ``tensor``,
 ``check-bounds``, ``decompose`` and ``unobstructed``, labels for
 ``check-sharpness``, seeds and forms for ``wedge-kernel``, and literal
@@ -19,8 +20,9 @@ JSON windows, written to the temporary directory, for ``indices``,
 Prints every vector whose exit code, stdout or stderr differ, with the
 differing stdout and stderr lines (a traceback's file paths and line
 numbers aside), then the vector count, and exits 1 when any vector
-differs.  It needs the repository's history, so it is no tier-1
-test.  Standard library only.
+differs.  It needs the repository's history, so the run itself is no
+tier-1 test; tier-1 imports ``hostile_calls`` and ``call`` from here.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -40,18 +42,26 @@ from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NINES = "9" * 4300
+# 100 parts whose differences are about 10^1200: a Weyl product of 2e7 bits
+HOSTILE_LABEL = ",".join(str((99 - i) * 10**1199) for i in range(100))
+# the address-space cap of every call, in bytes: ``ulimit -v 1000000``
+MEMORY_CAP = 1_000_000 * 1024
 PER_FAMILY = 30
 TRACEBACK_LINE = re.compile(r'^(  File ".*", line )\d+', re.M)
 
 
 def hostile_calls():
-    """The calls the CI workflow's hostile-input step runs under its memory cap."""
-    label = ",".join(str((99 - i) * 10**1199) for i in range(100))
+    """Calls that must be refused (exit 2) before any work; tier-1 runs them under the cap.
+
+    A billion-column window, rendered or decomposed, ``HOSTILE_LABEL``, and
+    indices, margins, arguments, product labels and coefficients past the
+    interpreter's digit limit.
+    """
     return [
         ["table", "O(0) on P1", "--window", "0:1000000000"],
         ["tensor", "S[1,0] on P2", "S[1,0] on P2", "--window", "0:1000000000"],
         ["decompose", "S[1000000000,0] on P2"],
-        ["indices", f"S[{label}] on P100"],
+        ["indices", f"S[{HOSTILE_LABEL}] on P100"],
         ["indices", f"S[{NINES},0] on P2"],
         ["unobstructed", f"S[{NINES},0,0] on P3"],
         ["table", "O(0) on P1", "--window", "0:" + "1" * 4400],
@@ -182,16 +192,16 @@ def export(ref, dest):
 
 
 def cap_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def call(tree, argv):
-    """(exit code, stdout, stderr) of one fresh interpreter in ``tree``."""
+def call(tree, argv, timeout=120):
+    """(exit code, stdout, stderr) of one fresh, capped interpreter in ``tree``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
     env.pop("RIVER_BANKS_SEED", None)
     try:
         proc = subprocess.run([sys.executable, "-m", "river_banks", *argv], cwd=tree, env=env,
-                              capture_output=True, text=True, timeout=120,
+                              capture_output=True, text=True, timeout=timeout,
                               preexec_fn=cap_memory)
     except subprocess.TimeoutExpired:
         return "timeout", "", ""

@@ -20,8 +20,11 @@ not listed.  Nor is the digit bound's ``min(qs)`` read as ``max(qs)``,
 which stays inside the bound's slack on every grid the tests build, nor
 ``decompose`` skipping its gcd step altogether: the residual and its
 denominator then grow together, which changes no ratio and no coefficient.
+Nor is ``exterior.rank`` without its division by the previous pivot, whose
+entries grow but whose rank stays.  ``TwoForm.from_pairs`` taking i = j
+changes only a message, since ``BASIS2.index`` then refuses the pair.
 
-The table holds 60 mutants; all are killed in 131 s (CPython 3.11.7,
+The table holds 69 mutants; all are killed in 90 s (CPython 3.11.7,
 2 CPUs, a shared host).
 """
 
@@ -65,6 +68,9 @@ GRID_PROFILE_TESTS = (
     "tests/test_tables.py::TestRegCoreg::test_grid_profile_matches_the_column_oracle",
 )
 RULE_TEST = "tests/test_exterior.py::TestCoefficientRule"
+ZERO_WINDOW_TEST = ("tests/test_expr_cli.py::TestCliCommands::"
+                    "test_check_bounds_on_an_all_zero_window_is_limited")
+CRITERION_TESTS = "tests/test_bounds.py::TestUnobstructedCriterion"
 LR_TESTS = ("tests/test_partitions.py::TestLRExpand",)
 WEIGHT_TESTS = ("tests/test_partitions.py::TestPatternWeights",
                 "tests/test_partitions.py::TestLRExpand")
@@ -192,6 +198,33 @@ MUTANTS = (
     Mutant("coreg bound without its shift 1", "bounds.py",
            '"coreg": (max, 1, operator.ge)', '"coreg": (max, 0, operator.ge)',
            ("tests/test_bounds.py::TestCheckTensorBounds",)),
+    # exit 1 against exit 3: a violation is certified only off unflagged indices
+    Mutant("certified violation ignores the window flags", "bounds.py",
+           "not e.satisfied and not e.window_limited for e in", "not e.satisfied for e in",
+           (ZERO_WINDOW_TEST,)),
+    Mutant("bound entry drops the product's own window flag", "bounds.py",
+           "flags = fgf[p] or any(", "flags = any(", (ZERO_WINDOW_TEST,)),
+    # the unobstructedness criterion's margins, branch and flag
+    Mutant("criterion reads m0 <= 3 as m0 < 3", "bounds.py",
+           "first, second = m0 <= 3, m1 <= 3", "first, second = m0 < 3, m1 <= 3",
+           (f"{CRITERION_TESTS}::test_one_margin_of_three_holds_on_its_branch",)),
+    Mutant("criterion's one-sided branch names swapped", "bounds.py",
+           '(True, False): "reg0-coreg1",\n              (False, True): "reg1-coreg0"',
+           '(True, False): "reg1-coreg0",\n              (False, True): "reg0-coreg1"',
+           (f"{CRITERION_TESTS}::test_one_margin_of_three_holds_on_its_branch",)),
+    Mutant("criterion flag without coreg(1)'s", "bounds.py",
+           "or prof.coreg_window_limited[0] or prof.coreg_window_limited[1])",
+           "or prof.coreg_window_limited[0])",
+           (f"{CRITERION_TESTS}::test_coreg1_alone_off_the_window_is_flagged",)),
+    # the bundled tables' checks
+    Mutant("hm-obstruction-margins reads the margins alone", "golden/__init__.py",
+           "rep.margins == (6, 6) and not rep.holds", "rep.margins == (6, 6)",
+           ("tests/test_expr_cli.py::TestCliCommands::"
+            "test_golden_verify_fails_on_a_criterion_that_always_holds",)),
+    Mutant("tensor-bounds-equal check deleted", "golden/__init__.py",
+           '    check("tensor-bounds-equal", reg_rep.all_equal and coreg_rep.all_equal)\n', "",
+           ("tests/test_expr_cli.py::TestCliCommands::"
+            "test_golden_verify_fails_on_a_corrupt_table",)),
     Mutant("merged multiplicity overwritten, not added to", "tables.py",
            "(_exact(held[0] + mult), lam)", "(mult, lam)",
            ("tests/test_bounds.py::TestTensorHomogeneous",)),
@@ -262,6 +295,19 @@ MUTANTS = (
     Mutant("cli imports bounds at start-up", "cli.py",
            "import river_banks as rb\n", "import river_banks as rb\nimport river_banks.bounds\n",
            ("tests/test_startup.py::TestImportGraph",)),
+    # the ambient limit of an expression, and a window's rows refused before
+    # its index line is built; that mutant is named only against the capped
+    # calls, since uncapped it builds a billion strings
+    Mutant("expression ambient limit one past P100", "expr.py",
+           "if n > MAX_AMBIENT_DIM:", "if n > MAX_AMBIENT_DIM + 1:",
+           ("tests/test_expr_cli.py::TestExitCodeContract::"
+            "test_hostile_sizes_are_refused_before_any_work",)),
+    Mutant("render_ascii builds its index line before the rows", "tables.py",
+           '    cells = [[str(v) if v else "." for v in row] for row in _printed_rows(t, lo, hi)]\n'
+           "    index = list(map(str, range(lo, hi + 1)))\n",
+           "    index = list(map(str, range(lo, hi + 1)))\n"
+           '    cells = [[str(v) if v else "." for v in row] for row in _printed_rows(t, lo, hi)]\n',
+           ("tests/test_expr_cli.py::TestHostileCallsUnderACap",)),
     # the digit bound off the pieces
     Mutant("digit bound takes the largest root factor, not their product", "tables.py",
            "bits += sum(max(hi - min(r)", "bits += max(max(hi - min(r)",

@@ -13,7 +13,13 @@ from river_banks.bounds import (
 )
 from river_banks.kunneth import KunnethTable
 from river_banks.partitions import GenPartition, lr_expand, schur_dim
-from river_banks.tables import BottSumTable, homogeneous_table, structure_sheaf_table
+from river_banks.tables import (
+    BottSumTable,
+    LiteralTable,
+    homogeneous_table,
+    regularity_profile,
+    structure_sheaf_table,
+)
 
 from corpus import random_bott_sum, random_partition, sharpness_by_product
 
@@ -243,3 +249,29 @@ class TestUnobstructedCriterion:
     def test_needs_dimension_two(self):
         with pytest.raises(ValueError):
             unobstructed_criterion(structure_sheaf_table(1))
+
+    @staticmethod
+    def window(*cells):
+        """A window over display columns 0..10 on P2 with a 1 at each (row, column)."""
+        rows = [[0] * 11 for _ in range(3)]
+        for i, d in cells:
+            rows[i][d] = 1
+        return LiteralTable(2, 0, 10, rows)
+
+    # reg(0) - coreg(1) = max(last of rows 1, 2) - first of row 0 + 2, and
+    # reg(1) - coreg(0) = last of row 2 - min(first of rows 0, 1) + 2
+    @pytest.mark.parametrize("cells, margins, branch", [
+        (((0, 5), (1, 2), (1, 6), (2, 5)), (3, 5), "reg0-coreg1"),
+        (((0, 5), (1, 8), (2, 6)), (5, 3), "reg1-coreg0"),
+    ])
+    def test_one_margin_of_three_holds_on_its_branch(self, cells, margins, branch):
+        rep = unobstructed_criterion(self.window(*cells))
+        assert rep == (True, branch, margins, False)
+
+    def test_coreg1_alone_off_the_window_is_flagged(self):
+        # row 0 all zero: coreg(1) is read off the window's edge, and only it
+        t = self.window((1, 3), (2, 4))
+        assert unobstructed_criterion(t).window_limited
+        prof = regularity_profile(t)
+        assert prof.reg_window_limited + prof.coreg_window_limited \
+            == (False, False, False, True)

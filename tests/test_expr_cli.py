@@ -31,11 +31,14 @@ from river_banks.tables import (
 )
 
 from corpus import bundle_exprs
+from differential import HOSTILE_LABEL, call, hostile_calls
 
 
 CLI_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "cli_expected.json"
 # the package the tests imported, so that a subprocess runs a mutated copy too
 SRC = Path(river_banks.__file__).resolve().parents[1]
+# the tree ``differential.call`` runs: its ``src`` is SRC
+TREE = str(SRC.parent)
 
 
 def gp(*parts):
@@ -299,6 +302,19 @@ class TestCliCommands:
                    str(bad)])
         assert rc == 1
 
+    def test_check_bounds_on_an_all_zero_window_is_limited(self, tmp_path, capsys):
+        # the product's reg indices read 5 off columns 5..10, against a bound
+        # of 0: unsatisfied, but flagged by the product's own window, so no
+        # violation is certified
+        zeros = tmp_path / "zeros.json"
+        zeros.write_text(json.dumps({"n": 2, "window": [5, 10], "rows": [[0] * 6] * 3}))
+        assert main(["check-bounds", "O(0) on P2", "O(0) on P2", str(zeros)]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert [(e["actual"], e["bound"], e["satisfied"]) for e in out["reg"]["entries"]] \
+            == [(5, 0, False)] * 2
+        assert all(e["window_limited"] for side in ("reg", "coreg")
+                   for e in out[side]["entries"])
+
     def test_check_sharpness(self, capsys):
         assert main(["check-sharpness", "1,0", "1,0", "--n", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -438,16 +454,38 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] and len(out["checks"]) >= 20
 
+    @staticmethod
+    def golden_checks(capsys):
+        assert main(["golden", "verify"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert not out["ok"]
+        return {c["name"]: c["ok"] for c in out["checks"]}
+
+    def test_golden_verify_fails_on_a_corrupt_table(self, capsys, monkeypatch):
+        # the product's 48 in row 1, column 2 gone: reg(0) falls from 3 to 2,
+        # under its bound 3, so the bounds hold but are no longer equalities
+        source = golden.source
+        monkeypatch.setattr(golden, "source", lambda name: source(name).replace(
+            " 48 ", "  . ") if name == "fg" else source(name))
+        checks = self.golden_checks(capsys)
+        assert checks["tensor-bounds-hold"] and not checks["tensor-bounds-equal"]
+
+    def test_golden_verify_fails_on_a_criterion_that_always_holds(self, capsys, monkeypatch):
+        # the margins stay (6, 6); only the decision is wrong
+        criterion = golden.unobstructed_criterion
+        monkeypatch.setattr(golden, "unobstructed_criterion",
+                            lambda t: criterion(t)._replace(holds=True))
+        checks = self.golden_checks(capsys)
+        assert not checks["hm-obstruction-margins"] and checks["hm-indices"]
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["table", "S[1,0] on P2"]) == 2  # missing --window
         assert main(["indices", "S[1,0) on P2"]) == 2
 
     def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "river_banks", "indices", "S[1,0] on P2"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["reg"] == [0, -1]
+        code, out, _ = call(TREE, ["indices", "S[1,0] on P2"])
+        assert code == 0
+        assert json.loads(out)["reg"] == [0, -1]
 
 
 # --- how main maps each exception to an exit code and one stderr line --------
@@ -509,11 +547,9 @@ class TestErrorMapping:
                                   enumerate(PINNED_ERRORS)])
     def test_an_error_gets_its_pinned_code_and_line(self, error_dir, argv, code, line):
         argv = [a.replace("{}", error_dir) for a in argv]
-        proc = subprocess.run([sys.executable, "-m", "river_banks", *argv],
-                              env=dict(os.environ, PYTHONPATH=str(SRC)),
-                              capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stdout) == (code, "")
-        assert proc.stderr.splitlines() == [line.replace("{}", error_dir)]
+        got, out, err = call(TREE, argv)
+        assert (got, out) == (code, "")
+        assert err.splitlines() == [line.replace("{}", error_dir)]
 
     def test_undecidable_is_a_limited_answer(self, capsys, monkeypatch):
         from river_banks.tables import UndecidableError
@@ -624,8 +660,7 @@ table_files = st.one_of(
 any_expr = st.one_of(st.text(NOISE), st.text(), mutated(st.integers(1, 3).flatmap(bundle_exprs)))
 
 
-# 100 parts whose differences are about 10^1200, and 100 parts of up to ten digits
-HOSTILE_LABEL = ",".join(str((99 - i) * 10**1199) for i in range(100))
+# 100 parts of up to ten digits; HOSTILE_LABEL's differences are about 10^1200
 TEN_DIGIT_LABEL = ",".join(str(9_999_999_999 - i * 10**8) for i in range(100))
 WEYL_LIMIT = f"past the limit of {MAX_WEYL_BITS} bits"
 
@@ -705,6 +740,7 @@ class TestExitCodeContract:
         (["decompose", "S[1000000000,0] on P2"], f"limit of {MAX_CELLS}"),
         (["table", "O(0) on P1500", "--window", "0:3"], f"limit P{MAX_AMBIENT_DIM}"),
         (["decompose", "O(0) on P300"], f"limit P{MAX_AMBIENT_DIM}"),
+        (["indices", f"O(0) on P{MAX_AMBIENT_DIM + 1}"], f"limit P{MAX_AMBIENT_DIM}"),
         (["tensor", "S[20,15,10,5,0] on P5", "S[20,15,10,5,0] on P5"],
          f"dimension 60466176, past the limit of {MAX_TENSOR_DIM}"),
         (["tensor", "S[1,0,0,0,0] (+) S[12,9,6,3,0]", "S[12,9,6,3,0]"],
@@ -743,6 +779,11 @@ class TestExitCodeContract:
         assert len(captured.err.splitlines()) == 1
         assert entries == []
 
+    def test_the_largest_ambient_dimension_still_answers(self, capsys):
+        assert main(["indices", f"O(0) on P{MAX_AMBIENT_DIM}"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["n"] == MAX_AMBIENT_DIM and out["reg"] == [0] * MAX_AMBIENT_DIM
+
     def test_a_label_inside_the_weyl_bound_still_answers(self, capsys):
         parts = [(99 - i) * 10**30 for i in range(100)]
         neg = [i - 100 - p for i, p in enumerate(parts)]
@@ -777,6 +818,29 @@ class TestExitCodeContract:
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert [e["p"] for e in report["entries"] if e["equality"]] == list(range(int(argv[-1])))
+
+
+class TestHostileCallsUnderACap:
+    """``differential.hostile_calls()``, each in a fresh interpreter capped at MEMORY_CAP bytes.
+
+    The cap turns work that the limits should have refused into a
+    MemoryError, so a refusal that comes too late fails here even where the
+    in-process tests, uncapped, would only run long; and the dearest product
+    the tensor limit accepts must still answer under the same cap.
+    """
+
+    @pytest.mark.parametrize("argv", hostile_calls(),
+                             ids=[f"{i}-{argv[0]}" for i, argv in enumerate(hostile_calls())])
+    def test_a_hostile_call_is_refused_in_a_short_message(self, argv):
+        # a call past its timeout returns the code "timeout"
+        code, out, err = call(TREE, argv, timeout=20)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300
+
+    def test_the_dearest_product_the_tensor_limit_accepts_answers(self):
+        code, out, _ = call(TREE, ["tensor", "S[99999,0] on P2", "S[99999,0] on P2"],
+                            timeout=30)
+        assert code == 0 and len(json.loads(out)["terms"]) == 100_000
 
 
 # --- one rule for every integer read from text ------------------------------
