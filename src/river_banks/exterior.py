@@ -12,9 +12,11 @@ float or a bool and reads text as "p" or "p/q" only, for ``from_pairs`` too.
 Of the 100 products of a basis 2-form with a basis 2-form, the 30 with four
 distinct indices are nonzero; ``_WEDGE`` lists them once, at import, as
 (column, coefficient index, 4-form row, sign), so that ``wedge_matrix`` is one
-multiply-add per table row and block.  ``rank`` scales each row by the lcm of
-its denominators and runs fraction-free (Bareiss) elimination over the
-integers.
+multiply-add per table row and block.  ``rank`` copies an all-int row as it
+is and scales any other by the lcm of its denominators, then runs
+fraction-free (Bareiss) elimination over the integers: each step updates only
+the columns right of its pivot and asserts that the division by the previous
+pivot is exact.
 """
 
 from __future__ import annotations
@@ -124,29 +126,37 @@ def kernel_dim(eta1: TwoForm, eta2: TwoForm) -> int:
 
 
 def rank(matrix) -> int:
-    """Exact rank over the rationals via integer fraction-free elimination."""
+    """Exact rank over the rationals via fraction-free elimination; ``matrix`` is not changed."""
     m = []
     for row in matrix:
-        den = lcm(*(c.denominator for c in row))
-        m.append([c.numerator * (den // c.denominator) for c in row])
+        # an exact type test at C level: a bool or a Fraction row is rescaled
+        if set(map(type, row)) <= {int}:
+            m.append(list(row))
+        else:
+            den = lcm(*(c.denominator for c in row))
+            m.append([c.numerator * (den // c.denominator) for c in row])
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     rank_ = 0
     prev = 1
     for col in range(ncols):
-        piv = next((r for r in range(rank_, nrows) if m[r][col]), None)
-        if piv is None:
+        for piv in range(rank_, nrows):
+            if m[piv][col]:
+                break
+        else:
             continue
         m[rank_], m[piv] = m[piv], m[rank_]
-        pv = m[rank_][col]
+        top = m[rank_]
+        pv = top[col]
+        # the pivot column is never read again, so only the columns right of it change
         for r in range(rank_ + 1, nrows):
-            vr = m[r][col]
-            for c in range(col, ncols):
-                num = pv * m[r][c] - vr * m[rank_][c]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free step produced a remainder"
-                m[r][c] = q
+            row = m[r]
+            vr = row[col]
+            for c in range(col + 1, ncols):
+                num = pv * row[c] - vr * top[c]
+                q = num // prev
+                assert q * prev == num, "fraction-free step produced a remainder"
+                row[c] = q
         prev = pv
         rank_ += 1
     return rank_
-

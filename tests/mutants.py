@@ -21,10 +21,13 @@ which stays inside the bound's slack on every grid the tests build, nor
 ``decompose`` skipping its gcd step altogether: the residual and its
 denominator then grow together, which changes no ratio and no coefficient.
 Nor is ``exterior.rank`` without its division by the previous pivot, whose
-entries grow but whose rank stays.  ``TwoForm.from_pairs`` taking i = j
-changes only a message, since ``BASIS2.index`` then refuses the pair.
+entries grow but whose rank stays, nor its update loop starting at the pivot
+column, which writes a column no later step reads, nor the step without its
+exactness assert, which Sylvester's identity never lets fire.
+``TwoForm.from_pairs`` taking i = j changes only a message, since
+``BASIS2.index`` then refuses the pair.
 
-The table holds 69 mutants; all are killed in 90 s (CPython 3.11.7,
+The table holds 71 mutants; all are killed in 90 s (CPython 3.11.7,
 2 CPUs, a shared host).
 """
 
@@ -253,6 +256,13 @@ MUTANTS = (
     Mutant("multidegree upstairs truncated with int()", "kunneth.py",
            "a = _ints(a)\n    if i", "a = [int(x) for x in a]\n    if i",
            ("tests/test_kunneth.py::TestProductLineCohomology",)),
+    # the exact rank: its row copies and the caller's matrix
+    Mutant("Fraction rows copied into the integer matrix unscaled", "exterior.py",
+           "if set(map(type, row)) <= {int}:", "if True:",
+           ("tests/test_exterior.py::TestRank::test_matches_plain_gaussian_oracle",)),
+    Mutant("the integer copy aliases the caller's row", "exterior.py",
+           "m.append(list(row))", "m.append(row)",
+           ("tests/test_exterior.py::TestRank::test_matches_plain_gaussian_oracle",)),
     # the digit bounds at the package's edge: a form's coefficients, and
     # integer text past the interpreter's limit
     Mutant("form digit bound skipped", "exterior.py",

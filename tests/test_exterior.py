@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from river_banks.cli import main
 from river_banks.exterior import (
@@ -270,17 +270,51 @@ def rank_mod_p(matrix, p: int) -> int:
     return rank_
 
 
+# each row is all int, all integral Fractions, all Fractions or a mix, so the
+# oracle sees both of rank's row copies: the all-int one and the rescaled one
+small_entries = st.integers(-5, 5)
+small_fractions = st.fractions(-5, 5, max_denominator=4)
+ROW_ENTRIES = (small_entries, small_entries.map(Fraction), small_fractions,
+               small_entries | small_fractions)
+
+
+@st.composite
+def rank_matrices(draw):
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    m = [draw(st.lists(draw(st.sampled_from(ROW_ENTRIES)), min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        m[-1] = [a + 2 * b for a, b in zip(m[i], m[j])]
+    if draw(st.booleans()):
+        # a zero row and a zero column; multiplying by 0 keeps each entry's type
+        k, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        m[k] = [0 * v for v in m[k]]
+        for row in m:
+            row[c] *= 0
+    return m
+
+
+def typed(m):
+    return [[(type(c), c) for c in row] for row in m]
+
+
 class TestRank:
-    def test_matches_plain_gaussian_oracle(self):
-        rng = random.Random(64)
-        for _ in range(120):
-            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-            m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                  if rng.random() < 0.6 else Fraction(0)
-                  for _ in range(cols)] for _ in range(rows)]
-            if rows >= 2 and rng.random() < 0.5:
-                m[-1] = [a + 2 * b for a, b in zip(m[0], m[rng.randint(0, rows - 1)])]
-            assert rank(m) == _gauss_rank(m)
+    # 1 x k and k x 1 shapes, zero or not; then mixed, integral-Fraction and
+    # all-int rows, the last ones rewritten by the elimination of a copy
+    @given(rank_matrices())
+    @example([[0, 0, 0]])
+    @example([[Fraction(1, 3)] * 6])
+    @example([[3], [Fraction(1, 2)], [0]])
+    @example([[0], [0], [0]])
+    @example([[Fraction(2), Fraction(4)], [1, 2]])
+    @example([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
+    @example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    @settings(max_examples=300)
+    def test_matches_plain_gaussian_oracle(self, m):
+        before = typed(m)
+        assert rank(m) == _gauss_rank(m)
+        assert typed(m) == before
 
 
 class TestModularCrossCheck:
